@@ -107,21 +107,17 @@ def measure_allocation(
     return result, after - before, peak - before
 
 
-def checkpoint_write_peak(
-    store: GraphStore, directory, *, format: int
-) -> int:
-    """tracemalloc peak (bytes) of one checkpoint write at *format*.
+def checkpoint_write_peak(store: GraphStore, directory) -> int:
+    """tracemalloc peak (bytes) of one checkpoint write.
 
-    The blob format materialises the whole payload dict before
-    ``json.dump``, so its peak grows with the graph; the streaming
-    format serialises ``BATCH_ROWS``-sized records, so its peak is a
-    small constant.  P11 measures both at two graph sizes and records
+    The writer serialises ``BATCH_ROWS``-sized records, so the peak is
+    a small constant; P11 measures it at two graph sizes and records
     the growth ratio.
     """
     from repro.persistence.checkpoint import write_checkpoint
 
     __, __, peak = measure_allocation(
-        lambda: write_checkpoint(directory, store, 0, format=format)
+        lambda: write_checkpoint(directory, store, 0)
     )
     return peak
 

@@ -63,15 +63,16 @@ class UpdateCounters:
         )
 
 
-_JOURNAL_COUNTER_FIELDS = {
-    "node_created": "nodes_created",
-    "node_deleted": "nodes_deleted",
-    "rel_created": "relationships_created",
-    "rel_deleted": "relationships_deleted",
-    "node_prop": "properties_set",
-    "rel_prop": "properties_set",
-    "label_added": "labels_added",
-    "label_removed": "labels_removed",
+#: redo-op kind (the store's public change vocabulary) -> counter field
+_COUNTER_FIELDS = {
+    "create_node": "nodes_created",
+    "delete_node": "nodes_deleted",
+    "create_rel": "relationships_created",
+    "delete_rel": "relationships_deleted",
+    "set_node_prop": "properties_set",
+    "set_rel_prop": "properties_set",
+    "add_label": "labels_added",
+    "remove_label": "labels_removed",
 }
 
 
@@ -509,8 +510,7 @@ class CypherEngine:
 
     def _counters_since(self, mark: int) -> UpdateCounters:
         counts: dict[str, int] = {}
-        for entry in self.store._journal[mark:]:
-            field_name = _JOURNAL_COUNTER_FIELDS.get(entry[0])
-            if field_name:
-                counts[field_name] = counts.get(field_name, 0) + 1
+        for kind, count in self.store.change_counts(mark).items():
+            field_name = _COUNTER_FIELDS[kind]
+            counts[field_name] = counts.get(field_name, 0) + count
         return UpdateCounters(**counts)

@@ -68,8 +68,6 @@ from repro.graph.model import GraphSnapshot, Node, Relationship
 from repro.graph.strings import StringPool
 from repro.graph.values import grouping_key, is_storable, require_storable
 
-_MISSING = object()
-
 #: column hole marker: this id was never allocated (or was rolled back)
 _HOLE = -1
 
@@ -465,6 +463,19 @@ class GraphStore:
         """Number of live relationships (O(1), counter-maintained)."""
         return self._live_rels
 
+    def next_ids(self) -> tuple[int, int]:
+        """The next node id and relationship id the allocators hand out."""
+        return self._next_node_id, self._next_rel_id
+
+    def reserve_ids(self, next_node_id: int, next_rel_id: int) -> None:
+        """Advance the allocators to at least these positions.
+
+        Restoring a checkpoint calls this so ids of entities deleted
+        before the snapshot are never handed out again.
+        """
+        self._next_node_id = max(self._next_node_id, next_node_id)
+        self._next_rel_id = max(self._next_rel_id, next_rel_id)
+
     def has_records(self) -> bool:
         """True if any node or relationship record exists (tombstones too)."""
         return any(ls != _HOLE for ls in self._node_labelsets) or any(
@@ -518,22 +529,6 @@ class GraphStore:
             if half is not None:
                 return frozenset(half.rels)
         return frozenset()
-
-    def _adjacency_add(
-        self, rel_id: int, type_id: int, source: int, target: int
-    ) -> None:
-        self._out_half(source).add(type_id, rel_id)
-        self._in_half(target).add(type_id, rel_id)
-
-    def _adjacency_discard(
-        self, rel_id: int, type_id: int, source: int, target: int
-    ) -> None:
-        half = self._adj_out[source]
-        if half is not None:
-            half.discard(type_id, rel_id)
-        half = self._adj_in[target]
-        if half is not None:
-            half.discard(type_id, rel_id)
 
     def out_relationships_of_types(
         self, node_id: int, types: tuple[str, ...]
@@ -798,7 +793,9 @@ class GraphStore:
         Effective commits (non-empty redo) bump the store LSN and fan
         out to the commit observers; the journal is truncated only when
         a hook is installed, so observer-only stores keep full rollback
-        capability across committed statements.
+        capability across committed statements.  A hook that raises
+        (the log could not take the record) rolls the slice back
+        before the error propagates.
         """
         if self._tx_depth:
             return
@@ -808,7 +805,15 @@ class GraphStore:
         ops = self.redo_ops(mark)
         if ops:
             if hook is not None:
-                hook(ops)
+                try:
+                    hook(ops)
+                except BaseException:
+                    # Not logged means not committed: undo the
+                    # statement (the whole transaction when called
+                    # from commit_transaction) so memory keeps
+                    # matching what a reopen would recover.
+                    self.rollback_to(mark)
+                    raise
             self._lsn += 1
             lsn = self._lsn
             for observer in tuple(self._commit_observers):
@@ -835,182 +840,103 @@ class GraphStore:
         """
         ops: list[tuple] = []
         for entry in self._journal[mark:]:
-            op = entry[0]
-            if op == "node_created":
-                node_id = entry[1]
-                properties = self._node_props[node_id]
+            kind, entity_id = entry[0], entry[1]
+            if kind == "create_node":
                 ops.append(
                     (
-                        "create_node",
-                        node_id,
+                        kind,
+                        entity_id,
                         sorted(
                             self._labelset_strings[
-                                self._node_labelsets[node_id]
+                                self._node_labelsets[entity_id]
                             ]
                         ),
-                        dict(properties) if properties else {},
+                        dict(self._node_props[entity_id] or ()),
                     )
                 )
-            elif op == "rel_created":
-                rel_id = entry[1]
-                properties = self._rel_props[rel_id]
+            elif kind == "create_rel":
                 ops.append(
                     (
-                        "create_rel",
-                        rel_id,
-                        self._strings.text(self._rel_types[rel_id]),
-                        self._rel_source[rel_id],
-                        self._rel_target[rel_id],
-                        dict(properties) if properties else {},
+                        kind,
+                        entity_id,
+                        self._strings.text(self._rel_types[entity_id]),
+                        self._rel_source[entity_id],
+                        self._rel_target[entity_id],
+                        dict(self._rel_props[entity_id] or ()),
                     )
                 )
-            elif op == "node_deleted":
-                ops.append(("delete_node", entry[1]))
-            elif op == "rel_deleted":
-                ops.append(("delete_rel", entry[1]))
-            elif op == "label_added":
-                ops.append(("add_label", entry[1], entry[2]))
-            elif op == "label_removed":
-                ops.append(("remove_label", entry[1], entry[2]))
-            elif op == "node_prop":
-                properties = self._node_props[entry[1]]
+            elif kind == "set_node_prop" or kind == "set_rel_prop":
+                column = (
+                    self._node_props
+                    if kind == "set_node_prop"
+                    else self._rel_props
+                )
+                properties = column[entity_id]
                 ops.append(
                     (
-                        "set_node_prop",
-                        entry[1],
+                        kind,
+                        entity_id,
                         entry[2],
                         None
                         if properties is None
                         else properties.get(entry[2]),
                     )
                 )
-            elif op == "rel_prop":
-                properties = self._rel_props[entry[1]]
-                ops.append(
-                    (
-                        "set_rel_prop",
-                        entry[1],
-                        entry[2],
-                        None
-                        if properties is None
-                        else properties.get(entry[2]),
-                    )
-                )
-            else:  # pragma: no cover - defensive
-                raise AssertionError(f"unknown journal op {op!r}")
+            else:
+                # Deletes and label changes carry no values: the
+                # journal entry already is the redo operation.
+                ops.append(entry)
         return ops
+
+    def change_counts(self, mark: int = 0) -> dict[str, int]:
+        """How many journaled mutations of each redo kind follow *mark*."""
+        counts: dict[str, int] = {}
+        for entry in self._journal[mark:]:
+            counts[entry[0]] = counts.get(entry[0], 0) + 1
+        return counts
 
     def apply_redo(self, op: tuple) -> None:
         """Re-apply one redo operation with its original ids (recovery).
 
-        Bypasses journaling and constraint enforcement: the operations
-        were validated when first committed, and recovery must
-        reproduce the exact entity ids and final state, including any
-        tombstones created by later deletes.  The id counters are
-        bumped past every restored id so new allocations never
-        collide.
+        Runs the same transition kernels as the public mutators, minus
+        journaling and constraint enforcement: the operations were
+        validated when first committed, and recovery must reproduce
+        the exact entity ids and final state, including any tombstones
+        created by later deletes.  The id counters are bumped past
+        every restored id so new allocations never collide.
         """
         kind = op[0]
         if kind == "create_node":
             __, node_id, labels, properties = op
-            self._ensure_node_capacity(node_id + 1)
-            self._node_labelsets[node_id] = self._labelset_id(
-                self._mask_of(labels)
+            self._put_node(
+                node_id, labels, self._canon_properties(properties)
             )
-            self._node_props[node_id] = self._canon_properties(
-                dict(properties)
-            )
-            self._node_deleted[node_id] = 0
-            self._live_nodes += 1
-            self._label_index.add(node_id, labels)
-            self._reindex_node(node_id)
-            self._next_node_id = max(self._next_node_id, node_id + 1)
         elif kind == "create_rel":
             __, rel_id, rel_type, source, target, properties = op
-            self._ensure_rel_capacity(rel_id + 1)
-            self._ensure_node_capacity(max(source, target) + 1)
-            type_id = self._strings.intern(rel_type)
-            self._rel_types[rel_id] = type_id
-            self._rel_source[rel_id] = source
-            self._rel_target[rel_id] = target
-            self._rel_props[rel_id] = self._canon_properties(
-                dict(properties)
+            self._put_rel(
+                rel_id,
+                self._strings.intern(rel_type),
+                source,
+                target,
+                self._canon_properties(properties),
             )
-            self._rel_deleted[rel_id] = 0
-            self._live_rels += 1
-            self._adjacency_add(rel_id, type_id, source, target)
-            self._next_rel_id = max(self._next_rel_id, rel_id + 1)
         elif kind == "delete_node":
-            node_id = op[1]
-            self._require_node(node_id)
-            if not self._node_deleted[node_id]:
-                self._node_deleted[node_id] = 1
-                self._live_nodes -= 1
-                self._label_index.remove(
-                    node_id,
-                    self._labelset_strings[self._node_labelsets[node_id]],
-                )
-                self._deindex_node(node_id)
+            self._require_node(op[1])
+            if not self._node_deleted[op[1]]:
+                self._bury_node(op[1])
         elif kind == "delete_rel":
-            rel_id = op[1]
-            type_id = self._require_rel(rel_id)
-            if not self._rel_deleted[rel_id]:
-                self._rel_deleted[rel_id] = 1
-                self._live_rels -= 1
-                self._adjacency_discard(
-                    rel_id,
-                    type_id,
-                    self._rel_source[rel_id],
-                    self._rel_target[rel_id],
-                )
-        elif kind == "add_label":
-            __, node_id, label = op
-            labelset = self._require_node(node_id)
-            mask = self._labelset_masks[labelset]
-            bit = 1 << self._strings.intern(label)
-            if not mask & bit:
-                self._node_labelsets[node_id] = self._labelset_id(
-                    mask | bit
-                )
-                if not self._node_deleted[node_id]:
-                    self._label_index.add(node_id, (label,))
-                    self._reindex_node(node_id)
-        elif kind == "remove_label":
-            __, node_id, label = op
-            labelset = self._require_node(node_id)
-            mask = self._labelset_masks[labelset]
-            bit = 1 << self._strings.intern(label)
-            if mask & bit:
-                self._node_labelsets[node_id] = self._labelset_id(
-                    mask & ~bit
-                )
-                if not self._node_deleted[node_id]:
-                    self._label_index.remove(node_id, (label,))
-                    self._reindex_node(node_id)
+            self._require_rel(op[1])
+            if not self._rel_deleted[op[1]]:
+                self._bury_rel(op[1])
+        elif kind == "add_label" or kind == "remove_label":
+            self._require_node(op[1])
+            self._set_label_bit(op[1], op[2], kind == "add_label")
         elif kind == "set_node_prop":
-            __, node_id, key, value = op
-            self._require_node(node_id)
-            properties = self._node_props[node_id]
-            if value is None:
-                if properties is not None:
-                    properties.pop(key, None)
-            else:
-                if properties is None:
-                    properties = self._node_props[node_id] = {}
-                properties[self._strings.canon(key)] = value
-            if not self._node_deleted[node_id]:
-                self._reindex_node(node_id, only_key=key)
+            self._require_node(op[1])
+            self._write_node_prop(op[1], op[2], op[3])
         elif kind == "set_rel_prop":
-            __, rel_id, key, value = op
-            self._require_rel(rel_id)
-            properties = self._rel_props[rel_id]
-            if value is None:
-                if properties is not None:
-                    properties.pop(key, None)
-            else:
-                if properties is None:
-                    properties = self._rel_props[rel_id] = {}
-                properties[self._strings.canon(key)] = value
+            self._require_rel(op[1])
+            self._write_prop(self._rel_props, op[1], op[2], op[3])
         elif kind == "create_index":
             self.create_index(op[1], op[2])
         elif kind == "drop_index":
@@ -1023,93 +949,176 @@ class GraphStore:
             raise PersistenceError(f"unknown redo op {kind!r}")
 
     def _record(self, entry: tuple) -> None:
-        """Journal one mutation (the write-counting choke point)."""
+        """Journal one mutation (the write-counting choke point).
+
+        An entry is ``(redo kind, entity id, *undo payload)``: the
+        label for label changes, ``(key, previous value)`` for property
+        writes (``None`` = the key was absent).
+        """
         self.counters.write()
         self._journal.append(entry)
 
     def _undo(self, entry: tuple) -> None:
-        op = entry[0]
-        if op == "node_created":
-            node_id = entry[1]
-            self._live_nodes -= 1
-            self._label_index.remove(
-                node_id,
-                self._labelset_strings[self._node_labelsets[node_id]],
-            )
-            self._deindex_node(node_id)
-            self._node_labelsets[node_id] = _HOLE
-            self._node_props[node_id] = None
-            self._node_deleted[node_id] = 0
-            self._adj_out[node_id] = None
-            self._adj_in[node_id] = None
-        elif op == "rel_created":
-            rel_id = entry[1]
-            self._live_rels -= 1
-            self._adjacency_discard(
-                rel_id,
-                self._rel_types[rel_id],
-                self._rel_source[rel_id],
-                self._rel_target[rel_id],
-            )
-            self._rel_types[rel_id] = _HOLE
-            self._rel_props[rel_id] = None
-            self._rel_deleted[rel_id] = 0
-        elif op == "node_deleted":
-            node_id = entry[1]
-            self._node_deleted[node_id] = 0
-            self._live_nodes += 1
-            self._label_index.add(
-                node_id,
-                self._labelset_strings[self._node_labelsets[node_id]],
-            )
-            self._reindex_node(node_id)
-        elif op == "rel_deleted":
-            rel_id = entry[1]
-            self._rel_deleted[rel_id] = 0
-            self._live_rels += 1
-            self._adjacency_add(
-                rel_id,
-                self._rel_types[rel_id],
-                self._rel_source[rel_id],
-                self._rel_target[rel_id],
-            )
-        elif op == "label_added":
-            node_id, label = entry[1], entry[2]
-            mask = self._labelset_masks[self._node_labelsets[node_id]]
-            bit = 1 << self._strings.intern(label)
-            self._node_labelsets[node_id] = self._labelset_id(mask & ~bit)
-            self._label_index.remove(node_id, (label,))
-            self._reindex_node(node_id)
-        elif op == "label_removed":
-            node_id, label = entry[1], entry[2]
-            mask = self._labelset_masks[self._node_labelsets[node_id]]
-            bit = 1 << self._strings.intern(label)
-            self._node_labelsets[node_id] = self._labelset_id(mask | bit)
-            self._label_index.add(node_id, (label,))
-            self._reindex_node(node_id)
-        elif op == "node_prop":
-            node_id, key, old = entry[1], entry[2], entry[3]
-            properties = self._node_props[node_id]
-            if old is _MISSING:
-                if properties is not None:
-                    properties.pop(key, None)
-            else:
-                if properties is None:
-                    properties = self._node_props[node_id] = {}
-                properties[self._strings.canon(key)] = old
-            self._reindex_node(node_id, only_key=key)
-        elif op == "rel_prop":
-            rel_id, key, old = entry[1], entry[2], entry[3]
-            properties = self._rel_props[rel_id]
-            if old is _MISSING:
-                if properties is not None:
-                    properties.pop(key, None)
-            else:
-                if properties is None:
-                    properties = self._rel_props[rel_id] = {}
-                properties[self._strings.canon(key)] = old
+        kind = entry[0]
+        if kind == "create_node":
+            self._unput_node(entry[1])
+        elif kind == "create_rel":
+            self._unput_rel(entry[1])
+        elif kind == "delete_node":
+            self._revive_node(entry[1])
+        elif kind == "delete_rel":
+            self._revive_rel(entry[1])
+        elif kind == "add_label" or kind == "remove_label":
+            self._set_label_bit(entry[1], entry[2], kind == "remove_label")
+        elif kind == "set_node_prop":
+            self._write_node_prop(entry[1], entry[2], entry[3])
+        elif kind == "set_rel_prop":
+            self._write_prop(self._rel_props, entry[1], entry[2], entry[3])
         else:  # pragma: no cover - defensive
-            raise AssertionError(f"unknown journal op {op!r}")
+            raise AssertionError(f"unknown journal entry {kind!r}")
+
+    # ------------------------------------------------------------------
+    # Transition kernels
+    #
+    # One body per state transition.  These are the only code (besides
+    # bulk_load) that writes the columns, the label and property
+    # indexes, the adjacency arrays and the live counters; the public
+    # mutators, journal undo and redo replay all go through them, so a
+    # replica replaying the log runs exactly what the primary ran.
+    # Kernels validate nothing and journal nothing.
+    # ------------------------------------------------------------------
+
+    def _put_node(
+        self,
+        node_id: int,
+        labels: Iterable[str],
+        properties: dict[str, Any] | None,
+    ) -> None:
+        """Write the row of a new live node (*properties* pre-pooled)."""
+        self._ensure_node_capacity(node_id + 1)
+        self._node_labelsets[node_id] = self._labelset_id(
+            self._mask_of(labels)
+        )
+        self._node_props[node_id] = properties
+        if node_id >= self._next_node_id:
+            self._next_node_id = node_id + 1
+        self._revive_node(node_id)
+
+    def _unput_node(self, node_id: int) -> None:
+        """Turn a live node's row back into a hole (undo of a create)."""
+        self._bury_node(node_id)
+        self._node_labelsets[node_id] = _HOLE
+        self._node_props[node_id] = None
+        self._node_deleted[node_id] = 0
+        self._adj_out[node_id] = None
+        self._adj_in[node_id] = None
+
+    def _bury_node(self, node_id: int) -> None:
+        """Set a live node's tombstone: it leaves counters and indexes."""
+        self._node_deleted[node_id] = 1
+        self._live_nodes -= 1
+        self._label_index.remove(
+            node_id, self._labelset_strings[self._node_labelsets[node_id]]
+        )
+        self._deindex_node(node_id)
+
+    def _revive_node(self, node_id: int) -> None:
+        """Clear a node's tombstone: it rejoins counters and indexes."""
+        self._node_deleted[node_id] = 0
+        self._live_nodes += 1
+        self._label_index.add(
+            node_id, self._labelset_strings[self._node_labelsets[node_id]]
+        )
+        self._reindex_node(node_id)
+
+    def _put_rel(
+        self,
+        rel_id: int,
+        type_id: int,
+        source: int,
+        target: int,
+        properties: dict[str, Any] | None,
+    ) -> None:
+        """Write the row of a new live relationship."""
+        self._ensure_rel_capacity(rel_id + 1)
+        self._ensure_node_capacity(max(source, target) + 1)
+        self._rel_types[rel_id] = type_id
+        self._rel_source[rel_id] = source
+        self._rel_target[rel_id] = target
+        self._rel_props[rel_id] = properties
+        if rel_id >= self._next_rel_id:
+            self._next_rel_id = rel_id + 1
+        self._revive_rel(rel_id)
+
+    def _unput_rel(self, rel_id: int) -> None:
+        """Turn a live relationship's row back into a hole."""
+        self._bury_rel(rel_id)
+        self._rel_types[rel_id] = _HOLE
+        self._rel_props[rel_id] = None
+        self._rel_deleted[rel_id] = 0
+
+    def _bury_rel(self, rel_id: int) -> None:
+        """Set a live relationship's tombstone; it leaves adjacency."""
+        self._rel_deleted[rel_id] = 1
+        self._live_rels -= 1
+        type_id = self._rel_types[rel_id]
+        half = self._adj_out[self._rel_source[rel_id]]
+        if half is not None:
+            half.discard(type_id, rel_id)
+        half = self._adj_in[self._rel_target[rel_id]]
+        if half is not None:
+            half.discard(type_id, rel_id)
+
+    def _revive_rel(self, rel_id: int) -> None:
+        """Clear a relationship's tombstone; it rejoins adjacency."""
+        self._rel_deleted[rel_id] = 0
+        self._live_rels += 1
+        type_id = self._rel_types[rel_id]
+        self._out_half(self._rel_source[rel_id]).add(type_id, rel_id)
+        self._in_half(self._rel_target[rel_id]).add(type_id, rel_id)
+
+    def _set_label_bit(self, node_id: int, label: str, present: bool) -> bool:
+        """Set or clear one label of a node; False if nothing changed."""
+        mask = self._labelset_masks[self._node_labelsets[node_id]]
+        bit = 1 << self._strings.intern(label)
+        if bool(mask & bit) == present:
+            return False
+        self._node_labelsets[node_id] = self._labelset_id(mask ^ bit)
+        if not self._node_deleted[node_id]:
+            if present:
+                self._label_index.add(node_id, (label,))
+            else:
+                self._label_index.remove(node_id, (label,))
+            self._reindex_node(node_id)
+        return True
+
+    def _write_prop(
+        self,
+        column: list[dict[str, Any] | None],
+        entity_id: int,
+        key: str,
+        value: Any,
+    ) -> Any:
+        """Set *key* in a property column (``None`` removes it).
+
+        Returns the previous value, ``None`` if the key was absent.
+        """
+        properties = column[entity_id]
+        old = None if properties is None else properties.get(key)
+        if value is None:
+            if old is not None:
+                del properties[key]
+        elif properties is None:
+            column[entity_id] = {self._strings.canon(key): value}
+        else:
+            properties[self._strings.canon(key)] = value
+        return old
+
+    def _write_node_prop(self, node_id: int, key: str, value: Any) -> Any:
+        """:meth:`_write_prop` on a node, keeping its indexes current."""
+        old = self._write_prop(self._node_props, node_id, key, value)
+        self._reindex_node(node_id, only_key=key)
+        return old
 
     # ------------------------------------------------------------------
     # Mutations
@@ -1122,19 +1131,11 @@ class GraphStore:
     ) -> int:
         """Create a node; returns its id."""
         labels = tuple(labels)
+        pooled = self._canon_properties(properties)
         mark = self.mark()
         node_id = self._next_node_id
-        self._next_node_id += 1
-        self._ensure_node_capacity(node_id + 1)
-        self._node_labelsets[node_id] = self._labelset_id(
-            self._mask_of(labels)
-        )
-        self._node_props[node_id] = self._canon_properties(properties)
-        self._node_deleted[node_id] = 0
-        self._live_nodes += 1
-        self._label_index.add(node_id, labels)
-        self._record(("node_created", node_id))
-        self._reindex_node(node_id)
+        self._put_node(node_id, labels, pooled)
+        self._record(("create_node", node_id))
         self._enforce_unique(node_id, mark)
         return node_id
 
@@ -1160,31 +1161,21 @@ class GraphStore:
                 f"cannot create relationship: target node {target} "
                 f"does not exist or is deleted"
             )
+        pooled = self._canon_properties(properties)
         rel_id = self._next_rel_id
-        self._next_rel_id += 1
-        self._ensure_rel_capacity(rel_id + 1)
-        type_id = self._strings.intern(rel_type)
-        self._rel_types[rel_id] = type_id
-        self._rel_source[rel_id] = source
-        self._rel_target[rel_id] = target
-        self._rel_props[rel_id] = self._canon_properties(properties)
-        self._rel_deleted[rel_id] = 0
-        self._live_rels += 1
-        self._adjacency_add(rel_id, type_id, source, target)
-        self._record(("rel_created", rel_id))
+        self._put_rel(
+            rel_id, self._strings.intern(rel_type), source, target, pooled
+        )
+        self._record(("create_rel", rel_id))
         return rel_id
 
     def delete_relationship(self, rel_id: int) -> None:
         """Delete a relationship (idempotent on tombstones)."""
-        type_id = self._require_rel(rel_id)
+        self._require_rel(rel_id)
         if self._rel_deleted[rel_id]:
             return
-        self._rel_deleted[rel_id] = 1
-        self._live_rels -= 1
-        self._adjacency_discard(
-            rel_id, type_id, self._rel_source[rel_id], self._rel_target[rel_id]
-        )
-        self._record(("rel_deleted", rel_id))
+        self._bury_rel(rel_id)
+        self._record(("delete_rel", rel_id))
 
     def delete_node(self, node_id: int, *, allow_dangling: bool = False) -> None:
         """Delete a node.
@@ -1196,62 +1187,40 @@ class GraphStore:
         even though relationships still point at it, producing exactly
         the illegal intermediate state described in Section 4.2.
         """
-        labelset = self._require_node(node_id)
+        self._require_node(node_id)
         if self._node_deleted[node_id]:
             return
         if not allow_dangling:
             attached = self.adjacent_rel_ids(node_id)
             if attached:
                 raise DanglingRelationshipError(node_id, attached)
-        self._node_deleted[node_id] = 1
-        self._live_nodes -= 1
-        self._label_index.remove(node_id, self._labelset_strings[labelset])
-        self._deindex_node(node_id)
-        self._record(("node_deleted", node_id))
+        self._bury_node(node_id)
+        self._record(("delete_node", node_id))
 
     def add_label(self, node_id: int, label: str) -> None:
         """Add a label to a live node (no-op if already present)."""
-        labelset = self._require_live_node(node_id)
-        mask = self._labelset_masks[labelset]
-        bit = 1 << self._strings.intern(label)
-        if mask & bit:
-            return
+        self._require_live_node(node_id)
         mark = self.mark()
-        self._node_labelsets[node_id] = self._labelset_id(mask | bit)
-        self._label_index.add(node_id, (label,))
-        self._record(("label_added", node_id, label))
-        self._reindex_node(node_id)
-        self._enforce_unique(node_id, mark)
+        if self._set_label_bit(node_id, label, True):
+            self._record(("add_label", node_id, label))
+            self._enforce_unique(node_id, mark)
 
     def remove_label(self, node_id: int, label: str) -> None:
         """Remove a label from a live node (no-op if absent)."""
-        labelset = self._require_live_node(node_id)
-        mask = self._labelset_masks[labelset]
-        bit = 1 << self._strings.intern(label)
-        if not mask & bit:
-            return
-        self._node_labelsets[node_id] = self._labelset_id(mask & ~bit)
-        self._label_index.remove(node_id, (label,))
-        self._reindex_node(node_id)
-        self._record(("label_removed", node_id, label))
+        self._require_live_node(node_id)
+        if self._set_label_bit(node_id, label, False):
+            self._record(("remove_label", node_id, label))
 
     def set_node_property(self, node_id: int, key: str, value: Any) -> None:
         """Set (or, with value=None, remove) a node property."""
         self._require_live_node(node_id)
-        properties = self._node_props[node_id]
-        old = _MISSING if properties is None else properties.get(key, _MISSING)
-        if value is None:
-            if old is _MISSING:
-                return
-            del properties[key]
-        else:
+        if value is not None:
             require_storable(value, key)
-            if properties is None:
-                properties = self._node_props[node_id] = {}
-            properties[self._strings.canon(key)] = value
-        mark = len(self._journal)
-        self._record(("node_prop", node_id, key, old))
-        self._reindex_node(node_id, only_key=key)
+        mark = self.mark()
+        old = self._write_node_prop(node_id, key, value)
+        if value is None and old is None:
+            return
+        self._record(("set_node_prop", node_id, key, old))
         self._enforce_unique(node_id, mark, only_key=key)
 
     def set_rel_property(self, rel_id: int, key: str, value: Any) -> None:
@@ -1261,18 +1230,11 @@ class GraphStore:
             raise DeletedEntityError(
                 f"cannot set property on deleted relationship {rel_id}"
             )
-        properties = self._rel_props[rel_id]
-        old = _MISSING if properties is None else properties.get(key, _MISSING)
-        if value is None:
-            if old is _MISSING:
-                return
-            del properties[key]
-        else:
+        if value is not None:
             require_storable(value, key)
-            if properties is None:
-                properties = self._rel_props[rel_id] = {}
-            properties[self._strings.canon(key)] = value
-        self._record(("rel_prop", rel_id, key, old))
+        old = self._write_prop(self._rel_props, rel_id, key, value)
+        if value is not None or old is not None:
+            self._record(("set_rel_prop", rel_id, key, old))
 
     def _require_live_node(self, node_id: int) -> int:
         labelset = self._require_node(node_id)
@@ -1555,6 +1517,10 @@ class GraphStore:
     def property_index(self, label: str, key: str) -> PropertyIndex | None:
         """The index on ``:label(key)`` if one was created."""
         return self._property_indexes.get((label, key))
+
+    def index_keys(self) -> list[tuple[str, str]]:
+        """The ``(label, key)`` pairs that have a property index, sorted."""
+        return sorted(self._property_indexes)
 
     def _reindex_node(self, node_id: int, only_key: str | None = None) -> None:
         if not self._property_indexes:

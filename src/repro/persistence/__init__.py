@@ -22,23 +22,20 @@ from repro.persistence.checkpoint import (
     STREAM_MAGIC,
     WAL_NAME,
     checkpoint_format,
-    checkpoint_payload,
     checkpoint_record_boundaries,
-    load_checkpoint,
     read_checkpoint_records,
-    restore_checkpoint,
     restore_checkpoint_file,
     write_checkpoint,
 )
+from repro.persistence.frames import encode_frame, iter_frames
 from repro.persistence.group_commit import GroupCommitter
 from repro.persistence.manager import PersistenceManager, RecoveryReport
 from repro.persistence.wal import (
     FSYNC_POLICIES,
     WalRecord,
     WalWriter,
-    decode_records,
     encode_record,
-    read_wal,
+    iter_records,
 )
 
 __all__ = [
@@ -54,14 +51,12 @@ __all__ = [
     "WalRecord",
     "WalWriter",
     "checkpoint_format",
-    "checkpoint_payload",
     "checkpoint_record_boundaries",
-    "decode_records",
+    "encode_frame",
     "encode_record",
-    "load_checkpoint",
+    "iter_frames",
+    "iter_records",
     "read_checkpoint_records",
-    "read_wal",
-    "restore_checkpoint",
     "restore_checkpoint_file",
     "write_checkpoint",
 ]

@@ -1,9 +1,8 @@
 """Atomic checkpoints: a full snapshot that supersedes the WAL prefix.
 
-Format 2 (current) is a **streaming record file**: an 8-byte magic
-(``RGCHKPT2``) followed by CRC-framed records, each framed exactly like
-a WAL record (4-byte big-endian payload length, 4-byte big-endian
-CRC-32, UTF-8 JSON payload):
+A checkpoint is a **streaming record file**: an 8-byte magic
+(``RGCHKPT2``) followed by frames (see :mod:`repro.persistence.frames`,
+the same frame the WAL uses) carrying these records:
 
 ======== ==============================================================
 record   payload
@@ -22,18 +21,18 @@ end      ``{"kind": "end", "nodes": N, "rels": M}`` -- row totals, so
 The writer streams rows straight out of the store's column iterators
 (:meth:`~repro.graph.store.GraphStore.iter_node_records` /
 ``iter_rel_records``) so peak memory is one batch, not the graph; the
-reader feeds :meth:`~repro.graph.store.GraphStore.apply_redo` record
-by record with the same O(1) bound.  Both ends keep the original
-contract: written to a temporary file in the same directory, fsynced,
-atomically renamed over the previous checkpoint, directory fsynced --
-a crash leaves either the old or the new checkpoint, never a torn one.
+reader feeds :meth:`~repro.graph.store.GraphStore.apply_redo` row by
+row with the same O(1) bound.  The file is written to a temporary name
+in the same directory, fsynced, atomically renamed over the previous
+checkpoint, and the directory fsynced -- a crash leaves either the old
+or the new checkpoint, never a torn one.
 
-Format 1 (legacy) was one JSON blob (the
-:func:`repro.io.graph_json.graph_to_dict` shape plus allocators,
-indexes and constraints).  It is still read transparently -- the first
-byte distinguishes the formats (``{`` = legacy JSON, magic = stream) --
-and can still be written via ``write_checkpoint(..., format=1)`` for
-downgrades.
+Format 1 (one JSON blob: the :func:`repro.io.graph_json.graph_to_dict`
+shape plus allocators, indexes and constraints) is no longer written,
+but directories produced by older builds are outside input and stay
+readable: the first byte tells the formats apart (``{`` = blob, magic =
+stream) and :func:`read_checkpoint_records` re-expresses a blob as the
+record sequence above, so both formats restore through one row applier.
 
 Restoring uses ``apply_redo`` so the original entity ids survive;
 ``dict_to_store`` would remap them, which would break WAL replay
@@ -44,13 +43,12 @@ from __future__ import annotations
 
 import json
 import os
-import struct
-import zlib
 from pathlib import Path
-from typing import IO, Any, Iterator
+from typing import Iterator
 
 from repro.errors import PersistenceError
 from repro.graph.store import GraphStore
+from repro.persistence.frames import encode_frame, iter_frames
 
 #: file names inside a persistence directory
 CHECKPOINT_NAME = "checkpoint.json"
@@ -67,34 +65,6 @@ STREAM_MAGIC = b"RGCHKPT2"
 #: O(1) in graph size
 BATCH_ROWS = 1024
 
-_FRAME = struct.Struct(">II")  # payload length, CRC-32 (same as WAL)
-
-
-# ----------------------------------------------------------------------
-# Payloads (legacy blob shape, still the compat/test currency)
-# ----------------------------------------------------------------------
-
-
-def checkpoint_payload(store: GraphStore, lsn: int) -> dict:
-    """The format-1 JSON-serialisable checkpoint of *store* at *lsn*.
-
-    Materialises the whole graph -- use only for tests, tooling and
-    explicit format-1 writes; the streaming writer never builds this.
-    """
-    from repro.io.graph_json import graph_to_dict
-
-    return {
-        "format": LEGACY_CHECKPOINT_FORMAT,
-        "lsn": lsn,
-        "graph": graph_to_dict(store),
-        "next_node_id": store._next_node_id,
-        "next_rel_id": store._next_rel_id,
-        "indexes": sorted(list(pair) for pair in store._property_indexes),
-        "constraints": sorted(
-            list(pair) for pair in store.unique_constraints()
-        ),
-    }
-
 
 # ----------------------------------------------------------------------
 # Writing
@@ -102,90 +72,55 @@ def checkpoint_payload(store: GraphStore, lsn: int) -> dict:
 
 
 def write_checkpoint(
-    directory: Path | str,
-    store: GraphStore,
-    lsn: int,
-    *,
-    format: int = CHECKPOINT_FORMAT,
+    directory: Path | str, store: GraphStore, lsn: int
 ) -> Path:
-    """Atomically write the checkpoint file; returns its path.
-
-    ``format=2`` (default) streams records with one-batch peak memory;
-    ``format=1`` writes the legacy blob (materialises the graph).
-    """
-    if format not in (CHECKPOINT_FORMAT, LEGACY_CHECKPOINT_FORMAT):
-        raise PersistenceError(
-            f"cannot write checkpoint format {format!r}; "
-            f"supported: {LEGACY_CHECKPOINT_FORMAT} (blob), "
-            f"{CHECKPOINT_FORMAT} (stream)"
-        )
+    """Atomically write the checkpoint file; returns its path."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     target = directory / CHECKPOINT_NAME
     temporary = directory / (CHECKPOINT_NAME + ".tmp")
-    if format == LEGACY_CHECKPOINT_FORMAT:
-        payload = checkpoint_payload(store, lsn)
-        with open(temporary, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True)
-            handle.flush()
-            os.fsync(handle.fileno())
-    else:
-        with open(temporary, "wb") as handle:
-            _write_stream(handle, store, lsn)
-            handle.flush()
-            os.fsync(handle.fileno())
+    with open(temporary, "wb") as handle:
+        handle.write(STREAM_MAGIC)
+        for record in _store_records(store, lsn):
+            handle.write(encode_frame(record))
+        handle.flush()
+        os.fsync(handle.fileno())
     os.replace(temporary, target)
     _fsync_directory(directory)
     return target
 
 
-def _write_stream(handle: IO[bytes], store: GraphStore, lsn: int) -> None:
-    handle.write(STREAM_MAGIC)
-    _write_record(
-        handle,
-        {
-            "kind": "header",
-            "format": CHECKPOINT_FORMAT,
-            "lsn": lsn,
-            "next_node_id": store._next_node_id,
-            "next_rel_id": store._next_rel_id,
-            "indexes": sorted(
-                list(pair) for pair in store._property_indexes
-            ),
-            "constraints": sorted(
-                list(pair) for pair in store.unique_constraints()
-            ),
-        },
-    )
-    nodes = 0
-    batch: list[list] = []
-    for node_id, labels, properties in store.iter_node_records():
-        batch.append([node_id, labels, properties])
-        nodes += 1
-        if len(batch) >= BATCH_ROWS:
-            _write_record(handle, {"kind": "nodes", "rows": batch})
-            batch = []
-    if batch:
-        _write_record(handle, {"kind": "nodes", "rows": batch})
-        batch = []
-    rels = 0
-    for rel_id, rel_type, start, end, properties in store.iter_rel_records():
-        batch.append([rel_id, rel_type, start, end, properties])
-        rels += 1
-        if len(batch) >= BATCH_ROWS:
-            _write_record(handle, {"kind": "rels", "rows": batch})
-            batch = []
-    if batch:
-        _write_record(handle, {"kind": "rels", "rows": batch})
-    _write_record(handle, {"kind": "end", "nodes": nodes, "rels": rels})
-
-
-def _write_record(handle: IO[bytes], record: dict) -> None:
-    payload = json.dumps(
-        record, sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
-    handle.write(_FRAME.pack(len(payload), zlib.crc32(payload)))
-    handle.write(payload)
+def _store_records(store: GraphStore, lsn: int) -> Iterator[dict]:
+    """The record sequence of *store* at *lsn*, one batch at a time."""
+    next_node_id, next_rel_id = store.next_ids()
+    yield {
+        "kind": "header",
+        "format": CHECKPOINT_FORMAT,
+        "lsn": lsn,
+        "next_node_id": next_node_id,
+        "next_rel_id": next_rel_id,
+        "indexes": [list(pair) for pair in store.index_keys()],
+        "constraints": sorted(
+            list(pair) for pair in store.unique_constraints()
+        ),
+    }
+    totals = {}
+    for kind, rows in (
+        ("nodes", store.iter_node_records()),
+        ("rels", store.iter_rel_records()),
+    ):
+        written = 0
+        batch: list[list] = []
+        for row in rows:
+            batch.append(list(row))
+            if len(batch) == BATCH_ROWS:
+                yield {"kind": kind, "rows": batch}
+                written += BATCH_ROWS
+                batch = []
+        if batch:
+            yield {"kind": kind, "rows": batch}
+        totals[kind] = written + len(batch)
+    yield {"kind": "end", **totals}
 
 
 def _fsync_directory(directory: Path) -> None:
@@ -209,7 +144,6 @@ def _fsync_directory(directory: Path) -> None:
 
 def checkpoint_format(path: Path | str) -> int:
     """The format of the checkpoint file at *path* (sniffed, cheap)."""
-    path = Path(path)
     with open(path, "rb") as handle:
         head = handle.read(len(STREAM_MAGIC))
     if head[:1] == b"{":
@@ -222,57 +156,17 @@ def checkpoint_format(path: Path | str) -> int:
 
 
 def read_checkpoint_records(path: Path | str) -> Iterator[dict]:
-    """Yield the records of a format-2 checkpoint, one at a time.
+    """Yield the records of the checkpoint at *path*, either format.
 
-    O(1) memory: one frame is held at a time.  Unlike the WAL -- where
-    a torn tail is expected and silently dropped -- a checkpoint is
-    only ever observed complete (the rename is atomic), so *any*
-    truncation, CRC mismatch or missing ``end`` record raises
-    :class:`PersistenceError`.
+    O(1) memory for a streaming file: one frame is held at a time.
+    Unlike the WAL -- where a torn tail is expected and silently
+    dropped -- a checkpoint is only ever observed complete (the rename
+    is atomic), so *any* truncation, CRC mismatch or missing ``end``
+    record raises :class:`PersistenceError`.
     """
-    path = Path(path)
-    with open(path, "rb") as handle:
-        magic = handle.read(len(STREAM_MAGIC))
-        if magic != STREAM_MAGIC:
-            raise PersistenceError(
-                f"corrupt checkpoint {path}: bad magic {magic!r}"
-            )
-        saw_end = False
-        while True:
-            header = handle.read(_FRAME.size)
-            if not header:
-                break
-            if len(header) < _FRAME.size:
-                raise PersistenceError(
-                    f"corrupt checkpoint {path}: truncated record frame"
-                )
-            length, expected_crc = _FRAME.unpack(header)
-            payload = handle.read(length)
-            if len(payload) < length:
-                raise PersistenceError(
-                    f"corrupt checkpoint {path}: truncated record payload"
-                )
-            if zlib.crc32(payload) != expected_crc:
-                raise PersistenceError(
-                    f"corrupt checkpoint {path}: record CRC mismatch"
-                )
-            try:
-                record = json.loads(payload.decode("utf-8"))
-            except ValueError as error:
-                raise PersistenceError(
-                    f"corrupt checkpoint {path}: {error}"
-                ) from error
-            if saw_end:
-                raise PersistenceError(
-                    f"corrupt checkpoint {path}: record after end marker"
-                )
-            if record.get("kind") == "end":
-                saw_end = True
-            yield record
-        if not saw_end:
-            raise PersistenceError(
-                f"corrupt checkpoint {path}: missing end record"
-            )
+    if checkpoint_format(path) == LEGACY_CHECKPOINT_FORMAT:
+        return _legacy_records(Path(path))
+    return (record for record, __ in _stream_frames(Path(path)))
 
 
 def checkpoint_record_boundaries(path: Path | str) -> list[int]:
@@ -281,85 +175,62 @@ def checkpoint_record_boundaries(path: Path | str) -> list[int]:
     The crash-injection fuzzer truncates a copied checkpoint at each
     of these to prove torn checkpoints are detected loudly.
     """
-    path = Path(path)
-    boundaries: list[int] = []
+    return [len(STREAM_MAGIC)] + [
+        end for __, end in _stream_frames(Path(path))
+    ]
+
+
+def _stream_frames(path: Path) -> Iterator[tuple[dict, int]]:
+    """``(record, end offset)`` per frame of a format-2 file, strictly."""
     with open(path, "rb") as handle:
         magic = handle.read(len(STREAM_MAGIC))
         if magic != STREAM_MAGIC:
             raise PersistenceError(
                 f"corrupt checkpoint {path}: bad magic {magic!r}"
             )
-        boundaries.append(handle.tell())
-        while True:
-            header = handle.read(_FRAME.size)
-            if len(header) < _FRAME.size:
-                break
-            length, _ = _FRAME.unpack(header)
-            handle.seek(length, os.SEEK_CUR)
-            boundaries.append(handle.tell())
-    return boundaries
+        saw_end = False
+        try:
+            for record, end in iter_frames(handle, strict=True):
+                if saw_end:
+                    raise PersistenceError("record after end marker")
+                saw_end = record.get("kind") == "end"
+                yield record, end
+            if not saw_end:
+                raise PersistenceError("missing end record")
+        except PersistenceError as error:
+            raise PersistenceError(
+                f"corrupt checkpoint {path}: {error}"
+            ) from error
 
 
-def load_checkpoint(directory: Path | str) -> dict | None:
-    """The checkpoint payload, or ``None`` when none was written.
-
-    Compat/tooling API: for a format-2 file this *materialises* the
-    stream into the blob shape (O(graph) memory) with ``"format": 2``.
-    Recovery never calls this -- it streams via
-    :func:`restore_checkpoint_file`.
-    """
-    path = Path(directory) / CHECKPOINT_NAME
-    if not path.exists():
-        return None
-    if checkpoint_format(path) == LEGACY_CHECKPOINT_FORMAT:
-        return _load_legacy(path)
-    header: dict = {}
-    nodes: list[dict] = []
-    rels: list[dict] = []
-    for record in read_checkpoint_records(path):
-        kind = record.get("kind")
-        if kind == "header":
-            header = record
-        elif kind == "nodes":
-            nodes.extend(
-                {"id": row[0], "labels": row[1], "properties": row[2]}
-                for row in record["rows"]
-            )
-        elif kind == "rels":
-            rels.extend(
-                {
-                    "id": row[0],
-                    "type": row[1],
-                    "start": row[2],
-                    "end": row[3],
-                    "properties": row[4],
-                }
-                for row in record["rows"]
-            )
-    return {
-        "format": header.get("format", CHECKPOINT_FORMAT),
-        "lsn": header["lsn"],
-        "graph": {"nodes": nodes, "relationships": rels},
-        "next_node_id": header.get("next_node_id", 0),
-        "next_rel_id": header.get("next_rel_id", 0),
-        "indexes": header.get("indexes", []),
-        "constraints": header.get("constraints", []),
-    }
-
-
-def _load_legacy(path: Path) -> dict:
+def _legacy_records(path: Path) -> Iterator[dict]:
+    """A format-1 blob re-expressed as header / nodes / rels / end."""
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as error:
+        graph = payload.get("graph", {})
+        nodes = [
+            [node["id"], node["labels"], node["properties"]]
+            for node in graph.get("nodes", ())
+        ]
+        rels = [
+            [
+                rel["id"],
+                rel["type"],
+                rel["start"],
+                rel["end"],
+                rel["properties"],
+            ]
+            for rel in graph.get("relationships", ())
+        ]
+    except (ValueError, KeyError, TypeError, AttributeError) as error:
         raise PersistenceError(
-            f"corrupt checkpoint {path}: {error}"
+            f"corrupt checkpoint {path}: {error!r}"
         ) from error
-    if payload.get("format") != LEGACY_CHECKPOINT_FORMAT:
-        raise PersistenceError(
-            f"unsupported checkpoint format {payload.get('format')!r} "
-            f"in {path}"
-        )
-    return payload
+    header = {key: payload[key] for key in payload if key != "graph"}
+    yield {**header, "kind": "header"}
+    yield {"kind": "nodes", "rows": nodes}
+    yield {"kind": "rels", "rows": rels}
+    yield {"kind": "end", "nodes": len(nodes), "rels": len(rels)}
 
 
 # ----------------------------------------------------------------------
@@ -370,99 +241,61 @@ def _load_legacy(path: Path) -> dict:
 def restore_checkpoint_file(store: GraphStore, path: Path | str) -> dict:
     """Rebuild *store* from the checkpoint at *path*, ids preserved.
 
-    Dispatches on the sniffed format; the format-2 path streams rows
-    into :meth:`~repro.graph.store.GraphStore.apply_redo` without ever
-    materialising the graph.  Returns ``{"lsn": ..., "format": ...}``.
+    Rows go straight into
+    :meth:`~repro.graph.store.GraphStore.apply_redo`, so a streaming
+    file is never materialised.  Returns ``{"lsn": ..., "format": ...}``
+    reporting what was read.
     """
-    path = Path(path)
-    if checkpoint_format(path) == LEGACY_CHECKPOINT_FORMAT:
-        payload = _load_legacy(path)
-        restore_checkpoint(store, payload)
-        return {
-            "lsn": payload["lsn"],
-            "format": LEGACY_CHECKPOINT_FORMAT,
-        }
     apply_redo = store.apply_redo
     header: dict | None = None
-    nodes = rels = 0
+    counts = {"nodes": 0, "rels": 0}
     for record in read_checkpoint_records(path):
         kind = record.get("kind")
         if kind == "header":
-            if record.get("format") != CHECKPOINT_FORMAT:
+            if record.get("format") not in (
+                CHECKPOINT_FORMAT,
+                LEGACY_CHECKPOINT_FORMAT,
+            ):
                 raise PersistenceError(
                     f"unsupported checkpoint format "
                     f"{record.get('format')!r} in {path}"
                 )
-            header = record
-        elif kind == "nodes":
-            for row in record["rows"]:
-                apply_redo(("create_node", row[0], row[1], row[2]))
-            nodes += len(record["rows"])
-        elif kind == "rels":
-            for row in record["rows"]:
-                apply_redo(
-                    ("create_rel", row[0], row[1], row[2], row[3], row[4])
+            if "lsn" not in record:
+                raise PersistenceError(
+                    f"corrupt checkpoint {path}: header carries no lsn"
                 )
-            rels += len(record["rows"])
+            header = record
+        elif kind == "nodes" or kind == "rels":
+            op = "create_node" if kind == "nodes" else "create_rel"
+            for row in record["rows"]:
+                apply_redo((op, *row))
+            counts[kind] += len(record["rows"])
         elif kind == "end":
             if header is None:
                 raise PersistenceError(
                     f"corrupt checkpoint {path}: missing header record"
                 )
-            if record.get("nodes") != nodes or record.get("rels") != rels:
+            if (record.get("nodes"), record.get("rels")) != (
+                counts["nodes"],
+                counts["rels"],
+            ):
                 raise PersistenceError(
                     f"corrupt checkpoint {path}: end record expects "
                     f"{record.get('nodes')} nodes / {record.get('rels')} "
-                    f"relationships, stream carried {nodes} / {rels}"
+                    f"relationships, stream carried {counts['nodes']} / "
+                    f"{counts['rels']}"
                 )
         else:
             raise PersistenceError(
                 f"corrupt checkpoint {path}: unknown record kind {kind!r}"
             )
-    # Schema and allocators last, matching the legacy restore order.
+    # Schema and allocators last: indexes backfill in one pass, and
+    # constraints validate against the complete data.
     for label, key in header.get("indexes", ()):
         store.create_index(label, key)
     for label, key in header.get("constraints", ()):
         store.create_unique_constraint(label, key)
-    store._next_node_id = max(
-        store._next_node_id, header.get("next_node_id", 0)
+    store.reserve_ids(
+        header.get("next_node_id", 0), header.get("next_rel_id", 0)
     )
-    store._next_rel_id = max(
-        store._next_rel_id, header.get("next_rel_id", 0)
-    )
-    return {"lsn": header["lsn"], "format": CHECKPOINT_FORMAT}
-
-
-def restore_checkpoint(store: GraphStore, payload: dict) -> None:
-    """Rebuild *store* from a materialised payload, ids preserved."""
-    graph = payload["graph"]
-    for node in graph["nodes"]:
-        store.apply_redo(
-            (
-                "create_node",
-                node["id"],
-                list(node["labels"]),
-                dict(node["properties"]),
-            )
-        )
-    for rel in graph["relationships"]:
-        store.apply_redo(
-            (
-                "create_rel",
-                rel["id"],
-                rel["type"],
-                rel["start"],
-                rel["end"],
-                dict(rel["properties"]),
-            )
-        )
-    for label, key in payload.get("indexes", ()):
-        store.create_index(label, key)
-    for label, key in payload.get("constraints", ()):
-        store.create_unique_constraint(label, key)
-    store._next_node_id = max(
-        store._next_node_id, payload.get("next_node_id", 0)
-    )
-    store._next_rel_id = max(
-        store._next_rel_id, payload.get("next_rel_id", 0)
-    )
+    return {"lsn": header["lsn"], "format": header["format"]}

@@ -23,11 +23,11 @@ fsync cost shrinks by the same factor -- with exactly the same
 guarantee as ``fsync=always``: an acknowledged statement is on disk.
 
 The drain loop and the waiters all live on one asyncio event loop;
-only the ``fsync`` itself runs in a thread (appending to the WAL's
-``BufferedWriter`` from the loop thread while the worker thread
-flushes it is safe -- the writer locks internally, and records
-appended mid-fsync are simply not counted as durable until the next
-batch).
+only the ``fsync`` itself runs in a thread (appending to the WAL from
+the loop thread while the worker thread fsyncs it is safe -- the file
+is unbuffered, so both are single system calls on one descriptor, and
+records appended mid-fsync are simply not counted as durable until the
+next batch).
 """
 
 from __future__ import annotations

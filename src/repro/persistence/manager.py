@@ -22,19 +22,19 @@ Lifecycle (what ``Graph(path=...)`` does):
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import PersistenceError
 from repro.graph.store import GraphStore
 from repro.persistence.checkpoint import (
-    CHECKPOINT_FORMAT,
     CHECKPOINT_NAME,
     WAL_NAME,
     restore_checkpoint_file,
     write_checkpoint,
 )
-from repro.persistence.wal import FSYNC_POLICIES, WalWriter, read_wal
+from repro.persistence.wal import FSYNC_POLICIES, WalWriter, iter_records
 
 
 @dataclass
@@ -116,26 +116,30 @@ class PersistenceManager:
         report = RecoveryReport()
         checkpoint_path = self.directory / CHECKPOINT_NAME
         if checkpoint_path.exists():
-            # Streams format-2 record by record (O(1) memory); loads
-            # a legacy format-1 blob transparently.
+            # Streamed record by record (O(1) memory); a legacy
+            # format-1 blob is read transparently.
             info = restore_checkpoint_file(store, checkpoint_path)
             report.checkpoint_lsn = info["lsn"]
             report.checkpoint_format = info["format"]
-        records, clean, total = read_wal(self.wal_path)
-        self._clean_length = clean
-        report.records_total = len(records)
-        report.torn_bytes = total - clean
         last_lsn = report.checkpoint_lsn
-        for record in records:
-            if record.lsn <= report.checkpoint_lsn:
-                report.records_skipped += 1
-                last_lsn = max(last_lsn, record.lsn)
-                continue
-            for op in record.ops:
-                store.apply_redo(op)
-                report.operations_applied += 1
-            report.records_applied += 1
-            last_lsn = max(last_lsn, record.lsn)
+        clean = total = 0
+        if self.wal_path.exists():
+            # Replayed as it is decoded: memory stays one record no
+            # matter how long the log grew since the last checkpoint.
+            with open(self.wal_path, "rb") as handle:
+                for record, clean in iter_records(handle):
+                    report.records_total += 1
+                    last_lsn = max(last_lsn, record.lsn)
+                    if record.lsn <= report.checkpoint_lsn:
+                        report.records_skipped += 1
+                        continue
+                    for op in record.ops:
+                        store.apply_redo(op)
+                    report.operations_applied += len(record.ops)
+                    report.records_applied += 1
+                total = handle.seek(0, os.SEEK_END)
+        self._clean_length = clean
+        report.torn_bytes = total - clean
         self._lsn = last_lsn
         report.nodes = store.node_count()
         report.relationships = store.relationship_count()
@@ -180,8 +184,8 @@ class PersistenceManager:
             raise PersistenceError(
                 "persistence manager is not attached (or was closed)"
             )
+        self._writer.append(self._lsn + 1, ops)
         self._lsn += 1
-        self._writer.append(self._lsn, ops)
 
     @property
     def lsn(self) -> int:
@@ -192,14 +196,11 @@ class PersistenceManager:
     # Checkpointing
     # ------------------------------------------------------------------
 
-    def checkpoint(
-        self, store: GraphStore, *, format: int = CHECKPOINT_FORMAT
-    ) -> Path:
+    def checkpoint(self, store: GraphStore) -> Path:
         """Snapshot the store, then truncate the WAL; returns the path.
 
-        Streams the format-2 record file by default (peak memory one
-        batch, not the graph); pass ``format=1`` to write the legacy
-        blob.  Safe against a crash at any point: the snapshot rename
+        Streams the record file (peak memory one batch, not the
+        graph).  Safe against a crash at any point: the snapshot rename
         is atomic, and its stamped LSN makes replaying the not-yet
         truncated WAL a no-op (records with ``lsn <= checkpoint lsn``
         are skipped).
@@ -208,9 +209,7 @@ class PersistenceManager:
             raise PersistenceError(
                 "cannot checkpoint inside an open transaction"
             )
-        path = write_checkpoint(
-            self.directory, store, self._lsn, format=format
-        )
+        path = write_checkpoint(self.directory, store, self._lsn)
         if self._writer is not None:
             self._writer.truncate(0)
         else:

@@ -1,14 +1,9 @@
-"""Append-only write-ahead log: framing, checksums, fsync policies.
+"""Append-only write-ahead log: records, fsync policies, failed appends.
 
-Every committed statement becomes one *record*::
-
-    +----------------+----------------+------------------------+
-    | payload length | CRC32(payload) | payload (UTF-8 JSON)   |
-    |  4 bytes, BE   |  4 bytes, BE   |  {"lsn": n, "ops": []} |
-    +----------------+----------------+------------------------+
-
-The payload carries a monotonically increasing log sequence number and
-the statement's redo operations (see
+Every committed statement becomes one *record*: a frame (see
+:mod:`repro.persistence.frames`) whose payload is
+``{"lsn": n, "ops": [...]}`` -- a monotonically increasing log
+sequence number plus the statement's redo operations (see
 :meth:`repro.graph.store.GraphStore.redo_ops`).  The LSN lets recovery
 skip records already covered by a checkpoint, which makes a crash
 between "checkpoint renamed" and "WAL truncated" harmless.
@@ -26,23 +21,19 @@ Fsync policies trade durability for throughput:
 * ``batch``  -- ``fsync`` every ``batch_size`` records and on
   checkpoint/close; bounded loss window, much cheaper.
 * ``off``    -- never ``fsync``; the OS page cache decides.  Still
-  safe against *process* crashes (the write itself is buffered to the
-  kernel on every append).
+  safe against *process* crashes (every append is handed to the
+  kernel before it returns).
 """
 
 from __future__ import annotations
 
-import json
 import os
-import struct
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
+from typing import IO, Iterator
 
 from repro.errors import PersistenceError
-
-#: payload length + CRC32, both unsigned 32-bit big-endian
-_HEADER = struct.Struct(">II")
+from repro.persistence.frames import encode_frame, iter_frames
 
 #: the recognised fsync policies
 FSYNC_POLICIES = ("always", "batch", "off")
@@ -58,52 +49,26 @@ class WalRecord:
 
 def encode_record(lsn: int, ops: list) -> bytes:
     """The on-disk bytes of one record."""
-    payload = json.dumps(
-        {"lsn": lsn, "ops": [list(op) for op in ops]},
-        sort_keys=True,
-        separators=(",", ":"),
-    ).encode("utf-8")
-    return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+    return encode_frame({"lsn": lsn, "ops": [list(op) for op in ops]})
 
 
-def decode_records(data: bytes) -> tuple[list[WalRecord], int]:
-    """All intact records in *data*, plus the clean byte length.
+def iter_records(handle: IO[bytes]) -> Iterator[tuple[WalRecord, int]]:
+    """The intact records of an open log, one at a time.
 
-    A clean length shorter than ``len(data)`` means the file has a
-    torn or corrupt tail starting at that offset; the caller decides
-    whether to truncate it away.
+    Yields ``(record, end_offset)``; the last ``end_offset`` (0 when
+    nothing is yielded from the start of a file) is the clean length
+    of the log.  Anything beyond it is a torn or corrupt tail; the
+    caller decides whether to truncate it away.  A frame that passes
+    its checksum but is not a record ends the log just the same.
     """
-    records: list[WalRecord] = []
-    offset = 0
-    total = len(data)
-    while offset + _HEADER.size <= total:
-        length, crc = _HEADER.unpack_from(data, offset)
-        start = offset + _HEADER.size
-        end = start + length
-        if end > total:
-            break
-        payload = data[start:end]
-        if zlib.crc32(payload) != crc:
-            break
+    for body, end in iter_frames(handle, strict=False):
         try:
-            body = json.loads(payload.decode("utf-8"))
-            lsn = body["lsn"]
-            ops = tuple(tuple(op) for op in body["ops"])
-        except (ValueError, KeyError, TypeError):
-            break
-        records.append(WalRecord(lsn=lsn, ops=ops))
-        offset = end
-    return records, offset
-
-
-def read_wal(path: Path | str) -> tuple[list[WalRecord], int, int]:
-    """Decode a WAL file: ``(records, clean_length, file_length)``."""
-    path = Path(path)
-    if not path.exists():
-        return [], 0, 0
-    data = path.read_bytes()
-    records, clean = decode_records(data)
-    return records, clean, len(data)
+            record = WalRecord(
+                lsn=body["lsn"], ops=tuple(tuple(op) for op in body["ops"])
+            )
+        except (KeyError, TypeError):
+            return
+        yield record, end
 
 
 class WalWriter:
@@ -127,19 +92,49 @@ class WalWriter:
         self.fsync = fsync
         self.batch_size = batch_size
         self._pending = 0
-        self._file = open(self.path, "ab")
+        # Unbuffered: one append is one write() straight to the kernel,
+        # and a failed append leaves nothing behind in a user-space
+        # buffer that a later flush could still push out.
+        self._file = open(self.path, "ab", buffering=0)
+        #: length of the log up to the last complete record
+        self._end = self._file.tell()
+        self._broken = False
 
     def append(self, lsn: int, ops: list) -> None:
-        """Write one record; durability depends on the fsync policy."""
-        self._file.write(encode_record(lsn, ops))
-        self._file.flush()
-        if self.fsync == "always":
-            os.fsync(self._file.fileno())
-        elif self.fsync == "batch":
-            self._pending += 1
-            if self._pending >= self.batch_size:
+        """Write one record; durability depends on the fsync policy.
+
+        All or nothing: when the write or its fsync fails, whatever
+        part of the frame reached the file is cut back to the previous
+        record boundary before the error propagates, so the caller
+        (the store's commit) can undo the statement and carry on.  If
+        even the cut fails the writer refuses every further append --
+        otherwise later acknowledged records would sit behind a torn
+        frame, and recovery would discard them with it.
+        """
+        if self._broken:
+            raise PersistenceError(
+                f"write-ahead log {self.path} has a torn tail that could "
+                f"not be cut; reopen the graph to recover"
+            )
+        frame = encode_record(lsn, ops)
+        try:
+            written = 0
+            while written < len(frame):
+                written += self._file.write(frame[written:])
+            if self.fsync == "always":
                 os.fsync(self._file.fileno())
-                self._pending = 0
+            elif self.fsync == "batch":
+                self._pending += 1
+                if self._pending >= self.batch_size:
+                    os.fsync(self._file.fileno())
+                    self._pending = 0
+        except BaseException:
+            try:
+                self._file.truncate(self._end)
+            except OSError:
+                self._broken = True
+            raise
+        self._end += len(frame)
 
     def sync(self) -> None:
         """Flush and fsync pending records (explicit durability point).
@@ -147,15 +142,13 @@ class WalWriter:
         Honoured under every policy -- ``off`` only skips the *implicit*
         per-append fsync, not an explicit request.
         """
-        self._file.flush()
         os.fsync(self._file.fileno())
         self._pending = 0
 
     def truncate(self, length: int = 0) -> None:
         """Shrink the log (0 after a checkpoint, or cut a torn tail)."""
-        self._file.flush()
         self._file.truncate(length)
-        self._file.seek(0, os.SEEK_END)
+        self._end = length
         os.fsync(self._file.fileno())
         self._pending = 0
 

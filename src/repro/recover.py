@@ -3,10 +3,9 @@
 Loads the latest checkpoint, replays the write-ahead log (discarding
 any torn tail), verifies the store invariants, and prints a report.
 With ``--checkpoint`` the recovered state is compacted into a fresh
-checkpoint (truncating the WAL) -- streaming format 2 by default,
-``--format blob`` for a legacy format-1 downgrade, which also makes
-this CLI the format converter in both directions; with ``--json`` the
-recovered graph is printed as canonical graph JSON.
+streaming checkpoint (truncating the WAL), which is also how a legacy
+format-1 directory is upgraded; with ``--json`` the recovered graph is
+printed as canonical graph JSON.
 """
 
 from __future__ import annotations
@@ -16,11 +15,7 @@ import sys
 
 from repro.errors import PersistenceError
 from repro.graph.store import GraphStore
-from repro.persistence import (
-    CHECKPOINT_FORMAT,
-    LEGACY_CHECKPOINT_FORMAT,
-    PersistenceManager,
-)
+from repro.persistence import CHECKPOINT_FORMAT, PersistenceManager
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -36,13 +31,6 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="write a fresh checkpoint of the recovered state "
         "(compacts and truncates the WAL)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("stream", "blob"),
-        default="stream",
-        help="checkpoint format for --checkpoint: 'stream' (format 2, "
-        "O(1) memory, default) or 'blob' (legacy format 1)",
     )
     parser.add_argument(
         "--json",
@@ -65,20 +53,19 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     print(f"recovered: {report.summary()}")
     if report.checkpoint_format:
-        kind = "stream" if report.checkpoint_format == 2 else "blob"
+        kind = (
+            "stream"
+            if report.checkpoint_format == CHECKPOINT_FORMAT
+            else "blob"
+        )
         print(f"checkpoint format: {report.checkpoint_format} ({kind})")
     if not args.no_verify:
         print("invariants: ok")
     if args.checkpoint:
-        format = (
-            CHECKPOINT_FORMAT
-            if args.format == "stream"
-            else LEGACY_CHECKPOINT_FORMAT
-        )
-        manager.checkpoint(store, format=format)
+        manager.checkpoint(store)
         print(
-            f"checkpoint written (format {format}, lsn {manager.lsn}), "
-            "WAL truncated"
+            f"checkpoint written (format {CHECKPOINT_FORMAT}, "
+            f"lsn {manager.lsn}), WAL truncated"
         )
     if args.json:
         from repro.testing.invariants import canonical_graph_json

@@ -16,7 +16,7 @@ from repro.dialect import Dialect
 from repro.parser import ast
 from repro.parser.unparse import unparse
 from repro.runtime.context import EvalContext
-from repro.runtime.planner import estimate_node_cost
+from repro.runtime.match_planner import estimate_element, plan_paths
 
 _MERGE_EXECUTORS = {
     ast.MERGE_LEGACY: "LegacyMerge(per-record match-or-create, reads own writes)",
@@ -52,8 +52,6 @@ def _explain_clause(
         if ctx.use_planner:
             # Paths are listed in planned execution order, each with
             # the selectivity-chosen anchor and its estimate.
-            from repro.runtime.match_planner import plan_paths
-
             plan = plan_paths(ctx, clause.pattern.paths, {})
             for path_plan in plan.ordered:
                 lines.append(
@@ -68,12 +66,12 @@ def _explain_clause(
                 )
         else:
             for path in clause.pattern.paths:
-                anchor = path.elements[0]
-                cost = estimate_node_cost(ctx, anchor, set(), {})
+                cost, access = estimate_element(
+                    ctx, path.elements[0], set(), {}
+                )
                 lines.append(
                     f"{prefix}  path {unparse(path)}"
-                    f"  [anchor: {_describe_anchor(ctx, anchor)}, "
-                    f"est. {cost:.0f} candidates]"
+                    f"  [anchor: {access}, est. {cost:.0f} candidates]"
                 )
         if clause.where is not None:
             lines.append(f"{prefix}  filter {unparse(clause.where)}")
@@ -156,17 +154,3 @@ def render_profile(profile) -> str:
         )
     return "\n".join(lines)
 
-
-def _describe_anchor(ctx: EvalContext, anchor: ast.NodePattern) -> str:
-    if anchor.variable is not None and not anchor.labels:
-        candidates = "all nodes"
-    elif anchor.labels:
-        candidates = f"label scan :{anchor.labels[0]}"
-    else:
-        candidates = "all nodes"
-    if anchor.properties is not None:
-        for label in anchor.labels:
-            for key, __ in anchor.properties.items:
-                if ctx.store.property_index(label, key) is not None:
-                    return f"index :{label}({key})"
-    return candidates

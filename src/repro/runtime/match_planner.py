@@ -55,8 +55,8 @@ from typing import Any, Iterator, Mapping
 from repro.graph.model import Path
 from repro.parser import ast
 from repro.runtime import matcher
+from repro.runtime.compiler import compile_expression
 from repro.runtime.context import EvalContext
-from repro.runtime.planner import _UNKNOWN, _try_evaluate, _variables_of
 
 _ENABLED = True
 
@@ -186,6 +186,35 @@ def estimate_element(
         # a property-carrying end beats a bare one with the same label.
         best *= 0.9
     return best, access
+
+
+_UNKNOWN = object()
+
+
+def _try_evaluate(
+    ctx: EvalContext,
+    expression: ast.Expression,
+    record: Mapping[str, Any],
+    bound: set[str],
+) -> Any:
+    """Evaluate a property expression if its variables are bound."""
+    if not _variables_of(expression) <= bound | set(record.keys()):
+        return _UNKNOWN
+    try:
+        return compile_expression(expression)(ctx, dict(record))
+    except Exception:
+        return _UNKNOWN
+
+
+def _variables_of(expression: ast.Expression) -> set[str]:
+    from repro.runtime.aggregation import children
+
+    names: set[str] = set()
+    if isinstance(expression, ast.Variable):
+        names.add(expression.name)
+    for child in children(expression):
+        names |= _variables_of(child)
+    return names
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +428,7 @@ def _match_anchored(
     elements = path.elements
     split = 2 * anchor_index
     anchor = elements[split]
-    leftward = _mirror_elements(elements[: split + 1])
+    leftward = mirror_elements(elements[: split + 1])
     rightward = elements[split:]
     for node in matcher._node_candidates(ctx, anchor, bindings):
         added = matcher._bind(bindings, anchor.variable, node)
@@ -419,7 +448,7 @@ def _match_anchored(
 
 
 @lru_cache(maxsize=1024)
-def _mirror_elements(prefix: tuple) -> tuple:
+def mirror_elements(prefix: tuple) -> tuple:
     """*prefix* reversed with relationship directions flipped.
 
     The mirrored element list starts at the anchor and walks back to

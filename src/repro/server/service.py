@@ -244,7 +244,7 @@ class GraphService:
         return {
             "indexes": [
                 {"label": label, "key": key}
-                for label, key in sorted(store._property_indexes)
+                for label, key in store.index_keys()
             ],
             "constraints": [
                 {"label": label, "key": key, "type": "unique"}

@@ -122,7 +122,7 @@ class Graph:
 
             self.persistence = PersistenceManager(path, fsync=fsync)
             had_data = bool(
-                self.store.has_records() or self.store._property_indexes
+                self.store.has_records() or self.store.index_keys()
             )
             if had_data and (
                 self.persistence.wal_path.exists()
@@ -283,21 +283,14 @@ class Graph:
     # Durability
     # ------------------------------------------------------------------
 
-    def checkpoint(self, *, format: int | None = None) -> None:
-        """Snapshot the graph atomically and truncate the WAL.
-
-        Streams the format-2 checkpoint by default; ``format=1``
-        writes the legacy blob (see :mod:`repro.persistence.checkpoint`).
-        """
+    def checkpoint(self) -> None:
+        """Snapshot the graph atomically and truncate the WAL."""
         if self.persistence is None:
             raise PersistenceError(
                 "graph has no persistence directory; "
                 "open it with Graph(path=...)"
             )
-        if format is None:
-            self.persistence.checkpoint(self.store)
-        else:
-            self.persistence.checkpoint(self.store, format=format)
+        self.persistence.checkpoint(self.store)
 
     def sync(self) -> None:
         """Force pending WAL records to disk (any fsync policy)."""

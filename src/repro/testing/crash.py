@@ -30,15 +30,15 @@ return a silently wrong graph).
 
 from __future__ import annotations
 
+import io
 import random
 import shutil
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import CypherError, PersistenceError
 from repro.graph.store import GraphStore
-from repro.persistence import PersistenceManager, decode_records
+from repro.persistence import PersistenceManager, iter_records
 from repro.persistence.checkpoint import (
     CHECKPOINT_NAME,
     WAL_NAME,
@@ -153,19 +153,19 @@ def run_crash_scenario(
         except CypherError:
             pass  # rolled back; must not have logged anything
         report.statements_run += 1
-        records, clean, __ = _decode_file(wal_path)
-        timeline.append((len(records), canonical_graph_json(graph.store)))
+        written = len(_record_boundaries(wal_path.read_bytes())) - 1
+        timeline.append((written, canonical_graph_json(graph.store)))
     graph.close()
 
     wal_bytes = wal_path.read_bytes()
-    records, clean, total = _decode_file(wal_path)
-    report.records_written = len(records)
-    if clean != total:
-        report.failures.append(
-            f"live WAL has a dirty tail ({total - clean} bytes) "
-            f"without any crash"
-        )
     boundaries = _record_boundaries(wal_bytes)
+    records = len(boundaries) - 1
+    report.records_written = records
+    if boundaries[-1] != len(wal_bytes):
+        report.failures.append(
+            f"live WAL has a dirty tail "
+            f"({len(wal_bytes) - boundaries[-1]} bytes) without any crash"
+        )
 
     def expected_json(record_count: int) -> str:
         # The committed state a prefix of record_count records encodes:
@@ -182,7 +182,7 @@ def run_crash_scenario(
     scratch = base / "scratch"
     for k, boundary in enumerate(boundaries):
         cut_points = [(f"boundary[{k}]", boundary)]
-        if torn_variants and k < len(records):
+        if torn_variants and k < records:
             next_boundary = boundaries[k + 1]
             torn = boundary + max(1, (next_boundary - boundary) // 2)
             if torn < next_boundary:
@@ -229,9 +229,7 @@ def run_crash_scenario(
                 f"{type(error).__name__}: {error}"
             )
         else:
-            if canonical_graph_json(store) != expected_json(
-                len(records) - 1
-            ):
+            if canonical_graph_json(store) != expected_json(records - 1):
                 report.failures.append(
                     "[corrupt] corrupt record was not discarded"
                 )
@@ -294,8 +292,7 @@ def run_checkpoint_crash_scenario(
     checkpoint_path = live / CHECKPOINT_NAME
     checkpoint_bytes = checkpoint_path.read_bytes()
     wal_suffix = (live / WAL_NAME).read_bytes()
-    records, __ = decode_records(wal_suffix)
-    report.records_written = len(records)
+    report.records_written = len(_record_boundaries(wal_suffix)) - 1
     boundaries = checkpoint_record_boundaries(checkpoint_path)
 
     scratch = base / "scratch"
@@ -414,22 +411,6 @@ def run_checkpoint_crash_scenario(
     return report
 
 
-def _decode_file(path: Path):
-    if not path.exists():
-        return [], 0, 0
-    data = path.read_bytes()
-    records, clean = decode_records(data)
-    return records, clean, len(data)
-
-
 def _record_boundaries(data: bytes) -> list[int]:
-    """Byte offsets of every record boundary, starting at 0."""
-    records, clean = decode_records(data)
-    boundaries = [0]
-    offset = 0
-    header = struct.Struct(">II")
-    while offset + header.size <= clean:
-        length, __ = header.unpack_from(data, offset)
-        offset += header.size + length
-        boundaries.append(offset)
-    return boundaries
+    """Byte offsets of every intact record boundary, starting at 0."""
+    return [0] + [end for __, end in iter_records(io.BytesIO(data))]

@@ -47,7 +47,7 @@ class TestModuleDocstrings:
             "repro.graph.store",
             "repro.parser.parser",
             "repro.runtime.matcher",
-            "repro.runtime.planner",
+            "repro.runtime.match_planner",
             "repro.core.merge",
             "repro.core.set",
             "repro.core.delete",

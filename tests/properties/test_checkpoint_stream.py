@@ -1,13 +1,14 @@
-"""Streaming (format-2) vs blob (format-1) checkpoint equivalence.
+"""Streaming checkpoint round trips against the source store.
 
-The two formats must be interchangeable: a graph checkpointed either
-way and restored through either path has to come back byte-identical
-under ``canonical_graph_json``.  Hypothesis drives the store through
-random update scripts (creates, deletes, property/label churn, holes
-from deleted ids, schema objects) so the column iterators see every
-tombstone shape, then the suite round-trips through both formats and
-both readers, plus the crash-injection scenario at every streaming-
-record boundary.
+A graph checkpointed and restored has to come back byte-identical
+under ``canonical_graph_json``, schema and allocators included.
+Hypothesis drives the store through random update scripts (creates,
+deletes, property/label churn, holes from deleted ids, schema objects)
+so the column iterators see every tombstone shape; the suite then
+checks the record stream's shape and integrity failures, plus the
+crash-injection scenario at every streaming-record boundary.  (The
+format-1 blob reader is pinned by the checked-in fixture in
+``tests/unit/test_persistence.py``.)
 """
 
 from __future__ import annotations
@@ -21,13 +22,9 @@ from repro.graph.store import GraphStore
 from repro.persistence.checkpoint import (
     CHECKPOINT_FORMAT,
     CHECKPOINT_NAME,
-    LEGACY_CHECKPOINT_FORMAT,
     checkpoint_format,
-    checkpoint_payload,
     checkpoint_record_boundaries,
-    load_checkpoint,
     read_checkpoint_records,
-    restore_checkpoint,
     restore_checkpoint_file,
     write_checkpoint,
 )
@@ -98,72 +95,48 @@ def build_store(script) -> GraphStore:
     return store
 
 
-def roundtrip(directory, store: GraphStore, *, format: int) -> GraphStore:
-    write_checkpoint(directory, store, 7, format=format)
+def roundtrip(directory, store: GraphStore) -> GraphStore:
+    write_checkpoint(directory, store, 7)
     recovered = GraphStore()
     info = restore_checkpoint_file(
         recovered, directory / CHECKPOINT_NAME
     )
-    assert info == {"lsn": 7, "format": format}
+    assert info == {"lsn": 7, "format": CHECKPOINT_FORMAT}
     return recovered
 
 
-class TestFormatEquivalence:
+class TestStreamRoundTrip:
     @settings(max_examples=60, deadline=None)
     @given(scripts)
     def test_stream_roundtrip_is_byte_identical(self, tmp_path_factory, script):
         directory = tmp_path_factory.mktemp("ckpt")
         store = build_store(script)
-        wanted = canonical_graph_json(store)
-        recovered = roundtrip(directory, store, format=CHECKPOINT_FORMAT)
-        assert canonical_graph_json(recovered) == wanted
+        recovered = roundtrip(directory, store)
+        assert canonical_graph_json(recovered) == canonical_graph_json(store)
         check_invariants(recovered)
+        assert recovered.index_keys() == store.index_keys()
+        assert recovered.unique_constraints() == store.unique_constraints()
         # allocators survive so later ids never collide
-        assert recovered._next_node_id == store._next_node_id
-        assert recovered._next_rel_id == store._next_rel_id
-
-    @settings(max_examples=60, deadline=None)
-    @given(scripts)
-    def test_blob_and_stream_restore_identically(
-        self, tmp_path_factory, script
-    ):
-        store = build_store(script)
-        blob_dir = tmp_path_factory.mktemp("blob")
-        stream_dir = tmp_path_factory.mktemp("stream")
-        via_blob = roundtrip(
-            blob_dir, store, format=LEGACY_CHECKPOINT_FORMAT
-        )
-        via_stream = roundtrip(
-            stream_dir, store, format=CHECKPOINT_FORMAT
-        )
-        assert canonical_graph_json(via_blob) == canonical_graph_json(
-            via_stream
-        )
-        assert set(via_blob._property_indexes) == set(
-            via_stream._property_indexes
-        )
+        assert recovered.next_ids() == store.next_ids()
 
     @settings(max_examples=40, deadline=None)
     @given(scripts)
-    def test_load_checkpoint_materialises_the_blob_shape(
+    def test_header_carries_schema_and_allocators(
         self, tmp_path_factory, script
     ):
-        # the compat loader rebuilds the format-1 payload from the
-        # stream: graph, schema and allocators all agree
         store = build_store(script)
         directory = tmp_path_factory.mktemp("ckpt")
         write_checkpoint(directory, store, 7)
-        payload = load_checkpoint(directory)
-        legacy = checkpoint_payload(store, 7)
-        assert payload["lsn"] == 7
-        assert payload["indexes"] == legacy["indexes"]
-        assert payload["constraints"] == legacy["constraints"]
-        assert payload["next_node_id"] == legacy["next_node_id"]
-        assert payload["next_rel_id"] == legacy["next_rel_id"]
-        restored = GraphStore()
-        restore_checkpoint(restored, payload)
-        assert canonical_graph_json(restored) == canonical_graph_json(
-            store
+        header = next(
+            read_checkpoint_records(directory / CHECKPOINT_NAME)
+        )
+        assert header["lsn"] == 7
+        assert header["indexes"] == [list(k) for k in store.index_keys()]
+        assert header["constraints"] == sorted(
+            list(pair) for pair in store.unique_constraints()
+        )
+        assert (header["next_node_id"], header["next_rel_id"]) == (
+            store.next_ids()
         )
 
 
@@ -178,13 +151,14 @@ class TestStreamIntegrity:
         return store
 
     def test_sniffed_formats(self, tmp_path):
-        store = self.populated(tmp_path)
+        self.populated(tmp_path)
         path = tmp_path / CHECKPOINT_NAME
         assert checkpoint_format(path) == CHECKPOINT_FORMAT
-        write_checkpoint(
-            tmp_path, store, 3, format=LEGACY_CHECKPOINT_FORMAT
-        )
-        assert checkpoint_format(path) == LEGACY_CHECKPOINT_FORMAT
+        path.write_text('{"format": 1}')
+        assert checkpoint_format(path) == 1
+        path.write_bytes(b"garbage!")
+        with pytest.raises(PersistenceError, match="unrecognised"):
+            checkpoint_format(path)
 
     def test_record_stream_shape(self, tmp_path):
         self.populated(tmp_path)
@@ -224,10 +198,6 @@ class TestStreamIntegrity:
         corrupt.write_bytes(bytes(data))
         with pytest.raises(PersistenceError, match="CRC"):
             list(read_checkpoint_records(corrupt))
-
-    def test_write_rejects_unknown_format(self, tmp_path):
-        with pytest.raises(PersistenceError, match="format"):
-            write_checkpoint(tmp_path, GraphStore(), 0, format=3)
 
 
 class TestCheckpointCrashScenario:

@@ -1,4 +1,6 @@
-"""Property-based tests of the store: rollback is a perfect inverse."""
+"""Property-based tests of the store: rollback is a perfect inverse,
+and the three routes through the transition kernels (public mutators,
+redo replay, journal undo) agree."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from hypothesis.stateful import (
 from repro.errors import CypherError
 from repro.graph.comparison import isomorphic
 from repro.graph.store import GraphStore
+from repro.testing.invariants import canonical_graph_json, check_invariants
 
 #: Small pools of labels / keys / values keep collisions frequent.
 labels = st.lists(
@@ -77,6 +80,40 @@ def apply_script(store, script):
                 store.remove_label(node_ids[a % len(node_ids)], "ABC"[b % 3])
         except CypherError:
             pass  # strict deletes of attached nodes etc.
+
+
+class TestThreeRoutes:
+    @given(setup=operations, mutations=operations, indexed=st.booleans())
+    @settings(max_examples=120)
+    def test_mutate_replay_and_rollback_agree(
+        self, setup, mutations, indexed
+    ):
+        # Route 1: the public mutators.  (Scripts delete nodes with
+        # allow_dangling, so the oracle must tolerate dangling rels.)
+        mutated = GraphStore()
+        if indexed:
+            mutated.create_index("A", "x")
+        apply_script(mutated, setup)
+        before = canonical_graph_json(mutated)
+        mark = mutated.mark()
+        apply_script(mutated, mutations)
+        check_invariants(mutated, allow_dangling=True)
+        # Route 2: the redo stream of route 1, replayed on a fresh
+        # store (what recovery and a replica do).
+        replayed = GraphStore()
+        if indexed:
+            replayed.create_index("A", "x")
+        for op in mutated.redo_ops(0):
+            replayed.apply_redo(op)
+        assert canonical_graph_json(replayed) == canonical_graph_json(
+            mutated
+        )
+        assert replayed.next_ids() == mutated.next_ids()
+        check_invariants(replayed, allow_dangling=True)
+        # Route 3: journal undo takes route 1 back to the setup state.
+        mutated.rollback_to(mark)
+        assert canonical_graph_json(mutated) == before
+        check_invariants(mutated, allow_dangling=True)
 
 
 class TestRollbackInverse:

@@ -5,7 +5,12 @@ derivation and replay on the store, atomic checkpoints, and the
 manager's recover/attach/log/checkpoint lifecycle.
 """
 
+import errno
+import io
 import json
+import shutil
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -14,17 +19,53 @@ from repro.graph.store import GraphStore
 from repro.persistence import (
     PersistenceManager,
     WalWriter,
-    decode_records,
     encode_record,
-    read_wal,
+    iter_records,
 )
 from repro.persistence.checkpoint import (
+    CHECKPOINT_NAME,
     WAL_NAME,
-    load_checkpoint,
-    restore_checkpoint,
+    restore_checkpoint_file,
     write_checkpoint,
 )
 from repro.testing.invariants import canonical_graph_json, check_invariants
+
+#: a format-1 (JSON blob) checkpoint written by the last build that
+#: still had a format-1 writer; see ``format1_store`` for its contents
+FORMAT1_FIXTURE = (
+    Path(__file__).parent.parent / "data" / "format1_checkpoint"
+)
+
+
+def format1_store() -> GraphStore:
+    """The store the checked-in format-1 fixture was written from."""
+    store = GraphStore()
+    a = store.create_node(("A", "Extra"), {"k": 1, "tags": ["x", 2.5, True]})
+    b = store.create_node(("B",), {"k": "two"})
+    gone = store.create_node(("A",), {"k": 3})
+    c = store.create_node((), {})
+    store.create_relationship("T", a, b, {"w": 3})
+    dead = store.create_relationship("T", b, c)
+    store.create_relationship("LOOP", c, c)
+    store.delete_relationship(dead)
+    store.delete_node(gone)
+    store.create_index("A", "k")
+    store.create_unique_constraint("B", "k")
+    return store
+
+
+def decode_records(data: bytes):
+    """All intact records in *data*, plus the clean byte length."""
+    records, clean = [], 0
+    for record, clean in iter_records(io.BytesIO(data)):
+        records.append(record)
+    return records, clean
+
+
+def read_wal(path):
+    """Decode a WAL file: ``(records, clean_length, file_length)``."""
+    data = Path(path).read_bytes()
+    return (*decode_records(data), len(data))
 
 
 class TestFraming:
@@ -60,8 +101,25 @@ class TestFraming:
         records, clean = decode_records(b"\x00\x00")
         assert records == [] and clean == 0
 
-    def test_read_missing_file(self, tmp_path):
-        assert read_wal(tmp_path / "nope.log") == ([], 0, 0)
+    def test_checksummed_non_record_ends_the_log(self):
+        from repro.persistence import encode_frame
+
+        data = encode_record(1, []) + encode_frame({"not": "a record"})
+        records, clean = decode_records(data + encode_record(2, []))
+        assert [r.lsn for r in records] == [1]
+        assert clean == len(encode_record(1, []))
+
+    def test_garbage_length_is_torn_not_allocated(self):
+        # a 4 GiB length field must read as a torn tail, not as a
+        # request to allocate 4 GiB
+        whole = encode_record(1, [])
+        records, clean = decode_records(whole + b"\xff\xff\xff\xff" * 2)
+        assert [r.lsn for r in records] == [1]
+        assert clean == len(whole)
+
+    def test_missing_log_recovers_empty(self, tmp_path):
+        report = PersistenceManager(tmp_path).recover(GraphStore())
+        assert report.records_total == 0 and report.torn_bytes == 0
 
 
 class TestWalWriter:
@@ -88,6 +146,61 @@ class TestWalWriter:
         records, clean, total = read_wal(path)
         assert [r.lsn for r in records] == [1, 2]
         assert clean == total
+
+    def test_failed_append_is_cut_back(self, tmp_path):
+        # The disk fills up halfway through a frame: the partial frame
+        # must not stay in front of later records.
+        path = tmp_path / WAL_NAME
+        writer = WalWriter(path, fsync="off")
+        writer.append(1, [["delete_node", 1]])
+        real = writer._file
+
+        class FullDisk:
+            def write(self, data):
+                real.write(data[: len(data) // 2])
+                raise OSError(errno.ENOSPC, "disk full")
+
+            def __getattr__(self, name):
+                return getattr(real, name)
+
+        writer._file = FullDisk()
+        with pytest.raises(OSError):
+            writer.append(2, [["delete_node", 2]])
+        writer._file = real
+        writer.append(3, [["delete_node", 3]])
+        writer.close()
+        records, clean, total = read_wal(path)
+        assert [r.lsn for r in records] == [1, 3]
+        assert clean == total
+
+    def test_uncuttable_tail_refuses_further_appends(self, tmp_path):
+        path = tmp_path / WAL_NAME
+        writer = WalWriter(path, fsync="off")
+        writer.append(1, [])
+        real = writer._file
+
+        class DeadDisk:
+            def write(self, data):
+                real.write(data[:3])
+                raise OSError(errno.EIO, "I/O error")
+
+            def truncate(self, length):
+                raise OSError(errno.EIO, "I/O error")
+
+            def __getattr__(self, name):
+                return getattr(real, name)
+
+        writer._file = DeadDisk()
+        with pytest.raises(OSError):
+            writer.append(2, [])
+        writer._file = real
+        with pytest.raises(PersistenceError, match="torn tail"):
+            writer.append(3, [])
+        writer.close()
+        # nothing acknowledged sits behind the torn frame
+        records, clean, total = read_wal(path)
+        assert [r.lsn for r in records] == [1]
+        assert total - clean == 3
 
     def test_unknown_policy_rejected(self, tmp_path):
         with pytest.raises(PersistenceError, match="fsync policy"):
@@ -242,32 +355,51 @@ class TestCheckpoint:
         store.create_unique_constraint("B", "k")
         return store
 
-    def test_write_load_restore(self, tmp_path):
+    def test_write_restore(self, tmp_path):
         store = self._store()
-        write_checkpoint(tmp_path, store, lsn=41)
-        payload = load_checkpoint(tmp_path)
-        assert payload["lsn"] == 41
+        path = write_checkpoint(tmp_path, store, lsn=41)
         restored = GraphStore()
-        restore_checkpoint(restored, payload)
+        info = restore_checkpoint_file(restored, path)
+        assert info == {"lsn": 41, "format": 2}
         assert canonical_graph_json(restored) == canonical_graph_json(store)
-        assert set(restored._property_indexes) == set(
-            store._property_indexes
-        )
+        assert restored.index_keys() == store.index_keys()
         assert restored.unique_constraints() == store.unique_constraints()
+        assert restored.next_ids() == store.next_ids()
         check_invariants(restored)
 
-    def test_no_checkpoint_is_none(self, tmp_path):
-        assert load_checkpoint(tmp_path) is None
+    def test_format1_fixture_restores(self):
+        # Format 1 is no longer written, but older directories are
+        # outside input: the checked-in blob must keep restoring.
+        wanted = format1_store()
+        restored = GraphStore()
+        info = restore_checkpoint_file(
+            restored, FORMAT1_FIXTURE / CHECKPOINT_NAME
+        )
+        assert info == {"lsn": 17, "format": 1}
+        assert canonical_graph_json(restored) == canonical_graph_json(wanted)
+        assert restored.index_keys() == wanted.index_keys()
+        assert restored.unique_constraints() == wanted.unique_constraints()
+        # ids of entities deleted before the snapshot are not reused
+        assert restored.next_ids() == wanted.next_ids() == (4, 3)
+        check_invariants(restored)
 
     def test_corrupt_checkpoint_raises(self, tmp_path):
-        (tmp_path / "checkpoint.json").write_text("{not json")
+        path = tmp_path / "checkpoint.json"
+        path.write_text("{not json")
         with pytest.raises(PersistenceError, match="corrupt"):
-            load_checkpoint(tmp_path)
+            restore_checkpoint_file(GraphStore(), path)
 
     def test_unsupported_format_raises(self, tmp_path):
-        (tmp_path / "checkpoint.json").write_text(json.dumps({"format": 99}))
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps({"format": 99, "lsn": 0}))
         with pytest.raises(PersistenceError, match="format"):
-            load_checkpoint(tmp_path)
+            restore_checkpoint_file(GraphStore(), path)
+
+    def test_blob_without_lsn_raises(self, tmp_path):
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps({"format": 1, "graph": {}}))
+        with pytest.raises(PersistenceError, match="lsn"):
+            restore_checkpoint_file(GraphStore(), path)
 
     def test_write_is_atomic_no_tmp_left_behind(self, tmp_path):
         write_checkpoint(tmp_path, self._store(), lsn=1)
@@ -372,6 +504,36 @@ class TestManager:
             PersistenceManager(tmp_path).recover(GraphStore())
 
 
+class TestRecoveryMemory:
+    def _peak(self, directory, records):
+        """tracemalloc peak of recovering a WAL of *records* records."""
+        with WalWriter(directory / WAL_NAME, fsync="off") as writer:
+            writer.append(1, [("create_node", 0, ["A"], {"k": 0})])
+            for lsn in range(2, records + 1):
+                writer.append(lsn, [("set_node_prop", 0, "k", lsn)])
+        store = GraphStore()
+        manager = PersistenceManager(directory)
+        tracemalloc.start()
+        try:
+            report = manager.recover(store, verify=False)
+            __, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.records_applied == records
+        assert store.node_properties(0) == {"k": records}
+        return peak
+
+    def test_replay_memory_does_not_grow_with_the_log(self, tmp_path):
+        # Records are applied as they are decoded; a log ten times as
+        # long (every record rewriting one property, so the store
+        # stays the same size) must not need ten times the memory.
+        (tmp_path / "small").mkdir()
+        (tmp_path / "large").mkdir()
+        small = self._peak(tmp_path / "small", 2_000)
+        large = self._peak(tmp_path / "large", 20_000)
+        assert large < 2 * small + 64 * 1024, (small, large)
+
+
 class TestStreamingCheckpointManager:
     """Format-2 wiring through the manager: sniffing, compat, tmp."""
 
@@ -404,29 +566,31 @@ class TestStreamingCheckpointManager:
         assert report.records_total == 0
 
     def test_legacy_blob_still_recovers(self, tmp_path):
-        before = self._populate(tmp_path)
-        store = GraphStore()
-        manager = PersistenceManager(tmp_path)
-        manager.recover(store)
-        manager.checkpoint(store, format=1)
-        assert (tmp_path / "checkpoint.json").read_text()[0] == "{"
+        shutil.copy(FORMAT1_FIXTURE / CHECKPOINT_NAME, tmp_path)
         fresh = GraphStore()
         report = PersistenceManager(tmp_path).recover(fresh)
-        assert canonical_graph_json(fresh) == before
+        assert canonical_graph_json(fresh) == canonical_graph_json(
+            format1_store()
+        )
         assert report.checkpoint_format == 1
+        assert report.checkpoint_lsn == 17
 
     def test_blob_and_stream_recover_identically(self, tmp_path):
-        self._populate(tmp_path)
+        # Recover the blob, re-checkpoint (always format 2), recover
+        # that: the same graph either way, and new commits continue
+        # the blob's LSN sequence.
+        shutil.copy(FORMAT1_FIXTURE / CHECKPOINT_NAME, tmp_path)
         store = GraphStore()
         manager = PersistenceManager(tmp_path)
         manager.recover(store)
-        via = {}
-        for format in (1, 2):
-            manager.checkpoint(store, format=format)
-            fresh = GraphStore()
-            PersistenceManager(tmp_path).recover(fresh)
-            via[format] = canonical_graph_json(fresh)
-        assert via[1] == via[2]
+        via_blob = canonical_graph_json(store)
+        manager.checkpoint(store)
+        fresh = GraphStore()
+        report = PersistenceManager(tmp_path).recover(fresh)
+        assert report.checkpoint_format == 2
+        assert report.checkpoint_lsn == 17
+        assert canonical_graph_json(fresh) == via_blob
+        assert fresh.next_ids() == store.next_ids()
 
     def test_torn_tmp_file_is_ignored(self, tmp_path):
         before = self._populate(tmp_path)
@@ -456,24 +620,20 @@ class TestRecoverCli:
         assert "checkpoint written" in out
         assert (tmp_path / WAL_NAME).stat().st_size == 0
 
-    def test_cli_format_conversion_both_ways(self, tmp_path, capsys):
+    def test_cli_upgrades_a_format1_directory(self, tmp_path, capsys):
         from repro.persistence.checkpoint import checkpoint_format
         from repro.recover import main
-        from repro.session import Graph
 
-        graph = Graph(path=tmp_path, fsync="off")
-        graph.run("CREATE (:A {k: 1})")
-        graph.close()
+        shutil.copy(FORMAT1_FIXTURE / CHECKPOINT_NAME, tmp_path)
         path = tmp_path / "checkpoint.json"
+        assert checkpoint_format(path) == 1
         assert main([str(tmp_path), "--checkpoint"]) == 0
         assert checkpoint_format(path) == 2
-        assert main([str(tmp_path), "--checkpoint", "--format", "blob"]) == 0
-        assert checkpoint_format(path) == 1
-        assert main([str(tmp_path), "--checkpoint", "--format", "stream"]) == 0
-        assert checkpoint_format(path) == 2
+        assert main([str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "checkpoint format: 2 (stream)" in out
         assert "checkpoint format: 1 (blob)" in out
+        assert "checkpoint format: 2 (stream)" in out
+        assert "checkpoint written (format 2, lsn 17)" in out
 
     def test_failure_exit_code(self, tmp_path, capsys):
         (tmp_path / "checkpoint.json").write_text("{broken")

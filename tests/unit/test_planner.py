@@ -1,20 +1,37 @@
-"""Unit tests for the greedy endpoint planner."""
+"""Unit tests for the planner's cost model, path mirroring and choices.
+
+These predate :mod:`repro.runtime.match_planner` (they were written
+against the endpoint planner it replaced) and now pin the same
+behaviours on the surviving cost model (:func:`estimate_element`),
+mirroring routine (:func:`mirror_elements`) and planner
+(:func:`plan_paths`).
+"""
 
 import pytest
 
 from repro import Dialect, Graph
 from repro.parser import ast, parse
 from repro.runtime.context import EvalContext
-from repro.runtime.planner import (
-    estimate_node_cost,
-    plan_pattern,
-    reverse_path,
+from repro.runtime.match_planner import (
+    estimate_element,
+    mirror_elements,
+    plan_paths,
 )
 
 
 def pattern_of(source):
     statement = parse(f"MATCH {source} RETURN 1 AS one", Dialect.REVISED)
     return statement.branches()[0].clauses[0].pattern
+
+
+def reverse_path(path):
+    return ast.PathPattern(
+        variable=path.variable, elements=mirror_elements(path.elements)
+    )
+
+
+def estimate_node_cost(ctx, element, bound, record):
+    return estimate_element(ctx, element, bound, record)[0]
 
 
 @pytest.fixture
@@ -81,8 +98,10 @@ class TestCostEstimates:
         market.create_index("User", "id")
         with_index = estimate_node_cost(ctx, element, set(), {})
         assert with_index < without_index
-        # one index hit, times the 0.9 property-filter discount
-        assert with_index == pytest.approx(0.9)
+        # one index hit; the un-indexed property-filter discount is
+        # what made the estimate 0.9 * 200 before the index existed
+        assert without_index == pytest.approx(180.0)
+        assert with_index == 1.0
 
     def test_unlabeled_costs_node_count(self, market):
         ctx = EvalContext(store=market.store)
@@ -92,44 +111,37 @@ class TestCostEstimates:
         )
 
 
-class TestPlanPattern:
-    def test_reverses_toward_cheap_end(self, market):
+class TestPlanChoices:
+    def test_anchors_at_the_cheap_end(self, market):
         ctx = EvalContext(store=market.store)
         pattern = pattern_of("(u:User)-[:ORDERED]->(p:Product {id: 3})")
-        planned = plan_pattern(ctx, pattern, {})
-        first = planned.paths[0].elements[0]
-        assert first.labels == ("Product",)
+        plan = plan_paths(ctx, pattern.paths, {}).ordered[0]
+        assert plan.path.nodes[plan.anchor_index].labels == ("Product",)
 
     def test_keeps_orientation_when_first_is_cheap(self, market):
         ctx = EvalContext(store=market.store)
         pattern = pattern_of("(p:Product {id: 3})-[:ORDERED]-(u:User)")
-        planned = plan_pattern(ctx, pattern, {})
-        assert planned.paths[0].elements[0].labels == ("Product",)
+        plan = plan_paths(ctx, pattern.paths, {}).ordered[0]
+        assert plan.anchor_index == 0
 
-    def test_named_paths_never_reverse(self, market):
-        ctx = EvalContext(store=market.store)
-        pattern = pattern_of("pp = (u:User)-[:ORDERED]->(p:Product {id: 3})")
-        planned = plan_pattern(ctx, pattern, {})
-        assert planned.paths[0].elements[0].labels == ("User",)
-
-    def test_named_var_length_never_reverses(self, market):
+    def test_named_var_length_keeps_its_start(self, market):
         ctx = EvalContext(store=market.store)
         pattern = pattern_of("(u:User)-[rs:ORDERED*1..2]->(p:Product {id: 3})")
-        planned = plan_pattern(ctx, pattern, {})
-        assert planned.paths[0].elements[0].labels == ("User",)
+        plan = plan_paths(ctx, pattern.paths, {}).ordered[0]
+        assert plan.anchor_index == 0
 
     def test_paths_reordered_by_cost(self, market):
         ctx = EvalContext(store=market.store)
         pattern = pattern_of("(u:User), (p:Product)")
-        planned = plan_pattern(ctx, pattern, {})
-        assert planned.paths[0].elements[0].labels == ("Product",)
+        planned = plan_paths(ctx, pattern.paths, {})
+        assert planned.ordered[0].path.elements[0].labels == ("Product",)
 
     def test_bound_path_runs_first(self, market):
         ctx = EvalContext(store=market.store)
         node = market.store.node(0)
         pattern = pattern_of("(p:Product), (u)")
-        planned = plan_pattern(ctx, pattern, {"u": node})
-        assert planned.paths[0].elements[0].variable == "u"
+        planned = plan_paths(ctx, pattern.paths, {"u": node})
+        assert planned.ordered[0].path.elements[0].variable == "u"
 
 
 class TestPlannerEndToEnd:

@@ -15,8 +15,7 @@ from repro.graph.strings import StringPool
 from repro.io.csv_io import read_graph_csv, write_graph_csv
 from repro.io.graph_json import dict_to_store, graph_to_dict
 from repro.persistence.checkpoint import (
-    load_checkpoint,
-    restore_checkpoint,
+    restore_checkpoint_file,
     write_checkpoint,
 )
 from repro.testing.invariants import canonical_graph_json, check_invariants
@@ -70,20 +69,18 @@ class TestPoolBasics:
 class TestCheckpointRoundTrip:
     def test_pool_recovers_with_identical_graph(self, tmp_path):
         store = social_store()
-        write_checkpoint(tmp_path, store, 17)
-        payload = load_checkpoint(tmp_path)
-        assert payload["lsn"] == 17
+        path = write_checkpoint(tmp_path, store, 17)
         restored = GraphStore()
-        restore_checkpoint(restored, payload)
+        assert restore_checkpoint_file(restored, path)["lsn"] == 17
         assert canonical_graph_json(restored) == canonical_graph_json(store)
         check_invariants(restored)
         assert restored.string_pool.check() == []
 
     def test_restored_pool_reinterns_in_replay_order(self, tmp_path):
         store = social_store()
-        write_checkpoint(tmp_path, store, 1)
+        path = write_checkpoint(tmp_path, store, 1)
         restored = GraphStore()
-        restore_checkpoint(restored, load_checkpoint(tmp_path))
+        restore_checkpoint_file(restored, path)
         # The mapping may differ; every live label/type/key must be
         # present, and pooled key objects must be shared again.
         for needed in ("Person", "Admin", "KNOWS", "FOLLOWS", "name"):
@@ -97,9 +94,9 @@ class TestCheckpointRoundTrip:
 
     def test_roundtrip_after_mutations_on_restored_store(self, tmp_path):
         store = social_store()
-        write_checkpoint(tmp_path, store, 0)
+        path = write_checkpoint(tmp_path, store, 0)
         restored = GraphStore()
-        restore_checkpoint(restored, load_checkpoint(tmp_path))
+        restore_checkpoint_file(restored, path)
         node = restored.create_node(["Person"], {"name": "dave"})
         restored.set_node_property(node, "age", 20)
         check_invariants(restored)
