@@ -1307,7 +1307,7 @@ def p11_streaming_scale(
             iter_rels_csv(rels_path),
             indexes=[("Person", "id")],
         )
-        write_checkpoint(tmp, store, 0)
+        write_checkpoint(tmp, store)
         target = GraphStore()
         restore_checkpoint_file(target, Path(tmp) / CHECKPOINT_NAME)
         stream_ok = canonical_graph_json(target) == canonical_graph_json(
@@ -1319,7 +1319,7 @@ def p11_streaming_scale(
         from_blob = GraphStore()
         info = restore_checkpoint_file(from_blob, fixture)
         assert info["format"] == LEGACY_CHECKPOINT_FORMAT
-        write_checkpoint(tmp, from_blob, info["lsn"])
+        write_checkpoint(tmp, from_blob)
         from_stream = GraphStore()
         restore_checkpoint_file(from_stream, Path(tmp) / CHECKPOINT_NAME)
         blob_ok = (

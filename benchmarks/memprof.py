@@ -117,7 +117,7 @@ def checkpoint_write_peak(store: GraphStore, directory) -> int:
     from repro.persistence.checkpoint import write_checkpoint
 
     __, __, peak = measure_allocation(
-        lambda: write_checkpoint(directory, store, 0)
+        lambda: write_checkpoint(directory, store)
     )
     return peak
 

@@ -586,7 +586,7 @@ def emit_checkpoint(directory: Path | str, store: GraphStore) -> Path:
     with zero replayed records and attaches its WAL writer on top.
     """
     directory = Path(directory)
-    path = write_checkpoint(directory, store, 0)
+    path = write_checkpoint(directory, store)
     wal_path = directory / WAL_NAME
     if not wal_path.exists():
         open(wal_path, "wb").close()

@@ -350,9 +350,8 @@ class CypherEngine:
                 }
                 self.store.reset_counters()
         counters = self._counters_since(mark)
-        # Publish the statement to the write-ahead log (if one is
-        # attached) only after the counters were derived: commit
-        # truncates the journal slice the counters read.
+        # Commit only after the counters were derived: it cuts the
+        # journal slice the counters read.
         self.store.commit_statement(mark)
         result = QueryResult(
             table=output, counters=counters, profile=query_profile

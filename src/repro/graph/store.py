@@ -1,7 +1,7 @@
 """The mutable property-graph store.
 
 :class:`GraphStore` owns all node and relationship records, maintains
-adjacency and indexes, and provides the two features the paper's update
+adjacency and indexes, and provides the features the paper's update
 semantics needs from a storage layer:
 
 * an **undo journal** giving statement-level atomicity: every mutation
@@ -9,6 +9,11 @@ semantics needs from a storage layer:
   statement, and a failed statement (e.g. a revised-dialect
   :class:`~repro.errors.PropertyConflictError`) leaves the graph
   untouched;
+
+* the **commit protocol and the LSN**: :meth:`commit_statement` ends
+  every successful transition the same way on every graph --
+  durability hook (may veto), the one commit sequence number,
+  observers, journal cut;
 
 * **tombstones and a dangling mode** emulating the legacy Cypher 9
   behaviour of Section 4.2: a node may be deleted while relationships
@@ -202,15 +207,16 @@ class GraphStore:
         self._journal: list[tuple] = []
         #: db-hit hooks; the shared no-op singleton unless profiling
         self.counters: HitCounters = NO_COUNTERS
-        #: statement-commit hook (write-ahead log); called with the
-        #: redo-op list of every committed statement / schema change
+        #: durability hook (write-ahead log); called with the redo-op
+        #: list of every effective commit *before* it takes effect, and
+        #: may veto it by raising
         self._commit_hook = None
-        #: secondary commit observers (incremental view maintenance);
-        #: called with ``(lsn, ops)`` after the hook, and -- unlike the
-        #: hook -- never cause journal truncation
+        #: commit observers (incremental view maintenance); called with
+        #: ``(lsn, ops)`` once the commit is final
         self._commit_observers: list = []
-        #: logical commit sequence number: bumped once per committed
-        #: statement (or transaction) that changed anything
+        #: the commit sequence number: advanced once per effective
+        #: commit (statement, transaction or schema change), stamped on
+        #: WAL records and checkpoints, restored by recovery
         self._lsn = 0
         #: open multi-statement transaction depth; while > 0 the
         #: per-statement commit defers to the transaction commit
@@ -704,33 +710,29 @@ class GraphStore:
             self._journal.extend(saved)
 
     # ------------------------------------------------------------------
-    # Commit hooks (write-ahead logging)
+    # The commit protocol
     # ------------------------------------------------------------------
 
     def set_commit_hook(self, hook) -> None:
-        """Install (or, with ``None``, remove) the statement-commit hook.
+        """Install (or, with ``None``, remove) the durability hook.
 
-        The hook is called with a list of serializable redo operations
-        whenever a statement (or a whole transaction) commits, and
-        immediately for schema changes.  With no hook installed the
-        store behaves exactly as before: the undo journal accumulates
-        and nothing is published anywhere.
+        The hook is called with the list of serializable redo
+        operations of every effective commit, before the commit takes
+        effect; raising vetoes the commit (see :meth:`commit_statement`).
         """
         self._commit_hook = hook
 
     def commit_hook(self):
-        """The installed commit hook, or ``None``."""
+        """The installed durability hook, or ``None``."""
         return self._commit_hook
 
     def add_commit_observer(self, observer) -> None:
-        """Register a secondary commit observer.
+        """Register a commit observer.
 
-        Observers are called with ``(lsn, ops)`` after every committed
-        statement (or transaction) that changed anything, *after* the
-        commit hook ran.  Unlike the hook they never trigger journal
-        truncation, so a store without a hook keeps its rollback
-        behaviour unchanged.  Rolled-back transactions and snapshot
-        reads never reach an observer.
+        Observers are called with ``(lsn, ops)`` after every effective
+        commit -- schema changes included -- once the durability hook
+        accepted it.  Rolled-back transactions, vetoed commits and
+        snapshot reads never reach an observer.
         """
         self._commit_observers.append(observer)
 
@@ -743,8 +745,21 @@ class GraphStore:
 
     @property
     def lsn(self) -> int:
-        """Logical commit sequence number (one per effective commit)."""
+        """The commit sequence number (one per effective commit).
+
+        The one number line shared by WAL records, checkpoint headers,
+        durability waits and view results.
+        """
         return self._lsn
+
+    def restore_lsn(self, lsn: int) -> None:
+        """Advance the commit sequence number to at least *lsn*.
+
+        Recovery calls this with the checkpoint's stamp and with every
+        replayed record's LSN, so the sequence continues where the
+        previous process stopped.
+        """
+        self._lsn = max(self._lsn, lsn)
 
     @property
     def in_reverted_read(self) -> bool:
@@ -762,69 +777,81 @@ class GraphStore:
         return self._tx_depth > 0
 
     def begin_transaction(self) -> int:
-        """Open a transaction scope; returns its rollback mark."""
+        """Open a transaction scope; returns its rollback mark.
+
+        Statement commits are deferred while the scope is open, so the
+        journal keeps every entry after the mark.
+        """
         self._tx_depth += 1
         return self.mark()
 
     def commit_transaction(self, mark: int) -> None:
-        """Close a transaction scope, publishing its changes."""
+        """Close a transaction scope, committing its changes as one."""
         self._tx_depth = max(0, self._tx_depth - 1)
         self.commit_statement(mark)
 
     def rollback_transaction(self, mark: int) -> None:
         """Close a transaction scope, undoing its changes.
 
-        Nothing reaches the commit hook: rolled-back statements were
-        never published (the per-statement commit is deferred while the
-        transaction is open).
+        Nothing was committed (the per-statement commit is deferred
+        while the transaction is open), so nobody ever hears of them.
         """
         self._tx_depth = max(0, self._tx_depth - 1)
         self.rollback_to(mark)
 
     def commit_statement(self, mark: int) -> None:
-        """Publish ``journal[mark:]`` to the commit hook and truncate.
+        """Commit ``journal[mark:]``: the one way a transition ends.
 
-        No-op when neither a hook nor an observer is installed (the
-        in-memory store keeps its undo journal exactly as before) or
-        while a transaction is open (the transaction commit publishes
-        every statement at once, and a transaction rollback means none
-        of them ever existed).
+        Deferred while a transaction is open (the transaction commit
+        covers every statement at once, and a transaction rollback
+        means none of them ever existed).  Otherwise, in this order:
 
-        Effective commits (non-empty redo) bump the store LSN and fan
-        out to the commit observers; the journal is truncated only when
-        a hook is installed, so observer-only stores keep full rollback
-        capability across committed statements.  A hook that raises
-        (the log could not take the record) rolls the slice back
-        before the error propagates.
+        1. nothing to do when the slice is empty (reads, no-op writes);
+        2. the redo ops are derived, if anybody is listening;
+        3. the durability hook runs and may veto by raising -- the
+           slice is rolled back (the whole transaction when called
+           from :meth:`commit_transaction`), the LSN stays, observers
+           hear nothing, and the error propagates;
+        4. the LSN advances;
+        5. ``(lsn, ops)`` goes to every observer;
+        6. the slice is cut from the journal: committed work cannot be
+           rolled back.
         """
-        if self._tx_depth:
+        if not self._tx_depth:
+            self._commit(mark)
+
+    def _commit(self, mark: int, schema_op: tuple | None = None) -> None:
+        """Run the commit sequence for ``journal[mark:]`` (+ *schema_op*).
+
+        Schema changes are unjournaled, so their mutators pass the op
+        here *before* applying it: a veto then leaves nothing to undo.
+        They commit on their own even inside an open transaction.
+        """
+        journal = self._journal
+        if len(journal) == mark and schema_op is None:
             return
         hook = self._commit_hook
-        if hook is None and not self._commit_observers:
-            return
-        ops = self.redo_ops(mark)
-        if ops:
-            if hook is not None:
-                try:
-                    hook(ops)
-                except BaseException:
-                    # Not logged means not committed: undo the
-                    # statement (the whole transaction when called
-                    # from commit_transaction) so memory keeps
-                    # matching what a reopen would recover.
-                    self.rollback_to(mark)
-                    raise
-            self._lsn += 1
-            lsn = self._lsn
-            for observer in tuple(self._commit_observers):
-                observer(lsn, ops)
+        observers = tuple(self._commit_observers)
+        ops = None
+        if hook is not None or observers:
+            ops = self.redo_ops(mark)
+            if schema_op is not None:
+                ops.append(schema_op)
         if hook is not None:
-            self.commit_to(mark)
+            try:
+                hook(ops)
+            except BaseException:
+                # Not logged means not committed: memory keeps
+                # matching what a reopen would recover.
+                self.rollback_to(mark)
+                raise
+        self._lsn += 1
+        for observer in observers:
+            observer(self._lsn, ops)
+        del journal[mark:]
 
-    def _log_schema(self, op: tuple) -> None:
-        """Publish a schema change immediately (schema is unjournaled)."""
-        if self._commit_hook is not None:
-            self._commit_hook([op])
+    def _commit_schema(self, kind: str, label: str, key: str) -> None:
+        self._commit(len(self._journal), (kind, label, key))
 
     def redo_ops(self, mark: int = 0) -> list[tuple]:
         """Serializable redo equivalents of ``journal[mark:]``.
@@ -899,11 +926,12 @@ class GraphStore:
         """Re-apply one redo operation with its original ids (recovery).
 
         Runs the same transition kernels as the public mutators, minus
-        journaling and constraint enforcement: the operations were
-        validated when first committed, and recovery must reproduce
-        the exact entity ids and final state, including any tombstones
-        created by later deletes.  The id counters are bumped past
-        every restored id so new allocations never collide.
+        journaling, committing and constraint enforcement: the
+        operations were validated when first committed, and recovery
+        must reproduce the exact entity ids and final state, including
+        any tombstones created by later deletes.  The id counters are
+        bumped past every restored id so new allocations never collide;
+        the LSN is the caller's to hand back (:meth:`restore_lsn`).
         """
         kind = op[0]
         if kind == "create_node":
@@ -937,14 +965,17 @@ class GraphStore:
         elif kind == "set_rel_prop":
             self._require_rel(op[1])
             self._write_prop(self._rel_props, op[1], op[2], op[3])
-        elif kind == "create_index":
-            self.create_index(op[1], op[2])
+        elif kind == "create_index" or kind == "create_constraint":
+            index = self._property_indexes.get((op[1], op[2]))
+            if index is None:
+                index = self._put_index(op[1], op[2])
+            if kind == "create_constraint":
+                self._require_distinct(index)
+                self._unique_constraints.add((op[1], op[2]))
         elif kind == "drop_index":
-            self.drop_index(op[1], op[2])
-        elif kind == "create_constraint":
-            self.create_unique_constraint(op[1], op[2])
+            self._property_indexes.pop((op[1], op[2]), None)
         elif kind == "drop_constraint":
-            self.drop_unique_constraint(op[1], op[2])
+            self._unique_constraints.discard((op[1], op[2]))
         else:
             raise PersistenceError(f"unknown redo op {kind!r}")
 
@@ -1472,8 +1503,13 @@ class GraphStore:
     def create_index(self, label: str, key: str) -> PropertyIndex:
         """Create (or return) a property index on ``:label(key)``."""
         index = self._property_indexes.get((label, key))
-        if index is not None:
-            return index
+        if index is None:
+            self._commit_schema("create_index", label, key)
+            index = self._put_index(label, key)
+        return index
+
+    def _put_index(self, label: str, key: str) -> PropertyIndex:
+        """Build and install the ``:label(key)`` index (no commit)."""
         index = PropertyIndex(label, key)
         index.counters = self.counters
         props_column = self._node_props
@@ -1506,13 +1542,13 @@ class GraphStore:
                 bucket.add(node_id)
             value_of[node_id] = bucket_key
         self._property_indexes[(label, key)] = index
-        self._log_schema(("create_index", label, key))
         return index
 
     def drop_index(self, label: str, key: str) -> None:
         """Drop a property index if it exists."""
-        if self._property_indexes.pop((label, key), None) is not None:
-            self._log_schema(("drop_index", label, key))
+        if (label, key) in self._property_indexes:
+            self._commit_schema("drop_index", label, key)
+            del self._property_indexes[(label, key)]
 
     def property_index(self, label: str, key: str) -> PropertyIndex | None:
         """The index on ``:label(key)`` if one was created."""
@@ -1563,23 +1599,27 @@ class GraphStore:
         is undone before raising, so a failed statement still rolls
         back cleanly.
         """
-        index = self.create_index(label, key)
+        self._require_distinct(self.create_index(label, key))
+        if (label, key) not in self._unique_constraints:
+            self._commit_schema("create_constraint", label, key)
+            self._unique_constraints.add((label, key))
+
+    @staticmethod
+    def _require_distinct(index: PropertyIndex) -> None:
         duplicates = index.duplicate_buckets()
         if duplicates:
             worst = sorted(duplicates[0])
             raise ConstraintViolationError(
-                f"cannot create uniqueness constraint on :{label}({key}): "
+                f"cannot create uniqueness constraint on "
+                f":{index.label}({index.key}): "
                 f"existing nodes {worst} share a value"
             )
-        if (label, key) not in self._unique_constraints:
-            self._unique_constraints.add((label, key))
-            self._log_schema(("create_constraint", label, key))
 
     def drop_unique_constraint(self, label: str, key: str) -> None:
         """Drop a uniqueness constraint (the index remains)."""
         if (label, key) in self._unique_constraints:
+            self._commit_schema("drop_constraint", label, key)
             self._unique_constraints.discard((label, key))
-            self._log_schema(("drop_constraint", label, key))
 
     def unique_constraints(self) -> frozenset[tuple[str, str]]:
         """The active uniqueness constraints."""

@@ -116,25 +116,23 @@ def write_graph_csv(
     This is the survey's relational interchange shape (Example 3:
     "input nodes first and relationships later").  Labels are
     ``;``-joined; property maps are JSON cells, so heterogeneous and
-    non-string values survive the round-trip.  Entity ids are
-    preserved, making the export replayable into an identical store via
-    :func:`read_graph_csv`.
+    non-string values survive the round-trip.  Rows stream off the
+    store's record iterators; entity ids are preserved, making the
+    export replayable into an identical store via
+    :func:`read_graph_csv` or ``python -m repro.bulkload``.
     """
     import json
 
-    from repro.io.graph_json import graph_to_dict
-
-    graph = graph_to_dict(store)
     write_csv(
         nodes_path,
         ("id", "labels", "properties"),
         (
             (
-                node["id"],
-                ";".join(node["labels"]),
-                json.dumps(node["properties"], sort_keys=True),
+                node_id,
+                ";".join(labels),
+                json.dumps(properties, sort_keys=True),
             )
-            for node in graph["nodes"]
+            for node_id, labels, properties in store.iter_node_records()
         ),
         delimiter=delimiter,
     )
@@ -142,14 +140,8 @@ def write_graph_csv(
         rels_path,
         ("id", "type", "start", "end", "properties"),
         (
-            (
-                rel["id"],
-                rel["type"],
-                rel["start"],
-                rel["end"],
-                json.dumps(rel["properties"], sort_keys=True),
-            )
-            for rel in graph["relationships"]
+            (*row[:4], json.dumps(row[4], sort_keys=True))
+            for row in store.iter_rel_records()
         ),
         delimiter=delimiter,
     )
@@ -163,81 +155,17 @@ def read_graph_csv(
 ):
     """Import a nodes-file + relationships-file pair as a new store.
 
-    The inverse of :func:`write_graph_csv`; raises :class:`LoadError`
-    on malformed rows (missing columns, bad ids, invalid property
-    JSON, relationships naming unknown nodes).
+    The inverse of :func:`write_graph_csv`, ids included: the same
+    readers and columnar load as ``python -m repro.bulkload``.  Raises
+    :class:`LoadError` on malformed rows (missing columns, bad ids,
+    invalid property JSON, relationships naming unknown nodes).
     """
-    import json
+    from repro import bulkload
 
-    from repro.io.graph_json import dict_to_store
-
-    def parse_row(record: dict, path, keys: tuple[str, ...]) -> dict:
-        missing = [key for key in keys if record.get(key) is None]
-        # properties may legitimately be empty ("{}" never is, but be
-        # lenient: an empty cell means no properties)
-        missing = [key for key in missing if key != "properties"]
-        if missing:
-            raise LoadError(
-                f"{path}: row {record!r} is missing column(s) {missing}"
-            )
-        try:
-            properties = json.loads(record["properties"] or "{}")
-        except ValueError as error:
-            raise LoadError(
-                f"{path}: invalid properties JSON in row {record!r}"
-            ) from error
-        if not isinstance(properties, dict):
-            raise LoadError(
-                f"{path}: properties cell must be a JSON object, got "
-                f"{type(properties).__name__}"
-            )
-        parsed = dict(record, properties=properties)
-        for key in keys:
-            if key in ("id", "start", "end"):
-                try:
-                    parsed[key] = int(record[key])
-                except (TypeError, ValueError) as error:
-                    raise LoadError(
-                        f"{path}: non-integer {key} in row {record!r}"
-                    ) from error
-        return parsed
-
-    node_rows = read_csv_rows(
-        nodes_path, with_headers=True, delimiter=delimiter
+    return bulkload.load_store(
+        bulkload.iter_nodes_csv(Path(nodes_path), delimiter),
+        bulkload.iter_rels_csv(Path(rels_path), delimiter),
     )
-    rel_rows = read_csv_rows(
-        rels_path, with_headers=True, delimiter=delimiter
-    )
-    nodes = []
-    for record in node_rows:
-        parsed = parse_row(record, nodes_path, ("id", "properties"))
-        labels = [
-            label
-            for label in (record.get("labels") or "").split(";")
-            if label
-        ]
-        nodes.append(
-            {
-                "id": parsed["id"],
-                "labels": labels,
-                "properties": parsed["properties"],
-            }
-        )
-    relationships = []
-    for record in rel_rows:
-        parsed = parse_row(
-            record, rels_path, ("id", "type", "start", "end", "properties")
-        )
-        relationships.append(
-            {
-                "id": parsed["id"],
-                "type": parsed["type"],
-                "start": parsed["start"],
-                "end": parsed["end"],
-                "properties": parsed["properties"],
-            }
-        )
-    return dict_to_store({"nodes": nodes, "relationships": relationships})
 
 
 def write_csv(

@@ -71,17 +71,19 @@ BATCH_ROWS = 1024
 # ----------------------------------------------------------------------
 
 
-def write_checkpoint(
-    directory: Path | str, store: GraphStore, lsn: int
-) -> Path:
-    """Atomically write the checkpoint file; returns its path."""
+def write_checkpoint(directory: Path | str, store: GraphStore) -> Path:
+    """Atomically write the checkpoint file; returns its path.
+
+    The header stamps ``store.lsn``: WAL records at or below it are
+    covered by this snapshot.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     target = directory / CHECKPOINT_NAME
     temporary = directory / (CHECKPOINT_NAME + ".tmp")
     with open(temporary, "wb") as handle:
         handle.write(STREAM_MAGIC)
-        for record in _store_records(store, lsn):
+        for record in _store_records(store):
             handle.write(encode_frame(record))
         handle.flush()
         os.fsync(handle.fileno())
@@ -90,13 +92,13 @@ def write_checkpoint(
     return target
 
 
-def _store_records(store: GraphStore, lsn: int) -> Iterator[dict]:
-    """The record sequence of *store* at *lsn*, one batch at a time."""
+def _store_records(store: GraphStore) -> Iterator[dict]:
+    """The record sequence of *store*, one batch at a time."""
     next_node_id, next_rel_id = store.next_ids()
     yield {
         "kind": "header",
         "format": CHECKPOINT_FORMAT,
-        "lsn": lsn,
+        "lsn": store.lsn,
         "next_node_id": next_node_id,
         "next_rel_id": next_rel_id,
         "indexes": [list(pair) for pair in store.index_keys()],
@@ -289,13 +291,14 @@ def restore_checkpoint_file(store: GraphStore, path: Path | str) -> dict:
             raise PersistenceError(
                 f"corrupt checkpoint {path}: unknown record kind {kind!r}"
             )
-    # Schema and allocators last: indexes backfill in one pass, and
-    # constraints validate against the complete data.
+    # Schema, allocators and LSN last: indexes backfill in one pass,
+    # and constraints validate against the complete data.
     for label, key in header.get("indexes", ()):
-        store.create_index(label, key)
+        apply_redo(("create_index", label, key))
     for label, key in header.get("constraints", ()):
-        store.create_unique_constraint(label, key)
+        apply_redo(("create_constraint", label, key))
     store.reserve_ids(
         header.get("next_node_id", 0), header.get("next_rel_id", 0)
     )
+    store.restore_lsn(header["lsn"])
     return {"lsn": header["lsn"], "format": header["format"]}

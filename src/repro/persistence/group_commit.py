@@ -10,7 +10,7 @@ require a private flush.  Group commit exploits that:
 * writers append their WAL record without syncing (the manager runs
   with the ``off`` policy, so appends are buffered writes);
 * each writer then awaits :meth:`GroupCommitter.wait_durable` with the
-  LSN its record received;
+  store LSN its commit reached (= the LSN of its record);
 * the first waiter starts a drain task which captures the newest
   appended LSN, runs one ``fsync`` in a worker thread, and releases
   every waiter at or below the captured LSN.
@@ -43,7 +43,7 @@ class GroupCommitter:
 
     def __init__(self, manager: PersistenceManager):
         self._manager = manager
-        self._durable_lsn = manager.lsn
+        self._durable_lsn = manager.store.lsn
         self._waiters: list[tuple[int, asyncio.Future]] = []
         self._drain_task: asyncio.Task | None = None
         #: number of fsync batches issued
@@ -90,7 +90,7 @@ class GroupCommitter:
             # can commit and enqueue before the fsync is issued --
             # they ride this batch instead of paying for their own.
             await asyncio.sleep(0)
-            target = self._manager.lsn
+            target = self._manager.store.lsn
             try:
                 await loop.run_in_executor(None, self._manager.sync)
             except Exception as error:  # pragma: no cover - disk failure

@@ -14,10 +14,15 @@ Lifecycle (what ``Graph(path=...)`` does):
    result with the store-invariant oracle.
 2. :meth:`attach` -- truncate the torn tail away, open the writer and
    install :meth:`log_commit` as the store's commit hook; from now on
-   every committed statement appends one record.
+   every effective commit appends one record.
 3. :meth:`checkpoint` (any time) -- atomic snapshot, then WAL
    truncation; the stamped LSN makes a crash between those two steps
    harmless because replay skips covered records.
+
+The manager keeps no sequence number of its own: a record's LSN is the
+:attr:`GraphStore.lsn <repro.graph.store.GraphStore.lsn>` its commit
+is about to reach, the checkpoint header stamps the store's LSN, and
+recovery hands both back through ``restore_lsn``.
 """
 
 from __future__ import annotations
@@ -89,7 +94,8 @@ class PersistenceManager:
         self.wal_path = self.directory / WAL_NAME
         self.fsync = fsync
         self.batch_size = batch_size
-        self._lsn = 0
+        #: the attached store; its LSN numbers the records
+        self.store: GraphStore | None = None
         self._clean_length: int | None = None
         self._writer: WalWriter | None = None
 
@@ -121,7 +127,6 @@ class PersistenceManager:
             info = restore_checkpoint_file(store, checkpoint_path)
             report.checkpoint_lsn = info["lsn"]
             report.checkpoint_format = info["format"]
-        last_lsn = report.checkpoint_lsn
         clean = total = 0
         if self.wal_path.exists():
             # Replayed as it is decoded: memory stays one record no
@@ -129,18 +134,17 @@ class PersistenceManager:
             with open(self.wal_path, "rb") as handle:
                 for record, clean in iter_records(handle):
                     report.records_total += 1
-                    last_lsn = max(last_lsn, record.lsn)
                     if record.lsn <= report.checkpoint_lsn:
                         report.records_skipped += 1
                         continue
                     for op in record.ops:
                         store.apply_redo(op)
+                    store.restore_lsn(record.lsn)
                     report.operations_applied += len(record.ops)
                     report.records_applied += 1
                 total = handle.seek(0, os.SEEK_END)
         self._clean_length = clean
         report.torn_bytes = total - clean
-        self._lsn = last_lsn
         report.nodes = store.node_count()
         report.relationships = store.relationship_count()
         if verify:
@@ -176,21 +180,20 @@ class PersistenceManager:
                 # Cut the torn tail found during recovery so new
                 # records append after the last intact one.
                 self._writer.truncate(self._clean_length)
+        self.store = store
         store.set_commit_hook(self.log_commit)
 
     def log_commit(self, ops: list) -> None:
-        """Append one record (the store's commit hook)."""
+        """Append one record (the store's commit hook).
+
+        The hook runs before the store advances its LSN, so the record
+        carries the LSN this commit reaches once the append succeeded.
+        """
         if self._writer is None:
             raise PersistenceError(
                 "persistence manager is not attached (or was closed)"
             )
-        self._writer.append(self._lsn + 1, ops)
-        self._lsn += 1
-
-    @property
-    def lsn(self) -> int:
-        """LSN of the most recently written (or recovered) record."""
-        return self._lsn
+        self._writer.append(self.store.lsn + 1, ops)
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -209,7 +212,7 @@ class PersistenceManager:
             raise PersistenceError(
                 "cannot checkpoint inside an open transaction"
             )
-        path = write_checkpoint(self.directory, store, self._lsn)
+        path = write_checkpoint(self.directory, store)
         if self._writer is not None:
             self._writer.truncate(0)
         else:

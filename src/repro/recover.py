@@ -65,7 +65,7 @@ def main(argv: list[str] | None = None) -> int:
         manager.checkpoint(store)
         print(
             f"checkpoint written (format {CHECKPOINT_FORMAT}, "
-            f"lsn {manager.lsn}), WAL truncated"
+            f"lsn {store.lsn}), WAL truncated"
         )
     if args.json:
         from repro.testing.invariants import canonical_graph_json

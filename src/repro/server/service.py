@@ -85,10 +85,6 @@ class GraphService:
         self.committer: GroupCommitter | None = None
         if self.config.path is None:
             self.graph = Graph(dialect=self.config.dialect)
-            # In-memory graphs have no commit hook, so the store would
-            # defer journal truncation forever; a no-op hook keeps the
-            # journal bounded to the open statement/transaction.
-            self.graph.store.set_commit_hook(lambda ops: None)
         elif self.config.group_commit and self.config.fsync == "always":
             self.graph = Graph(
                 path=self.config.path,
@@ -152,9 +148,7 @@ class GraphService:
         self.graph.close()
 
     async def _wait_durable(self, lsn: int | None) -> None:
-        if lsn is None:
-            return
-        if self.committer is not None:
+        if lsn is not None and self.committer is not None:
             await self.committer.wait_durable(lsn)
         # Without a committer the manager's own fsync policy already
         # ran inside log_commit; nothing further to await.
@@ -185,7 +179,7 @@ class GraphService:
             "dialect": self.graph.dialect.value,
         }
         if self.graph.persistence is not None:
-            stats["wal_lsn"] = self.graph.persistence.lsn
+            stats["wal_lsn"] = store.lsn
         if self.committer is not None:
             stats["group_commit"] = self.committer.stats()
         return stats
@@ -422,15 +416,14 @@ class GraphService:
             raise PersistenceError(
                 "graph has no persistence directory; nothing to checkpoint"
             )
-        if self.committer is not None:
-            await self.committer.wait_durable(self.graph.persistence.lsn)
+        await self._wait_durable(self.graph.store.lsn)
         self.graph.checkpoint()
         from repro.persistence import CHECKPOINT_FORMAT
 
         return {
             "checkpointed": True,
             "format": CHECKPOINT_FORMAT,
-            "lsn": self.graph.persistence.lsn,
+            "lsn": self.graph.store.lsn,
         }
 
 

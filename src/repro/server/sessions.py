@@ -168,7 +168,7 @@ class SessionManager:
         session.tx_declared = True
 
     def commit(self, session: Session) -> int | None:
-        """Commit; returns the WAL LSN to await for durability."""
+        """Commit; returns the store LSN to await for durability."""
         transaction = self._end_transaction(session)
         if transaction is None:
             return None
@@ -176,8 +176,7 @@ class SessionManager:
             transaction.commit()
         finally:
             self._release_writer(session)
-        manager = self.graph.persistence
-        return manager.lsn if manager is not None else None
+        return self.graph.store.lsn
 
     def rollback(self, session: Session) -> None:
         transaction = self._end_transaction(session)
@@ -215,11 +214,10 @@ class SessionManager:
     ) -> tuple[QueryResult, int | None]:
         """Run one statement for *session* (``None`` = sessionless).
 
-        Returns ``(result, lsn)`` where *lsn* is the WAL record the
+        Returns ``(result, lsn)`` where *lsn* is the store LSN the
         caller must make durable before acknowledging, or ``None``
-        when nothing needs syncing (reads, statements inside an open
-        transaction -- their durability point is the COMMIT -- and
-        non-durable graphs).
+        when nothing needs syncing (reads, and statements inside an
+        open transaction -- their durability point is the COMMIT).
         """
         self.limits.check_statement_length(source)
         statement = self.graph.engine.parse(source)
@@ -276,10 +274,7 @@ class SessionManager:
                 session.transaction = Transaction(self.graph.store)
                 self._writer = session
                 return self._run(statement, parameters), None
-            result = self._run(statement, parameters)
-            manager = self.graph.persistence
-            lsn = manager.lsn if manager is not None else None
-            return result, lsn
+            return self._run(statement, parameters), self.graph.store.lsn
         finally:
             if self._writer is not session or session is None:
                 self._write_lock.release()

@@ -231,15 +231,6 @@ class Graph:
         if self._views is None:
             from repro.views import ViewRegistry
 
-            if (
-                self.persistence is None
-                and self.store.commit_hook() is None
-            ):
-                # Bound journal growth for long-lived in-memory graphs
-                # with views: committed statements need no undo once
-                # their redo ops have been fanned out (the server does
-                # the same for its in-memory graphs).
-                self.store.set_commit_hook(lambda ops: None)
             self._views = ViewRegistry(
                 self.store,
                 match_mode=self.engine.match_mode,

@@ -5,13 +5,16 @@ for every WAL record, the canonical graph JSON of the committed state
 it completes.  Then it simulates a crash at **every record boundary**
 -- recovery sees only the first *k* records -- plus *torn-tail*
 variants where a partial (or corrupt) record follows the boundary, and
-asserts two oracles on every recovered store:
+asserts three oracles on every recovered store:
 
 * **byte identity** -- the recovered graph's canonical JSON equals the
   last committed pre-crash state (statement atomicity survives the
   crash: a half-written record never happened);
 * **invariants** -- the full store-invariant oracle
-  (:func:`repro.testing.invariants.check_invariants`) passes.
+  (:func:`repro.testing.invariants.check_invariants`) passes;
+* **LSN** -- the recovered ``store.lsn`` is the LSN of the last intact
+  WAL record (the checkpoint's stamp when none survives), so the next
+  commit continues the one sequence.
 
 The workload mixes the shapes the journal can produce: creates,
 property sets and removals, label changes, deletes (plain and DETACH),
@@ -206,6 +209,7 @@ def run_crash_scenario(
                     f"[{name}] recovered graph differs from the last "
                     f"committed pre-crash state"
                 )
+            _check_lsn(report, name, store, _last_lsn(wal_bytes[:cut]))
             try:
                 check_invariants(store)
             except InvariantViolation as violation:
@@ -233,6 +237,9 @@ def run_crash_scenario(
                 report.failures.append(
                     "[corrupt] corrupt record was not discarded"
                 )
+            _check_lsn(
+                report, "corrupt", store, _last_lsn(bytes(corrupt))
+            )
     return report
 
 
@@ -280,6 +287,7 @@ def run_checkpoint_crash_scenario(
     pre_checkpoint_wal = (live / WAL_NAME).read_bytes()
     graph.checkpoint()
     checkpoint_state = canonical_graph_json(graph.store)
+    checkpoint_lsn = graph.store.lsn
     for statement in todo[half:]:
         try:
             graph.run(statement)
@@ -323,6 +331,9 @@ def run_checkpoint_crash_scenario(
                 "[intact] checkpoint + WAL suffix differs from the "
                 "final committed state"
             )
+        _check_lsn(
+            report, "intact", store, _last_lsn(wal_suffix, checkpoint_lsn)
+        )
         check_invariants(store)
     except (Exception, InvariantViolation) as error:  # noqa: BLE001
         report.failures.append(
@@ -355,6 +366,7 @@ def run_checkpoint_crash_scenario(
                 report.failures.append(
                     f"[{name}] torn .tmp changed the recovered state"
                 )
+            _check_lsn(report, name, store, checkpoint_lsn)
             try:
                 check_invariants(store)
             except InvariantViolation as violation:
@@ -409,6 +421,24 @@ def run_checkpoint_crash_scenario(
                 "[corrupt-checkpoint] corrupt record accepted silently"
             )
     return report
+
+
+def _last_lsn(wal: bytes, checkpoint_lsn: int = 0) -> int:
+    """LSN of the last intact record of *wal*, else *checkpoint_lsn*."""
+    lsn = checkpoint_lsn
+    for record, __ in iter_records(io.BytesIO(wal)):
+        lsn = max(lsn, record.lsn)
+    return lsn
+
+
+def _check_lsn(
+    report: CrashReport, name: str, store: GraphStore, wanted: int
+) -> None:
+    if store.lsn != wanted:
+        report.failures.append(
+            f"[{name}] recovered store.lsn {store.lsn}, the last intact "
+            f"record carries {wanted}"
+        )
 
 
 def _record_boundaries(data: bytes) -> list[int]:

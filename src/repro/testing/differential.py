@@ -194,7 +194,9 @@ def _run_variant(
     """
     store = build_store(case)
     base = canonical_graph_json(store)
-    mark = store.mark()
+    # A transaction scope keeps the journal across the statements'
+    # commits, so the whole run can be undone below.
+    mark = store.begin_transaction()
     engine = CypherEngine(
         store,
         dialect=dialect if dialect is not None else case.dialect,
@@ -243,7 +245,7 @@ def _run_variant(
         check_invariants(store)
     except InvariantViolation as violation:
         sink.append(f"[{name}] post-state invariants: {violation}")
-    store.rollback_to(mark)
+    store.rollback_transaction(mark)
     if canonical_graph_json(store) != base:
         sink.append(
             f"[{name}] journal rollback did not restore the base graph"

@@ -460,17 +460,19 @@ def journal_roundtrip(
 ) -> Any:
     """Run *mutate*, then undo it and verify the store is byte-identical.
 
-    Returns whatever *mutate* returned (or re-raises its exception after
-    verifying the rollback the mutation itself performed, if any, left a
-    consistent store).  Used by tests; the differential executor inlines
-    the same bracket so it can keep the post-state for comparison.
+    *mutate* runs inside a store transaction, so statements it commits
+    stay in the journal until the rollback here.  Returns whatever
+    *mutate* returned (or re-raises its exception after verifying the
+    rollback the mutation itself performed, if any, left a consistent
+    store).  Used by tests; the differential executor inlines the same
+    bracket so it can keep the post-state for comparison.
     """
     before = canonical_graph_json(store)
-    mark = store.mark()
+    mark = store.begin_transaction()
     try:
         result = mutate()
     finally:
-        store.rollback_to(mark)
+        store.rollback_transaction(mark)
         after = canonical_graph_json(store)
         if after != before:
             raise InvariantViolation(

@@ -253,7 +253,7 @@ class Shell:
                 self._print(f"!! {type(error).__name__}: {error}")
                 return
             self._print(
-                f"checkpoint written (lsn {self.graph.persistence.lsn}), "
+                f"checkpoint written (lsn {self.graph.store.lsn}), "
                 f"WAL truncated"
             )
         elif command == ":stats":

@@ -45,6 +45,13 @@ from repro.runtime.aggregation import children, contains_aggregate
 #: Prefix for internal variables assigned to anonymous pattern elements.
 INTERNAL_PREFIX = "__view"
 
+#: Redo kinds of schema changes: indexes and constraints change access
+#: paths and which later writes are accepted, never a query's result,
+#: so they lie outside every footprint.
+SCHEMA_KINDS = frozenset(
+    {"create_index", "drop_index", "create_constraint", "drop_constraint"}
+)
+
 #: Function names whose result depends on a property/label set we
 #: cannot enumerate statically; their presence widens the footprint.
 _DYNAMIC_FUNCTIONS = frozenset({"properties", "keys", "labels"})

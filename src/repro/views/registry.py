@@ -26,8 +26,9 @@ by ``python -m repro.fuzz --views N`` and the Hypothesis suite in
 
 Consistency with transactions and snapshot reads:
 
-* ops are observed only at *commit* (statement-level autocommit or
-  ``commit_transaction``); rolled-back work never reaches a view;
+* ops are observed only at *commit* (statement-level autocommit,
+  ``commit_transaction`` or a schema change), stamped with the store's
+  one LSN; rolled-back work never reaches a view;
 * while a multi-statement transaction is open, or while the store is
   rewound inside a :meth:`GraphStore.reverted_to` bracket, refresh is
   suspended and reads serve the last published (fully consistent)
@@ -50,7 +51,7 @@ from repro.parser import ast
 from repro.runtime.context import EvalContext, MatchMode
 from repro.runtime.pipeline import execute_clauses
 from repro.runtime.table import DrivingTable
-from repro.views.analysis import ViewPlan, analyse
+from repro.views.analysis import SCHEMA_KINDS, ViewPlan, analyse
 
 
 @dataclass(frozen=True)
@@ -208,8 +209,13 @@ class View:
             return
         pending, self._pending = self._pending, []
         covered = pending[-1][0]
-        relevant = self._any_relevant(pending)
-        if not relevant:
+        ops = [
+            op
+            for _, batch in pending
+            for op in batch
+            if op[0] not in SCHEMA_KINDS
+        ]
+        if not self._any_relevant(ops):
             self.stats.batches_skipped += len(pending)
             self.stats.covered_lsn = covered
             return
@@ -217,15 +223,14 @@ class View:
         if self.plan is None:
             self._full_refresh(covered)
         else:
-            ops = [op for _, batch in pending for op in batch]
             self._delta_refresh(ops, covered)
         self.stats.maintenance_s += time.perf_counter() - started
 
-    def _any_relevant(self, pending: list[tuple[int, tuple]]) -> bool:
+    def _any_relevant(self, ops: list[tuple]) -> bool:
         if self.plan is None:
-            # Fallback views have no footprint model beyond "did
-            # anything change": any committed batch invalidates.
-            return True
+            # Fallback views have no footprint model beyond "did any
+            # data change": any data operation invalidates.
+            return bool(ops)
         footprint = self.plan.footprint
         node_prov: set[int] = set()
         rel_prov: set[int] = set()
@@ -233,9 +238,7 @@ class View:
             node_prov.update(entry.node_ids)
             rel_prov.update(entry.rel_ids)
         return any(
-            footprint.op_relevant(op, node_prov, rel_prov)
-            for _, batch in pending
-            for op in batch
+            footprint.op_relevant(op, node_prov, rel_prov) for op in ops
         )
 
     def _materialize(self) -> None:

@@ -55,6 +55,34 @@ class TestGraphPathApi:
             assert graph.node_count() == 2
         assert reopened(tmp_path) == before
 
+    def test_one_lsn_line_across_wal_views_and_reopen(self, tmp_path):
+        from repro.persistence import iter_records
+
+        def wal_lsn():
+            with open(tmp_path / WAL_NAME, "rb") as handle:
+                return [record.lsn for record, __ in iter_records(handle)][-1]
+
+        query = "MATCH (a:A) RETURN a.k AS k"
+        with Graph.open(tmp_path) as graph:
+            graph.run("CREATE (:A {k: 1})")
+            graph.run("CREATE INDEX ON :A(k)")
+            view = graph.register_view(query)
+            graph.run("CREATE (:A {k: 2})")
+            with graph.transaction():
+                graph.run("CREATE (:A {k: 3})")
+                graph.run("CREATE (:A {k: 4})")
+            graph.sync()
+            assert graph.store.lsn == wal_lsn() == 4
+            assert view.result().lsn == view.covered_lsn == 4
+        with Graph.open(tmp_path) as graph:
+            assert graph.store.lsn == wal_lsn() == 4
+            view = graph.register_view(query)
+            assert view.result().lsn == view.covered_lsn == 4
+            graph.run("CREATE (:A {k: 5})")
+            graph.sync()
+            assert graph.store.lsn == wal_lsn() == 5
+            assert view.result().lsn == view.covered_lsn == 5
+
     def test_schema_survives_reopen(self, tmp_path):
         with Graph.open(tmp_path) as graph:
             graph.run("CREATE INDEX ON :A(k)")
@@ -148,7 +176,7 @@ class TestShell:
         shell = Shell(Graph.open(tmp_path / "data"), out=out)
         shell.feed("CREATE (:A {k: 1});")
         shell.feed(":checkpoint")
-        assert "checkpoint written" in out.getvalue()
+        assert "checkpoint written (lsn 1)" in out.getvalue()
         shell.graph.close()
         assert (tmp_path / "data" / WAL_NAME).stat().st_size == 0
 

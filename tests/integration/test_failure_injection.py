@@ -209,10 +209,13 @@ class TestCommitFaults:
     def _assert_memory_equals_disk(self, graph, directory):
         check_invariants(graph.store)
         memory = canonical_graph_json(graph.store)
+        lsn = graph.store.lsn
         graph.close()
         reopened = Graph.open(directory)
         try:
             assert canonical_graph_json(reopened.store) == memory
+            # A vetoed commit consumed no LSN: memory and log agree.
+            assert reopened.store.lsn == lsn
             assert reopened.recovery.torn_bytes == 0
             return reopened.run(
                 "MATCH (e:Event) RETURN e.k AS k ORDER BY k"
@@ -225,6 +228,7 @@ class TestCommitFaults:
     ):
         graph, arm, directory = faulty
         before = canonical_graph_json(graph.store)
+        lsn = graph.store.lsn
         disarm = arm()
         try:
             with pytest.raises(OSError):
@@ -232,6 +236,7 @@ class TestCommitFaults:
         finally:
             disarm()
         assert canonical_graph_json(graph.store) == before
+        assert graph.store.lsn == lsn
         assert graph.node_count() == 5
         assert graph.run(
             "MATCH (e:Event {k: 100}) RETURN count(e) AS c"

@@ -96,12 +96,13 @@ def build_store(script) -> GraphStore:
 
 
 def roundtrip(directory, store: GraphStore) -> GraphStore:
-    write_checkpoint(directory, store, 7)
+    write_checkpoint(directory, store)
     recovered = GraphStore()
     info = restore_checkpoint_file(
         recovered, directory / CHECKPOINT_NAME
     )
-    assert info == {"lsn": 7, "format": CHECKPOINT_FORMAT}
+    assert info == {"lsn": store.lsn, "format": CHECKPOINT_FORMAT}
+    assert recovered.lsn == store.lsn
     return recovered
 
 
@@ -126,11 +127,11 @@ class TestStreamRoundTrip:
     ):
         store = build_store(script)
         directory = tmp_path_factory.mktemp("ckpt")
-        write_checkpoint(directory, store, 7)
+        write_checkpoint(directory, store)
         header = next(
             read_checkpoint_records(directory / CHECKPOINT_NAME)
         )
-        assert header["lsn"] == 7
+        assert header["lsn"] == store.lsn
         assert header["indexes"] == [list(k) for k in store.index_keys()]
         assert header["constraints"] == sorted(
             list(pair) for pair in store.unique_constraints()
@@ -147,7 +148,8 @@ class TestStreamIntegrity:
             + [("create_rel", i, i + 1) for i in range(6)]
             + [("schema", 0, 0)]
         )
-        write_checkpoint(tmp_path, store, 3)
+        store.restore_lsn(3)
+        write_checkpoint(tmp_path, store)
         return store
 
     def test_sniffed_formats(self, tmp_path):

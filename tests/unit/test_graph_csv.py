@@ -89,6 +89,27 @@ class TestGraphCsvRoundTrip:
         write_graph_csv(store, nodes, rels)
         _assert_same_graph(store, read_graph_csv(nodes, rels))
 
+    def test_id_gaps_survive_like_the_bulk_loader(self, tmp_path):
+        """Deleted entities leave id gaps; the import keeps every id."""
+        from repro import bulkload
+
+        store = _example_store()
+        store.delete_relationship(0)
+        store.delete_relationship(1)
+        store.delete_node(1)
+        store.create_relationship("U", 0, 2, {"w": 2})
+        nodes, rels = tmp_path / "nodes.csv", tmp_path / "rels.csv"
+        write_graph_csv(store, nodes, rels)
+        restored = read_graph_csv(nodes, rels)
+        assert [n.id for n in restored.nodes()] == [0, 2]
+        assert [r.id for r in restored.relationships()] == [2, 3]
+        check_invariants(restored)
+        assert canonical_graph_json(restored) == canonical_graph_json(store)
+        loaded = bulkload.load_store(
+            bulkload.iter_nodes_csv(nodes), bulkload.iter_rels_csv(rels)
+        )
+        assert canonical_graph_json(loaded) == canonical_graph_json(restored)
+
     def test_csv_and_json_agree(self, tmp_path):
         """Both io paths restore the same canonical graph."""
         store = build_store(case_for(5, 3))

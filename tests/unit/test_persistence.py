@@ -357,10 +357,12 @@ class TestCheckpoint:
 
     def test_write_restore(self, tmp_path):
         store = self._store()
-        path = write_checkpoint(tmp_path, store, lsn=41)
+        store.restore_lsn(41)
+        path = write_checkpoint(tmp_path, store)
         restored = GraphStore()
         info = restore_checkpoint_file(restored, path)
         assert info == {"lsn": 41, "format": 2}
+        assert restored.lsn == 41
         assert canonical_graph_json(restored) == canonical_graph_json(store)
         assert restored.index_keys() == store.index_keys()
         assert restored.unique_constraints() == store.unique_constraints()
@@ -402,7 +404,7 @@ class TestCheckpoint:
             restore_checkpoint_file(GraphStore(), path)
 
     def test_write_is_atomic_no_tmp_left_behind(self, tmp_path):
-        write_checkpoint(tmp_path, self._store(), lsn=1)
+        write_checkpoint(tmp_path, self._store())
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "checkpoint.json"
         ]
@@ -477,6 +479,43 @@ class TestManager:
         assert report.records_skipped == 2
         assert report.records_applied == 0
         check_invariants(fresh)
+
+    def test_store_lsn_is_the_wal_record_lsn(self, tmp_path):
+        from repro.session import Graph
+
+        def last_wal_lsn():
+            with open(tmp_path / WAL_NAME, "rb") as handle:
+                return [record.lsn for record, __ in iter_records(handle)][-1]
+
+        graph = Graph(path=tmp_path, fsync="off")
+        for expected, statement in enumerate(
+            [
+                "CREATE (:A {k: 1})",
+                "CREATE INDEX ON :A(k)",  # schema: one record, one LSN
+                "MATCH (a:A) SET a.k = 2",
+                "CREATE (:B)",
+            ],
+            start=1,
+        ):
+            graph.run(statement)
+            assert graph.store.lsn == last_wal_lsn() == expected
+        graph.run("MATCH (a:A) RETURN a")
+        assert graph.store.lsn == last_wal_lsn() == 4
+        graph.close()
+
+        graph = Graph(path=tmp_path, fsync="off")
+        assert graph.store.lsn == 4  # restored from the replayed records
+        graph.run("CREATE (:C)")
+        assert graph.store.lsn == last_wal_lsn() == 5
+        graph.checkpoint()
+        graph.close()
+
+        graph = Graph(path=tmp_path, fsync="off")
+        assert graph.recovery.checkpoint_lsn == 5
+        assert graph.store.lsn == 5  # restored from the checkpoint header
+        graph.run("CREATE (:D)")
+        assert graph.store.lsn == last_wal_lsn() == 6
+        graph.close()
 
     def test_attach_truncates_the_torn_tail(self, tmp_path):
         self._run_statements(tmp_path, ["CREATE (:A {k: 1})"])

@@ -129,14 +129,14 @@ class TestGroupCommitter:
 
         async def writer(i: int) -> None:
             graph.run("CREATE (:N {i: $i})", {"i": i})
-            await committer.wait_durable(manager.lsn)
+            await committer.wait_durable(graph.store.lsn)
 
         async def scenario():
             await asyncio.gather(*(writer(i) for i in range(10)))
 
         self._run(scenario())
         assert committer.synced_waiters == 10
-        assert committer.durable_lsn == manager.lsn
+        assert committer.durable_lsn == graph.store.lsn == 10
         # batching happened: far fewer fsyncs than waiters
         assert committer.batches < 10
         assert committer.max_batch > 1
@@ -164,7 +164,7 @@ class TestGroupCommitter:
 
         async def writer(i: int) -> None:
             graph.run("CREATE (:N {i: $i})", {"i": i})
-            lsn = manager.lsn
+            lsn = graph.store.lsn
             await committer.wait_durable(lsn)
             assert committer.durable_lsn >= lsn
             released.append(i)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import (
     ConstraintViolationError,
+    CypherEvaluationError,
     DanglingRelationshipError,
     DeletedEntityError,
     EntityNotFoundError,
@@ -200,6 +201,108 @@ class TestJournal:
         store.rollback_to(mark)
         assert store.node_labels(n) == frozenset({"A"})
         assert store.node_properties(n) == {"x": 1}
+
+
+class TestCommitProtocol:
+    """Every effective commit ends the same way, listener or not."""
+
+    def test_autocommit_cuts_the_journal_and_counts_commits(self):
+        from repro import Graph
+
+        graph = Graph()
+        for i in range(25):
+            graph.run("CREATE (:N {i: $i})", i=i)
+            assert graph.store.journal_length() == 0
+        assert graph.store.lsn == 25
+        graph.run("MATCH (n:N) RETURN count(n)")  # read-only
+        graph.run("MATCH (n:N {i: -1}) SET n.x = 1")  # matches nothing
+        with pytest.raises(CypherEvaluationError):
+            graph.run("MATCH (n:N) SET n.x = 1 / 0")  # rolled back
+        assert graph.store.lsn == 25
+        graph.create_node("N", i=99)  # Graph._direct
+        graph.run("CREATE INDEX ON :N(i)")  # schema change
+        graph.run("CREATE INDEX ON :N(i)")  # no-op: already there
+        assert graph.store.lsn == 27
+        assert graph.store.journal_length() == 0
+
+    def test_open_transaction_retains_the_journal(self):
+        from repro import Graph
+        from repro.testing.invariants import canonical_graph_json
+
+        graph = Graph()
+        graph.run("CREATE (:N {i: 1})-[:T]->(:N {i: 2})")
+        before = canonical_graph_json(graph.store)
+        with pytest.raises(RuntimeError), graph.transaction():
+            graph.run("MATCH (n:N {i: 1}) SET n.i = 10, n:M")
+            graph.run("MATCH (n:N {i: 2}) DETACH DELETE n")
+            assert graph.store.journal_length() > 0
+            assert graph.store.lsn == 1
+            raise RuntimeError("abort")
+        assert canonical_graph_json(graph.store) == before
+        assert (graph.store.journal_length(), graph.store.lsn) == (0, 1)
+        with graph.transaction():
+            graph.run("CREATE (:N {i: 3})")
+            graph.run("CREATE (:N {i: 4})")
+        assert (graph.store.journal_length(), graph.store.lsn) == (0, 2)
+
+    def test_sequence_hook_then_lsn_then_observers_then_cut(self, store):
+        trace = []
+        store.set_commit_hook(
+            lambda ops: trace.append(("hook", store.lsn, ops[0][0]))
+        )
+        store.add_commit_observer(
+            lambda lsn, ops: trace.append(
+                ("observer", lsn, ops[0][0], store.journal_length())
+            )
+        )
+        mark = store.mark()
+        store.create_node(("A",))
+        store.commit_statement(mark)
+        store.create_index("A", "k")
+        assert trace == [
+            ("hook", 0, "create_node"),
+            ("observer", 1, "create_node", 1),
+            ("hook", 1, "create_index"),
+            ("observer", 2, "create_index", 0),
+        ]
+        assert store.journal_length() == 0
+
+    def test_raising_hook_vetoes_data_and_schema_commits(self, store):
+        seen = []
+
+        def refuse(ops):
+            raise OSError("disk full")
+
+        store.add_commit_observer(lambda lsn, ops: seen.append(lsn))
+        node = store.create_node(("A",), {"k": 1})
+        store.commit_statement(0)
+        store.set_commit_hook(refuse)
+        mark = store.mark()
+        store.set_node_property(node, "k", 2)
+        store.create_node(("A",), {"k": 3})
+        with pytest.raises(OSError):
+            store.commit_statement(mark)
+        with pytest.raises(OSError):
+            store.create_index("A", "k")
+        with pytest.raises(OSError):
+            store.create_unique_constraint("A", "k")
+        assert store.node_properties(node) == {"k": 1}
+        assert store.node_count() == 1
+        assert store.index_keys() == []
+        assert store.unique_constraints() == frozenset()
+        assert (store.lsn, seen, store.journal_length()) == (1, [1], 0)
+
+    def test_replay_and_restore_lsn_never_commit(self, store):
+        seen = []
+        store.add_commit_observer(lambda lsn, ops: seen.append(lsn))
+        store.apply_redo(("create_node", 0, ["A"], {"k": 1}))
+        store.apply_redo(("create_index", "A", "k"))
+        store.apply_redo(("create_constraint", "A", "k"))
+        assert (store.lsn, seen) == (0, [])
+        assert store.unique_constraints() == {("A", "k")}
+        store.restore_lsn(7)
+        store.restore_lsn(3)  # never moves backwards
+        assert store.lsn == 7
 
 
 class TestPropertyIndex:

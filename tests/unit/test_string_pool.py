@@ -69,7 +69,8 @@ class TestPoolBasics:
 class TestCheckpointRoundTrip:
     def test_pool_recovers_with_identical_graph(self, tmp_path):
         store = social_store()
-        path = write_checkpoint(tmp_path, store, 17)
+        store.restore_lsn(17)
+        path = write_checkpoint(tmp_path, store)
         restored = GraphStore()
         assert restore_checkpoint_file(restored, path)["lsn"] == 17
         assert canonical_graph_json(restored) == canonical_graph_json(store)
@@ -78,7 +79,7 @@ class TestCheckpointRoundTrip:
 
     def test_restored_pool_reinterns_in_replay_order(self, tmp_path):
         store = social_store()
-        path = write_checkpoint(tmp_path, store, 1)
+        path = write_checkpoint(tmp_path, store)
         restored = GraphStore()
         restore_checkpoint_file(restored, path)
         # The mapping may differ; every live label/type/key must be
@@ -94,7 +95,7 @@ class TestCheckpointRoundTrip:
 
     def test_roundtrip_after_mutations_on_restored_store(self, tmp_path):
         store = social_store()
-        path = write_checkpoint(tmp_path, store, 0)
+        path = write_checkpoint(tmp_path, store)
         restored = GraphStore()
         restore_checkpoint_file(restored, path)
         node = restored.create_node(["Person"], {"name": "dave"})

@@ -228,3 +228,28 @@ class TestGraphFacade:
                 raise RuntimeError("abort")
         assert view.result() is before
         graph.close()
+
+    def test_schema_commits_advance_lsn_but_keep_the_result(self):
+        graph = Graph()
+        graph.run("CREATE (:User {name: 'ada'})")
+        delta = graph.register_view("MATCH (n:User) RETURN n.name AS name")
+        fallback = graph.register_view(
+            "MATCH (n:User) RETURN count(n) AS c"
+        )
+        assert (delta.stats.mode, fallback.stats.mode) == ("delta", "full")
+        results = delta.result(), fallback.result()
+        covered = delta.covered_lsn
+        graph.run("CREATE INDEX ON :User(name)")
+        graph.run("CREATE CONSTRAINT ON (u:User) ASSERT u.name IS UNIQUE")
+        assert (delta.result(), fallback.result()) == results
+        assert delta.result() is results[0]
+        assert fallback.result() is results[1]
+        assert delta.covered_lsn == fallback.covered_lsn == graph.store.lsn
+        assert graph.store.lsn > covered
+        # A data commit queued behind a schema commit still repairs.
+        graph.run("CREATE INDEX ON :User(age)")
+        graph.run("CREATE (:User {name: 'bob'})")
+        assert fallback.result().records == ({"c": 2},)
+        assert len(delta.result().records) == 2
+        assert delta.result().lsn == graph.store.lsn
+        graph.close()
