@@ -489,10 +489,9 @@ def p4_selective_match(users: int = 12000) -> None:
         f"\nP4  Match planner ({users} User nodes; "
         "selective non-leading anchor)"
     )
-    from repro.runtime import match_planner
-
     graph = Graph(Dialect.REVISED, use_planner=True)
     store = graph.store
+    naive = Graph(Dialect.REVISED, use_planner=False, store=store)
     products = [
         store.create_node(("Product",), {"id": i}) for i in range(120)
     ]
@@ -507,19 +506,18 @@ def p4_selective_match(users: int = 12000) -> None:
         "MATCH (u:User)-[:ORDERED]->(p:Product {id: 7}) "
         "RETURN count(u) AS c"
     )
-    with match_planner.planner_disabled():
-        naive_count = graph.run(statement).single()["c"]  # warm caches
-        _, naive_ms, naive_hits = measured_call(
-            store, lambda: graph.run(statement)
-        )
-    planned_result, planned_ms, planned_hits = measured_call(
+    naive_count = naive.run(statement).single()["c"]  # warm caches
+    _, naive_ms, naive_hits = measured_call(
+        store, lambda: naive.run(statement)
+    )
+    assert graph.run(statement).single()["c"] == naive_count  # warm caches
+    _, planned_ms, planned_hits = measured_call(
         store, lambda: graph.run(statement)
     )
-    assert planned_result.single()["c"] == naive_count
     speedup = naive_ms / planned_ms if planned_ms else float("inf")
     record(
         "P4",
-        "naive matcher (planner_disabled)",
+        "naive matcher (use_planner=False)",
         "anchors at (u:User), scans every user",
         f"{naive_count} orders counted in {naive_ms:.1f} ms; "
         f"db hits {naive_hits.compact()}",

@@ -34,8 +34,7 @@ def execute_delete(
     nodes, rels = collect_deletions(ctx, clause, table)
     if clause.detach:
         for node_id in nodes:
-            rels |= ctx.store.out_relationships(node_id)
-            rels |= ctx.store.in_relationships(node_id)
+            rels.update(ctx.store.adjacent_rel_ids(node_id))
     else:
         _require_no_dangling(ctx, nodes, rels)
     apply_deletions(ctx, nodes, rels)
@@ -80,13 +79,13 @@ def _require_no_dangling(
     ctx: EvalContext, nodes: set[int], rels: set[int]
 ) -> None:
     for node_id in sorted(nodes):
-        attached = (
-            ctx.store.out_relationships(node_id)
-            | ctx.store.in_relationships(node_id)
-        )
-        leftover = attached - rels
+        leftover = [
+            rel_id
+            for rel_id in ctx.store.adjacent_rel_ids(node_id)
+            if rel_id not in rels
+        ]
         if leftover:
-            raise DanglingRelationshipError(node_id, sorted(leftover))
+            raise DanglingRelationshipError(node_id, leftover)
 
 
 def apply_deletions(

@@ -1,6 +1,7 @@
 """Secondary indexes over the graph store.
 
-Two index kinds back the pattern matcher's candidate selection:
+Two index kinds back :meth:`repro.graph.store.GraphStore.node_access`,
+the one place that decides where a node pattern's candidates come from:
 
 * :class:`LabelIndex` -- label -> set of node ids.  Always maintained;
   this is what makes ``MATCH (n:Product)`` skip unlabeled nodes.
@@ -13,6 +14,10 @@ Two index kinds back the pattern matcher's candidate selection:
 
 Index value keys use :func:`repro.graph.values.grouping_key` so that
 1 and 1.0 share a bucket, consistently with equivalence.
+
+Buckets never leave this module as sets: readers get a size (a
+statistic, no db-hit) or a fresh ascending id list (``ids``, one
+``index_lookup`` db-hit), so no caller can alias or copy a live bucket.
 """
 
 from __future__ import annotations
@@ -21,6 +26,10 @@ from typing import Any, Iterable, Iterator
 
 from repro.graph.counters import NO_COUNTERS, HitCounters
 from repro.graph.values import grouping_key, is_storable
+
+#: a probe value that is not known yet (it depends on variables the
+#: pattern itself still has to bind); sized as an average bucket
+UNKNOWN = object()
 
 
 class LabelIndex:
@@ -54,17 +63,17 @@ class LabelIndex:
                 if not bucket:
                     del self._by_label[label]
 
-    def nodes_with_label(self, label: str) -> frozenset[int]:
-        """Ids of live nodes carrying *label* (empty set if none)."""
+    def ids(self, label: str) -> list[int]:
+        """Ids of live nodes carrying *label*: a fresh ascending list."""
         self.counters.index_lookup()
-        return frozenset(self._by_label.get(label, ()))
+        return sorted(self._by_label.get(label, ()))
 
     def labels(self) -> Iterator[str]:
         """All labels with at least one live node."""
         return iter(self._by_label)
 
     def count(self, label: str) -> int:
-        """Number of live nodes carrying *label*."""
+        """Number of live nodes carrying *label* (no db-hit)."""
         return len(self._by_label.get(label, ()))
 
 
@@ -105,25 +114,26 @@ class PropertyIndex:
             if not bucket:
                 del self._by_value[bucket_key]
 
-    def lookup(self, value: Any) -> frozenset[int]:
-        """Ids of nodes whose property equals *value* (equivalence)."""
+    def ids(self, value: Any) -> list[int]:
+        """Ids of nodes whose property equals *value* (equivalence).
+
+        A fresh ascending list; ``null`` equals nothing.
+        """
         self.counters.index_lookup()
         if value is None:
-            return frozenset()
-        return frozenset(self._by_value.get(grouping_key(value), ()))
+            return []
+        return sorted(self._by_value.get(grouping_key(value), ()))
 
-    def bucket_of(self, node_id: int) -> frozenset[int]:
-        """All node ids sharing *node_id*'s indexed value (incl. itself)."""
-        bucket_key = self._value_of.get(node_id)
-        if bucket_key is None:
-            return frozenset()
-        return frozenset(self._by_value.get(bucket_key, ()))
+    def peers(self, node_id: int) -> list[int]:
+        """The *other* nodes sharing *node_id*'s indexed value, ascending."""
+        bucket = self._by_value.get(self._value_of.get(node_id), ())
+        return sorted(other for other in bucket if other != node_id)
 
     def bucket_size(self, value: Any) -> int:
         """Size of *value*'s bucket, without counting a db-hit.
 
-        The planner's selectivity estimate -- unlike :meth:`lookup`
-        this is a statistic read, not a probe, so it leaves the
+        The selectivity estimate -- unlike :meth:`ids` this is a
+        statistic read, not a probe, so it leaves the
         ``index_lookups`` counter alone.
         """
         if value is None:
@@ -145,10 +155,10 @@ class PropertyIndex:
             return 0.0
         return len(self._value_of) / len(self._by_value)
 
-    def duplicate_buckets(self) -> list[frozenset[int]]:
-        """All value buckets containing more than one node."""
+    def duplicate_buckets(self) -> list[list[int]]:
+        """Every value bucket holding more than one node, ids ascending."""
         return [
-            frozenset(bucket)
+            sorted(bucket)
             for bucket in self._by_value.values()
             if len(bucket) > 1
         ]

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Any, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.graph.store import GraphStore
@@ -306,14 +306,6 @@ class GraphSnapshot:
             )
         )
         return (self.types[rel_id], props)
-
-    def out_relationships(self, node_id: int) -> Iterator[int]:
-        """Ids of relationships with source *node_id* (linear scan)."""
-        return (r for r in self.relationships if self.source[r] == node_id)
-
-    def in_relationships(self, node_id: int) -> Iterator[int]:
-        """Ids of relationships with target *node_id* (linear scan)."""
-        return (r for r in self.relationships if self.target[r] == node_id)
 
     def has_dangling(self) -> bool:
         """True if any relationship endpoint is not a node of the graph.

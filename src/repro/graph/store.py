@@ -68,7 +68,7 @@ from repro.errors import (
     PersistenceError,
 )
 from repro.graph.counters import NO_COUNTERS, HitCounters
-from repro.graph.indexes import LabelIndex, PropertyIndex
+from repro.graph.indexes import UNKNOWN, LabelIndex, PropertyIndex
 from repro.graph.model import GraphSnapshot, Node, Relationship
 from repro.graph.strings import StringPool
 from repro.graph.values import grouping_key, is_storable, require_storable
@@ -488,10 +488,6 @@ class GraphStore:
             t != _HOLE for t in self._rel_types
         )
 
-    def nodes_with_label(self, label: str) -> frozenset[int]:
-        """Ids of live nodes carrying *label* (index-backed)."""
-        return self._label_index.nodes_with_label(label)
-
     # ------------------------------------------------------------------
     # Planner statistics
     #
@@ -507,58 +503,6 @@ class GraphStore:
     def label_count(self, label: str) -> int:
         """Number of live nodes carrying *label* (O(1), no db-hit)."""
         return self._label_index.count(label)
-
-    def index_selectivity(self, label: str, key: str) -> float | None:
-        """Average bucket size of the ``:label(key)`` index.
-
-        ``None`` when no index exists; ``0.0`` for an empty index.  The
-        planner uses this as the expected candidate count of an index
-        probe whose lookup value is not yet known.
-        """
-        index = self._property_indexes.get((label, key))
-        if index is None:
-            return None
-        return index.average_bucket_size()
-
-    def out_relationships(self, node_id: int) -> frozenset[int]:
-        """Ids of live relationships whose source is *node_id*."""
-        if 0 <= node_id < len(self._adj_out):
-            half = self._adj_out[node_id]
-            if half is not None:
-                return frozenset(half.rels)
-        return frozenset()
-
-    def in_relationships(self, node_id: int) -> frozenset[int]:
-        """Ids of live relationships whose target is *node_id*."""
-        if 0 <= node_id < len(self._adj_in):
-            half = self._adj_in[node_id]
-            if half is not None:
-                return frozenset(half.rels)
-        return frozenset()
-
-    def out_relationships_of_types(
-        self, node_id: int, types: tuple[str, ...]
-    ) -> frozenset[int]:
-        """Live outgoing relationships of *node_id* with a type in *types*."""
-        result: list[int] = []
-        if 0 <= node_id < len(self._adj_out):
-            half = self._adj_out[node_id]
-            if half is not None:
-                for type_id in self._type_ids(types):
-                    half.extend_type(type_id, result)
-        return frozenset(result)
-
-    def in_relationships_of_types(
-        self, node_id: int, types: tuple[str, ...]
-    ) -> frozenset[int]:
-        """Live incoming relationships of *node_id* with a type in *types*."""
-        result: list[int] = []
-        if 0 <= node_id < len(self._adj_in):
-            half = self._adj_in[node_id]
-            if half is not None:
-                for type_id in self._type_ids(types):
-                    half.extend_type(type_id, result)
-        return frozenset(result)
 
     def out_degree(
         self, node_id: int, types: tuple[str, ...] | None = None
@@ -599,6 +543,71 @@ class GraphStore:
             node_id, types
         )
 
+    # ------------------------------------------------------------------
+    # Candidate enumeration
+    #
+    # The read surface has one body per question: node_access decides
+    # where a node pattern's candidates come from, adjacent_rel_ids
+    # lists the relationships at a node.
+    # ------------------------------------------------------------------
+
+    def node_access(
+        self,
+        labels: Iterable[str],
+        items: Iterable[tuple[str, Any]] = (),
+        *,
+        resolve=None,
+        fetch: bool = False,
+    ) -> tuple[float, str, list[int] | None]:
+        """The access path of a node pattern ``(:labels {items})``.
+
+        Picks the smallest live bucket among the label buckets and the
+        buckets of the usable ``:label(key)`` indexes -- ties go to the
+        later source, an index before a label -- falling back to all
+        nodes, and returns ``(size, description, ids)``.
+
+        *items* are ``(key, value)`` pairs.  *resolve*, when given, is
+        called on the value of each pair that has a usable index and
+        may return :data:`UNKNOWN` (the value is not known yet), which
+        is sized as the index's average bucket.  Sizing reads
+        statistics only: no db-hit.
+
+        With *fetch* (all values known), ``ids`` is a fresh ascending
+        list of the chosen bucket's node ids (one ``index_lookup``
+        db-hit) -- a superset of the pattern's matches, which the
+        caller filters -- or ``None`` when nothing narrows the pattern
+        and the caller scans :meth:`nodes`.
+        """
+        size: float = self._live_nodes
+        description = "all nodes"
+        source: LabelIndex | PropertyIndex | None = None
+        probe: Any = None
+        label_index = self._label_index
+        for label in labels:
+            count = label_index.count(label)
+            if count <= size:
+                size, description = count, f"label scan :{label}"
+                source, probe = label_index, label
+        if items and self._property_indexes:
+            for label in labels:
+                for key, value in items:
+                    index = self._property_indexes.get((label, key))
+                    if index is None:
+                        continue
+                    if resolve is not None:
+                        value = resolve(value)
+                    if value is UNKNOWN:
+                        estimate = max(1.0, index.average_bucket_size())
+                    else:
+                        estimate = index.bucket_size(value)
+                    if estimate <= size:
+                        size, description = estimate, f"index :{label}({key})"
+                        source, probe = index, value
+        ids = None
+        if fetch and source is not None:
+            ids = source.ids(probe)
+        return size, description, ids
+
     def adjacent_rel_ids(
         self,
         node_id: int,
@@ -609,7 +618,7 @@ class GraphStore:
     ) -> list[int]:
         """Live relationship ids at *node_id*, ascending, in one pass.
 
-        This is the matcher's candidate enumeration: it reads the
+        This is the one adjacency enumerator: it reads the
         grouped adjacency arrays (the same structures :meth:`degree`
         counts) directly into a single sorted list -- typed steps read
         one contiguous slice per requested type, untyped steps read the
@@ -1519,7 +1528,7 @@ class GraphStore:
         # dispatch -- the backfill is a hot path for the bulk loader.
         by_value = index._by_value
         value_of = index._value_of
-        for node_id in self._label_index.nodes_with_label(label):
+        for node_id in self._label_index.ids(label):
             properties = props_column[node_id]
             if properties is None:
                 continue
@@ -1545,7 +1554,17 @@ class GraphStore:
         return index
 
     def drop_index(self, label: str, key: str) -> None:
-        """Drop a property index if it exists."""
+        """Drop a property index if it exists.
+
+        Refused while a uniqueness constraint on ``:label(key)`` needs
+        the index as its backing structure: drop the constraint first.
+        """
+        if (label, key) in self._unique_constraints:
+            raise ConstraintViolationError(
+                f"cannot drop index on :{label}({key}): it backs the "
+                f"uniqueness constraint on :{label}({key}); drop the "
+                f"constraint first"
+            )
         if (label, key) in self._property_indexes:
             self._commit_schema("drop_index", label, key)
             del self._property_indexes[(label, key)]
@@ -1608,11 +1627,10 @@ class GraphStore:
     def _require_distinct(index: PropertyIndex) -> None:
         duplicates = index.duplicate_buckets()
         if duplicates:
-            worst = sorted(duplicates[0])
             raise ConstraintViolationError(
                 f"cannot create uniqueness constraint on "
                 f":{index.label}({index.key}): "
-                f"existing nodes {worst} share a value"
+                f"existing nodes {duplicates[0]} share a value"
             )
 
     def drop_unique_constraint(self, label: str, key: str) -> None:
@@ -1643,10 +1661,8 @@ class GraphStore:
                 continue
             if properties is None or key not in properties:
                 continue
-            index = self._property_indexes[(label, key)]
-            bucket = index.bucket_of(node_id)
-            if len(bucket) > 1:
-                others = sorted(bucket - {node_id})
+            others = self._property_indexes[(label, key)].peers(node_id)
+            if others:
                 self.rollback_to(mark)
                 raise ConstraintViolationError(
                     f"uniqueness constraint on :{label}({key}) violated: "
@@ -1764,7 +1780,11 @@ class GraphStore:
             )
 
     def copy(self) -> "GraphStore":
-        """Deep copy of the live graph (journal and tombstones dropped)."""
+        """Deep copy of the live graph and its schema.
+
+        Journal and tombstones are dropped; indexes and uniqueness
+        constraints are re-created on the clone.
+        """
         clone = GraphStore()
         id_map: dict[int, int] = {}
         for node in self.nodes():
@@ -1780,6 +1800,9 @@ class GraphStore:
                 rel.type, source, target, dict(rel.properties)
             )
         clone.commit_to(0)
+        for label, key in self._property_indexes:
+            clone._put_index(label, key)
+        clone._unique_constraints = set(self._unique_constraints)
         return clone
 
     def load_snapshot(self, snapshot: GraphSnapshot) -> dict[int, int]:

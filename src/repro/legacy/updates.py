@@ -169,10 +169,7 @@ def _delete_value(ctx: EvalContext, value: Any, detach: bool) -> None:
         if value.is_deleted:
             return
         if detach:
-            attached = ctx.store.out_relationships(
-                value.id
-            ) | ctx.store.in_relationships(value.id)
-            for rel_id in sorted(attached):
+            for rel_id in ctx.store.adjacent_rel_ids(value.id):
                 ctx.store.delete_relationship(rel_id)
         ctx.store.delete_node(value.id, allow_dangling=True)
         return

@@ -2,8 +2,8 @@
 
 :func:`explain_statement` renders how the engine will execute a parsed
 statement: the clause pipeline, which dialect executor handles each
-update clause, and -- when the planner is enabled -- how each MATCH
-pattern was oriented and which access path anchors it.
+update clause, and the plan of each MATCH pattern: path order, anchors
+and the access path the store chose for each anchor.
 
 :func:`render_profile` is its runtime counterpart: it renders a
 :class:`~repro.runtime.profile.QueryProfile` recorded while actually
@@ -16,7 +16,7 @@ from repro.dialect import Dialect
 from repro.parser import ast
 from repro.parser.unparse import unparse
 from repro.runtime.context import EvalContext
-from repro.runtime.match_planner import estimate_element, plan_paths
+from repro.runtime.match_planner import plan_paths
 
 _MERGE_EXECUTORS = {
     ast.MERGE_LEGACY: "LegacyMerge(per-record match-or-create, reads own writes)",
@@ -49,30 +49,20 @@ def _explain_clause(
     if isinstance(clause, ast.MatchClause):
         keyword = "OptionalMatch" if clause.optional else "Match"
         lines = [f"{prefix}{keyword}"]
-        if ctx.use_planner:
-            # Paths are listed in planned execution order, each with
-            # the selectivity-chosen anchor and its estimate.
-            plan = plan_paths(ctx, clause.pattern.paths, {})
-            for path_plan in plan.ordered:
-                lines.append(
-                    f"{prefix}  path {unparse(path_plan.path)}"
-                    f"  [anchor: {path_plan.describe()}, "
-                    f"est. {path_plan.cost:.0f} candidates]"
-                )
-            moved = plan.moved_count()
-            if moved:
-                lines.append(
-                    f"{prefix}  ({moved} paths reordered by estimated cost)"
-                )
-        else:
-            for path in clause.pattern.paths:
-                cost, access = estimate_element(
-                    ctx, path.elements[0], set(), {}
-                )
-                lines.append(
-                    f"{prefix}  path {unparse(path)}"
-                    f"  [anchor: {access}, est. {cost:.0f} candidates]"
-                )
+        # Paths are listed in execution order (planner off: as
+        # written), each with its anchor's access path and estimate.
+        plan = plan_paths(ctx, clause.pattern.paths, {})
+        for path_plan in plan.ordered:
+            lines.append(
+                f"{prefix}  path {unparse(path_plan.path)}"
+                f"  [anchor: {path_plan.describe()}, "
+                f"est. {path_plan.cost:.0f} candidates]"
+            )
+        moved = plan.moved_count()
+        if moved:
+            lines.append(
+                f"{prefix}  ({moved} paths reordered by estimated cost)"
+            )
         if clause.where is not None:
             lines.append(f"{prefix}  filter {unparse(clause.where)}")
         return lines

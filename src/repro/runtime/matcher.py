@@ -19,11 +19,20 @@ Two regimes are supported (see Section 2 and the Example 7 discussion):
 Enumeration order is deterministic (ascending entity ids) so that the
 *legacy* executor's anomalies are reproducible on demand; the revised
 semantics never depends on this order.
+
+The read path has one body per question: :func:`match_paths` runs every
+path list as a plan through :func:`_run_plan` (planner off = the
+written plan), :func:`_node_candidates` enumerates the access path the
+store chose (``GraphStore.node_access``), and :func:`_rel_candidates`
+reads the one adjacency enumerator (``GraphStore.adjacent_rel_ids``).
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Mapping
+import dataclasses
+from functools import lru_cache
+from operator import itemgetter
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import CypherTypeError
 from repro.graph.model import Node, Path, Relationship
@@ -31,6 +40,7 @@ from repro.graph.values import cypher_eq, type_name
 from repro.parser import ast
 from repro.runtime.compiler import compile_map_items
 from repro.runtime.context import EvalContext, MatchMode
+from repro.runtime.match_planner import PathPlan, plan_paths
 
 
 def match_pattern(
@@ -45,22 +55,36 @@ def match_paths(
     paths: Iterable[ast.PathPattern],
     record: Mapping[str, Any],
 ) -> Iterator[dict]:
-    """All extensions of *record* matching the given path patterns."""
+    """All extensions of *record* matching the given path patterns.
+
+    Every path list runs as a plan through :func:`_run_plan` -- MERGE's
+    read half, OPTIONAL MATCH and pattern predicates included.  With
+    the planner off the plan is the *written* one (written order, each
+    path anchored at its first node, nothing estimated): the paper's
+    naive strategy and the order-defining reference.  With it on,
+    :func:`~repro.runtime.match_planner.plan_paths` picks anchors and
+    path order, and the result is still exactly the written plan's:
+    the same multiset always, and -- when ``ctx.preserve_match_order``
+    is set -- the same (ascending-id) order, by buffering one record's
+    matches and re-sorting them on their naive enumeration keys.
+    """
     paths = tuple(paths)
     if ctx.use_planner:
-        # Planning hooks in here (not in the MATCH executor) so MERGE's
-        # read half, OPTIONAL MATCH and pattern predicates all benefit.
-        from repro.runtime.match_planner import (
-            match_paths_planned,
-            planning_active,
-        )
-
-        if planning_active():
-            yield from match_paths_planned(ctx, paths, record)
-            return
-    bindings = dict(record)
-    used: set[int] = set()
-    yield from _match_path_list(ctx, paths, 0, bindings, used)
+        plan = plan_paths(ctx, paths, record)
+        if ctx.profile is not None:
+            ctx.profile.annotate(
+                anchor=plan.anchor_summary(),
+                paths_reordered=plan.moved_count(),
+            )
+        if not ctx.preserve_match_order or plan.trivial:
+            return _run_plan(ctx, plan.ordered, 0, dict(record), set())
+        if all(_path_sort_spec(path) is not None for path in paths):
+            return _in_written_order(ctx, plan.ordered, record)
+        # A path with two or more variable-length steps has no
+        # reconstructible enumeration key; reproduce the order by
+        # construction instead.
+    written = [PathPlan(path, index, 0) for index, path in enumerate(paths)]
+    return _run_plan(ctx, written, 0, dict(record), set())
 
 
 def pattern_variables(pattern: ast.Pattern) -> tuple[str, ...]:
@@ -82,29 +106,173 @@ def pattern_variables(pattern: ast.Pattern) -> tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
+# Plans: the one path-list enumerator
+# ---------------------------------------------------------------------------
 
-def _match_path_list(
+def _in_written_order(
     ctx: EvalContext,
-    paths: tuple[ast.PathPattern, ...],
-    index: int,
+    ordered: Sequence[PathPlan],
+    record: Mapping[str, Any],
+) -> Iterator[dict]:
+    """One record's matches, re-sorted on their naive enumeration keys."""
+    keys: list[Any] = [None] * len(ordered)
+    keyed = [
+        (tuple(keys), bindings)
+        for bindings in _run_plan(ctx, ordered, 0, dict(record), set(), keys)
+    ]
+    keyed.sort(key=itemgetter(0))
+    for __, bindings in keyed:
+        yield bindings
+
+
+def _run_plan(
+    ctx: EvalContext,
+    ordered: Sequence[PathPlan],
+    position: int,
     bindings: dict,
     used: set[int],
+    keys: list | None = None,
 ) -> Iterator[dict]:
-    if index == len(paths):
+    """Enumerate matches path by path in planned order.
+
+    Starts at ``position`` 0 with a private copy of the record as
+    *bindings* and an empty *used* set.  With *keys* (one slot per
+    path), slot *i* holds the sort key of written path *i*'s current
+    match whenever a match is yielded -- the naive nesting order, so
+    sorting on the slots reproduces naive enumeration.
+    """
+    if position == len(ordered):
         yield dict(bindings)
         return
-    path = paths[index]
-    for nodes, rels in _match_single_path(ctx, path, bindings, used):
+    path, written_index, anchor_index, __, __ = ordered[position]
+    if anchor_index == 0:
+        matches = _match_single_path(ctx, path, bindings, used)
+    else:
+        matches = _match_from(ctx, path, anchor_index, bindings, used)
+    for nodes, rels in matches:
         added_path = False
         if path.variable is not None and path.variable not in bindings:
             bindings[path.variable] = Path(nodes, rels)
             added_path = True
+        if keys is not None:
+            keys[written_index] = _written_key(
+                _path_sort_spec(path), nodes, rels
+            )
         try:
-            yield from _match_path_list(ctx, paths, index + 1, bindings, used)
+            yield from _run_plan(
+                ctx, ordered, position + 1, bindings, used, keys
+            )
         finally:
             if added_path:
                 del bindings[path.variable]
 
+
+def _match_from(
+    ctx: EvalContext,
+    path: ast.PathPattern,
+    anchor_index: int,
+    bindings: dict,
+    used: set[int],
+) -> Iterator[tuple[list, list]]:
+    """Match one path starting at node element *anchor_index* > 0.
+
+    Expansion runs leftwards from the anchor first (over the mirrored
+    prefix, relationship directions flipped), then rightwards; nesting
+    the two generators keeps the left segment's bindings and trail
+    entries live while the right segment enumerates, exactly like the
+    matcher's own recursion.  Yields ``(nodes, rels)`` reassembled in
+    written orientation, so path-variable bindings are unaffected by
+    where the walk started.
+    """
+    elements = path.elements
+    split = 2 * anchor_index
+    anchor = elements[split]
+    leftward = mirror_elements(elements[: split + 1])
+    rightward = elements[split:]
+    for node in _node_candidates(ctx, anchor, bindings):
+        added = _bind(bindings, anchor.variable, node)
+        try:
+            for left_nodes, left_rels in _extend(
+                ctx, leftward, 1, node, [node], [], bindings, used
+            ):
+                for right_nodes, right_rels in _extend(
+                    ctx, rightward, 1, node, [node], [], bindings, used
+                ):
+                    yield (
+                        left_nodes[::-1] + right_nodes[1:],
+                        left_rels[::-1] + right_rels,
+                    )
+        finally:
+            _unbind(bindings, anchor.variable, added)
+
+
+@lru_cache(maxsize=1024)
+def mirror_elements(prefix: tuple) -> tuple:
+    """*prefix* reversed with relationship directions flipped.
+
+    The mirrored element list starts at the anchor and walks back to
+    the path's written start; cached because the same pattern is
+    planned once per driving record.
+    """
+    mirrored = []
+    for element in reversed(prefix):
+        if isinstance(element, ast.RelationshipPattern):
+            if element.direction == ast.OUT:
+                element = dataclasses.replace(element, direction=ast.IN)
+            elif element.direction == ast.IN:
+                element = dataclasses.replace(element, direction=ast.OUT)
+        mirrored.append(element)
+    return tuple(mirrored)
+
+
+# ---------------------------------------------------------------------------
+# Legacy-order sort keys
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=1024)
+def _path_sort_spec(path: ast.PathPattern) -> tuple | None:
+    """Step shape of *path* for key reconstruction, or None.
+
+    A match's naive enumeration key is the anchor node id followed by
+    one entry per relationship step: the relationship id for a fixed
+    step, the id tuple for a variable-length segment.  With at most one
+    variable-length step its segment length can be recovered from the
+    match (total rels minus fixed steps); with two or more the split is
+    ambiguous and the key is not reconstructible.
+    """
+    steps = tuple(
+        "var" if rel.is_var_length else "fixed"
+        for rel in path.relationships
+    )
+    if steps.count("var") >= 2:
+        return None
+    return steps
+
+
+def _written_key(spec: tuple, nodes: list, rels: list) -> tuple:
+    """The naive enumeration key of one matched path (see spec above).
+
+    Tuple comparison on variable-length segments matches the matcher's
+    prefix-first expansion: ``()`` < ``(5,)`` < ``(5, 3)`` < ``(9,)``.
+    """
+    key: list[Any] = [nodes[0].id]
+    segment_length = len(rels) - spec.count("fixed")
+    position = 0
+    for step in spec:
+        if step == "fixed":
+            key.append(rels[position].id)
+            position += 1
+        else:
+            key.append(
+                tuple(rel.id for rel in rels[position:position + segment_length])
+            )
+            position += segment_length
+    return tuple(key)
+
+
+# ---------------------------------------------------------------------------
+# One path from its first node: the naive reference
+# ---------------------------------------------------------------------------
 
 def _match_single_path(
     ctx: EvalContext,
@@ -315,33 +483,10 @@ def _node_candidates(
         return
     props = _evaluate_properties(ctx, pattern.properties, bindings)
     store = ctx.store
-    candidate_ids = None
-    # Narrow by label index.
-    for label in pattern.labels:
-        with_label = store.nodes_with_label(label)
-        candidate_ids = (
-            with_label
-            if candidate_ids is None
-            else candidate_ids & with_label
-        )
-    # Narrow further by a property index when available, reusing the
-    # values already evaluated for the per-candidate check below.
-    if props is not None:
-        for label in pattern.labels:
-            for key, value in props:
-                index = store.property_index(label, key)
-                if index is None:
-                    continue
-                matches = index.lookup(value)
-                candidate_ids = (
-                    matches
-                    if candidate_ids is None
-                    else candidate_ids & matches
-                )
-    if candidate_ids is None:
-        candidates: Iterable[Node] = store.nodes()
-    else:
-        candidates = (store.node(nid) for nid in sorted(candidate_ids))
+    # The store picks the one source to enumerate (a superset of the
+    # matches); the check below filters the other labels and properties.
+    __, __, ids = store.node_access(pattern.labels, props or (), fetch=True)
+    candidates = store.nodes() if ids is None else map(store.node, ids)
     for node in candidates:
         if _node_matches(ctx, pattern, node, bindings, props):
             yield node

@@ -334,22 +334,22 @@ def check_invariants(
     for node_id in live_nodes:
         for label in labels_of(node_id):
             expected_labels.setdefault(label, set()).add(node_id)
-    cached_labels = store._label_index._by_label
-    for label in sorted(set(cached_labels) | set(expected_labels)):
-        got = set(cached_labels.get(label, set()))
-        want = expected_labels.get(label, set())
+    label_index = store._label_index
+    cached_labels = set(label_index.labels())
+    for label in sorted(cached_labels | set(expected_labels)):
+        got = label_index.ids(label)
+        want = sorted(expected_labels.get(label, ()))
         if got != want:
             problems.append(
-                f"label index for :{label}: cached {sorted(got)} != "
-                f"recount {sorted(want)}"
+                f"label index for :{label}: cached {got} != "
+                f"recount {want}"
             )
         if store.label_count(label) != len(want):
             problems.append(
                 f"label_count(:{label}) = {store.label_count(label)} != "
                 f"recount {len(want)}"
             )
-    for label, bucket in cached_labels.items():
-        if not bucket:
+        if label in cached_labels and not got:
             problems.append(f"label index keeps an empty bucket for :{label}")
 
     # -- property indexes ----------------------------------------------
@@ -374,26 +374,23 @@ def check_invariants(
                 f"property index :{label}({key}) reverse map: "
                 f"stale {stale}, missing {missing}, wrong value {wrong}"
             )
-        expected_buckets: dict[Any, set[int]] = {}
-        for node_id, bucket_key in expected_entries.items():
-            expected_buckets.setdefault(bucket_key, set()).add(node_id)
-        cached_buckets = {
-            bucket_key: set(bucket)
-            for bucket_key, bucket in index._by_value.items()
-            if bucket
-        }
-        if cached_buckets != expected_buckets:
+        # One probe per expected bucket, through a member's value; the
+        # bucket_count check below catches stale or empty extra ones.
+        expected_buckets: dict[Any, list[int]] = {}
+        for node_id in sorted(expected_entries):
+            expected_buckets.setdefault(
+                expected_entries[node_id], []
+            ).append(node_id)
+        drifted = [
+            bucket
+            for bucket in expected_buckets.values()
+            if index.ids(store._node_props[bucket[0]][key]) != bucket
+        ]
+        if drifted:
             problems.append(
                 f"property index :{label}({key}) buckets disagree with "
-                f"recount ({len(cached_buckets)} cached vs "
-                f"{len(expected_buckets)} expected buckets)"
+                f"recount (expected buckets {drifted})"
             )
-        for bucket_key, bucket in index._by_value.items():
-            if not bucket:
-                problems.append(
-                    f"property index :{label}({key}) keeps an empty "
-                    f"bucket for {bucket_key!r}"
-                )
         if len(index) != len(expected_entries):
             problems.append(
                 f"property index :{label}({key}) len {len(index)} != "

@@ -146,7 +146,8 @@ def product_update_table(
     """One row per Product node (drives SET/DELETE scaling benchmarks)."""
     rng = random.Random(seed)
     rows = []
-    for node_id in sorted(store.nodes_with_label("Product")):
+    __, __, product_ids = store.node_access(("Product",), fetch=True)
+    for node_id in product_ids:
         rows.append(
             {
                 "product": store.node(node_id),

@@ -7,7 +7,11 @@ schema changes -- and after a crash at any WAL record boundary.
 
 import pytest
 
-from repro.errors import CypherEvaluationError, PersistenceError
+from repro.errors import (
+    ConstraintViolationError,
+    CypherEvaluationError,
+    PersistenceError,
+)
 from repro.graph.store import GraphStore
 from repro.persistence.checkpoint import WAL_NAME
 from repro.session import Graph
@@ -93,9 +97,26 @@ class TestGraphPathApi:
             assert ("A", "k") in graph.store._property_indexes
             assert ("B", "id") in graph.store.unique_constraints()
             # The recovered index is live, not just registered.
-            assert graph.store.property_index("A", "k").lookup(1)
+            assert graph.store.property_index("A", "k").ids(1)
         finally:
             graph.close()
+
+    def test_refused_index_drop_leaves_wal_and_reopens(self, tmp_path):
+        with Graph.open(tmp_path) as graph:
+            graph.create_unique_constraint("P", "k")
+            graph.run("CREATE (:P {k: 1})")
+            graph.sync()
+            wal_size = (tmp_path / WAL_NAME).stat().st_size
+            with pytest.raises(ConstraintViolationError, match=r":P\(k\)"):
+                graph.run("DROP INDEX ON :P(k)")
+            graph.sync()
+            assert (tmp_path / WAL_NAME).stat().st_size == wal_size
+            graph.run("MATCH (p:P) SET p.k = 2")  # no KeyError afterwards
+        with Graph.open(tmp_path) as graph:
+            assert graph.store.index_keys() == [("P", "k")]
+            assert graph.store.unique_constraints() == {("P", "k")}
+            with pytest.raises(ConstraintViolationError):
+                graph.run("CREATE (:P {k: 2})")
 
     def test_checkpoint_compacts_and_preserves(self, tmp_path):
         with Graph.open(tmp_path) as graph:

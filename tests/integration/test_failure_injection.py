@@ -138,12 +138,12 @@ class TestMidStatementCrashes:
             restore()
         index = seeded.store.property_index("Seed", "v")
         for value in range(10):
-            expected = frozenset(
+            expected = [
                 node.id
                 for node in seeded.store.nodes()
                 if node.has_label("Seed") and node.get("v") == value
-            )
-            assert index.lookup(value) == expected
+            ]
+            assert index.ids(value) == expected
 
     def test_crash_inside_transaction_then_continue(self, seeded):
         before_count = seeded.node_count()

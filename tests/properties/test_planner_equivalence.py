@@ -10,8 +10,9 @@ MATCH, so these tests hold it to the only contracts that matter:
   the same *order* -- the naive matcher's ascending-id enumeration is
   observable through the legacy anomalies, so the planner must re-sort
   (or fall back) to it exactly;
-* :func:`repro.runtime.match_planner.planner_disabled` routes matching
-  through the naive reference even when planning is requested.
+* **planner off**: the written plan through the shared enumerator is
+  the nested naive enumeration over ``matcher._match_single_path`` --
+  same matches, same order.
 
 The corpus deliberately includes the planner's interesting cases:
 selective anchors in non-leading position, multi-path patterns worth
@@ -32,8 +33,7 @@ from repro.graph.store import GraphStore
 from repro.testing.invariants import check_invariants
 from repro.parser import parse
 from repro.runtime.context import EvalContext, MatchMode
-from repro.runtime.match_planner import planner_disabled
-from repro.runtime.matcher import match_paths
+from repro.runtime.matcher import _match_single_path, match_paths
 from repro.session import Graph
 
 #: Random small graphs: up to 6 nodes labeled A/B, up to 10 typed edges.
@@ -115,6 +115,10 @@ def canon(value):
     return ("value", value)
 
 
+def canon_bindings(bindings):
+    return tuple(sorted((name, canon(value)) for name, value in bindings.items()))
+
+
 def enumerate_matches(
     store,
     paths,
@@ -129,10 +133,30 @@ def enumerate_matches(
         use_planner=planned,
         preserve_match_order=preserve,
     )
-    return [
-        tuple(sorted((name, canon(value)) for name, value in bindings.items()))
-        for bindings in match_paths(ctx, paths, {})
-    ]
+    return [canon_bindings(b) for b in match_paths(ctx, paths, {})]
+
+
+def nested_naive_matches(store, paths):
+    """The order-defining reference: written order, first-node anchors,
+    one nested loop per path over the naive single-path matcher."""
+    ctx = EvalContext(store=store)
+    bindings, used, found = {}, set(), []
+
+    def run(index):
+        if index == len(paths):
+            found.append(canon_bindings(bindings))
+            return
+        path = paths[index]
+        for nodes, rels in _match_single_path(ctx, path, bindings, used):
+            named = path.variable is not None and path.variable not in bindings
+            if named:
+                bindings[path.variable] = Path(nodes, rels)
+            run(index + 1)
+            if named:
+                del bindings[path.variable]
+
+    run(0)
+    return found
 
 
 class TestCorpusEquivalence:
@@ -185,16 +209,13 @@ class TestCorpusEquivalence:
             )
             assert Counter(planned) == Counter(naive), pattern
 
-    def test_planner_disabled_is_naive(self):
+    def test_planner_off_is_the_nested_naive_enumeration(self):
         store = self.fixture_store()
         for pattern in PATTERNS:
             paths = paths_of(pattern)
             naive = enumerate_matches(store, paths, planned=False)
-            with planner_disabled():
-                escaped = enumerate_matches(store, paths, planned=True)
-            # Not just the same multiset: identical enumeration order,
-            # because the escape hatch runs the reference matcher.
-            assert escaped == naive, pattern
+            # Not just the same multiset: identical enumeration order.
+            assert naive == nested_naive_matches(store, paths), pattern
 
 
 class TestHypothesisEquivalence:

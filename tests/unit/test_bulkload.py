@@ -145,12 +145,12 @@ class TestLoadStore:
         )
         assert store.node_count() == 3
         assert store.relationship_count() == 4
-        assert store.nodes_with_label("Admin") == frozenset({0})
+        assert store.node_access(("Admin",), fetch=True)[2] == [0]
         assert store.adjacent_rel_ids(1, incoming=False) == [1, 2]
         assert store.adjacent_rel_ids(2, types=("FOLLOWS",)) == [2, 3]
         index = store.property_index("Person", "id")
         assert index is not None
-        assert index.lookup(1) == frozenset({1})
+        assert index.ids(1) == [1]
         check_invariants(store)
 
     def test_requires_empty_store(self):

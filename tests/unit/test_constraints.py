@@ -32,6 +32,66 @@ class TestConstraintCreation:
         assert constrained.node_count() == 4
 
 
+class TestBackingIndex:
+    """DROP INDEX may not pull the index out from under a constraint."""
+
+    def test_store_refuses_and_logs_nothing(self, constrained):
+        store = constrained.store
+        lsn = store.lsn
+        seen = []
+        store.add_commit_observer(lambda lsn, ops: seen.append(ops))
+        with pytest.raises(ConstraintViolationError, match=r":User\(id\)"):
+            store.drop_index("User", "id")
+        assert store.index_keys() == [("User", "id")]
+        assert store.unique_constraints() == {("User", "id")}
+        assert (store.lsn, seen) == (lsn, [])
+
+    def test_statement_refused_and_writes_keep_working(self, constrained):
+        with pytest.raises(ConstraintViolationError, match="constraint"):
+            constrained.run("DROP INDEX ON :User(id)")
+        # The constraint still enforces, through its index.
+        with pytest.raises(ConstraintViolationError):
+            constrained.run("CREATE (:User {id: 1})")
+        constrained.run("CREATE (:User {id: 3})")
+        constrained.run("MATCH (u:User {id: 3}) SET u.id = 4")
+        assert constrained.node_count() == 3
+
+    def test_drop_constraint_then_index(self, constrained):
+        constrained.run("DROP CONSTRAINT ON (u:User) ASSERT u.id IS UNIQUE")
+        constrained.run("DROP INDEX ON :User(id)")
+        assert constrained.store.index_keys() == []
+        constrained.run("CREATE (:User {id: 1})")  # duplicate now allowed
+
+    def test_refused_over_the_client(self):
+        from repro.client import Client
+        from repro.server.service import GraphService, ServerConfig
+
+        with Client.in_process(GraphService(ServerConfig())) as client:
+            client.run("CREATE CONSTRAINT ON (p:P) ASSERT p.k IS UNIQUE")
+            with pytest.raises(ConstraintViolationError, match=r":P\(k\)"):
+                client.run("DROP INDEX ON :P(k)")
+            client.run("CREATE (:P {k: 1})")
+            with pytest.raises(ConstraintViolationError):
+                client.run("CREATE (:P {k: 1})")
+
+
+class TestCopiedSchema:
+    def test_copy_keeps_indexes_and_constraints(self, constrained):
+        constrained.store.create_index("User", "name")
+        clone = constrained.copy()
+        assert clone.store.index_keys() == constrained.store.index_keys()
+        assert clone.store.unique_constraints() == {("User", "id")}
+        with pytest.raises(ConstraintViolationError):
+            clone.run("CREATE (:User {id: 1})")
+        # ... and the copy is independent of the original's schema.
+        clone.drop_unique_constraint("User", "id")
+        assert constrained.store.unique_constraints() == {("User", "id")}
+
+    def test_planner_on_the_copy_names_the_index(self, constrained):
+        plan = constrained.copy().plan("MATCH (u:User {id: 2}) RETURN u")
+        assert "index :User(id)" in plan and "est. 1 candidates" in plan
+
+
 class TestEnforcement:
     def test_create_duplicate_rejected(self, constrained):
         with pytest.raises(ConstraintViolationError):
@@ -71,7 +131,7 @@ class TestEnforcement:
         assert store.node_count() == before
         # The index holds no trace of the rejected node.
         index = store.property_index("User", "id")
-        assert len(index.lookup(1)) == 1
+        assert len(index.ids(1)) == 1
 
     def test_delete_then_reuse_value(self, constrained):
         constrained.run("MATCH (u:User {id: 1}) DELETE u")

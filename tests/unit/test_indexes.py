@@ -8,15 +8,15 @@ class TestLabelIndex:
         index = LabelIndex()
         index.add(1, ("A", "B"))
         index.add(2, ("A",))
-        assert index.nodes_with_label("A") == {1, 2}
-        assert index.nodes_with_label("B") == {1}
-        assert index.nodes_with_label("Z") == frozenset()
+        assert index.ids("A") == [1, 2]
+        assert index.ids("B") == [1]
+        assert index.ids("Z") == []
 
     def test_remove(self):
         index = LabelIndex()
         index.add(1, ("A",))
         index.remove(1, ("A",))
-        assert index.nodes_with_label("A") == frozenset()
+        assert index.ids("A") == []
         # removing again is a no-op
         index.remove(1, ("A",))
 
@@ -41,28 +41,28 @@ class TestPropertyIndex:
         index.add(1, 42)
         index.add(2, 42)
         index.add(3, 7)
-        assert index.lookup(42) == {1, 2}
-        assert index.lookup(7) == {3}
+        assert index.ids(42) == [1, 2]
+        assert index.ids(7) == [3]
         assert len(index) == 3
 
     def test_numeric_equivalence(self):
         index = PropertyIndex("User", "id")
         index.add(1, 1)
-        assert index.lookup(1.0) == {1}
+        assert index.ids(1.0) == [1]
 
     def test_re_add_moves_bucket(self):
         index = PropertyIndex("User", "id")
         index.add(1, 10)
         index.add(1, 20)
-        assert index.lookup(10) == frozenset()
-        assert index.lookup(20) == {1}
+        assert index.ids(10) == []
+        assert index.ids(20) == [1]
         assert len(index) == 1
 
     def test_discard(self):
         index = PropertyIndex("User", "id")
         index.add(1, 10)
         index.discard(1)
-        assert index.lookup(10) == frozenset()
+        assert index.ids(10) == []
         assert len(index) == 0
         index.discard(1)  # idempotent
 
@@ -75,14 +75,16 @@ class TestPropertyIndex:
     def test_null_lookup_empty(self):
         index = PropertyIndex("User", "id")
         index.add(1, 10)
-        assert index.lookup(None) == frozenset()
+        assert index.ids(None) == []
 
-    def test_bucket_of(self):
+    def test_peers(self):
         index = PropertyIndex("User", "id")
         index.add(1, 5)
         index.add(2, 5)
-        assert index.bucket_of(1) == {1, 2}
-        assert index.bucket_of(99) == frozenset()
+        index.add(3, 6)
+        assert index.peers(1) == [2]
+        assert index.peers(3) == []
+        assert index.peers(99) == []
 
     def test_duplicate_buckets(self):
         index = PropertyIndex("User", "id")
@@ -90,12 +92,12 @@ class TestPropertyIndex:
         index.add(2, 5)
         index.add(3, 6)
         duplicates = index.duplicate_buckets()
-        assert duplicates == [frozenset({1, 2})]
+        assert duplicates == [[1, 2]]
 
     def test_list_values_indexable(self):
         index = PropertyIndex("User", "tags")
         index.add(1, ["a", "b"])
-        assert index.lookup(["a", "b"]) == {1}
+        assert index.ids(["a", "b"]) == [1]
 
     def test_repr(self):
         index = PropertyIndex("User", "id")

@@ -5,17 +5,16 @@ import io
 import pytest
 
 from repro import Dialect, Graph
+from repro.graph.indexes import UNKNOWN
 from repro.graph.store import GraphStore
 from repro.parser import parse
 from repro.runtime.context import EvalContext
 from repro.runtime.match_planner import (
     PatternPlan,
-    _path_sort_spec,
     estimate_element,
     plan_paths,
-    planner_disabled,
-    planning_active,
 )
+from repro.runtime.matcher import _path_sort_spec
 
 
 def paths_of(source, dialect=Dialect.REVISED):
@@ -98,15 +97,20 @@ class TestStoreStatistics:
             loop,
         ]
 
-    def test_label_count_and_index_selectivity(self):
+    def test_label_count_and_access_sizes(self):
         store = GraphStore()
         for i in range(6):
             store.create_node(["P"], {"k": i % 3})
         assert store.label_count("P") == 6
         assert store.label_count("Q") == 0
-        assert store.index_selectivity("P", "k") is None
+        unknown = [("k", UNKNOWN)]
+        assert store.node_access(("P",), unknown) == (6, "label scan :P", None)
         store.create_index("P", "k")
-        assert store.index_selectivity("P", "k") == pytest.approx(2.0)
+        assert store.node_access(("P",), unknown) == (
+            pytest.approx(2.0),
+            "index :P(k)",
+            None,
+        )
         index = store.property_index("P", "k")
         assert index.bucket_count() == 3
         assert index.bucket_size(0) == 2
@@ -208,22 +212,22 @@ class TestPlanChoices:
         )
 
 
-class TestEscapeHatch:
-    def test_planner_disabled_flag(self):
-        assert planning_active()
-        with planner_disabled():
-            assert not planning_active()
-            with planner_disabled():
-                assert not planning_active()
-            assert not planning_active()
-        assert planning_active()
-
+class TestPlannerOff:
     def test_disabled_matching_still_correct(self, shop_store):
-        g = Graph(Dialect.REVISED, store=shop_store, use_planner=True)
         query = "MATCH (p:Product {id: 3}) RETURN count(p) AS c"
-        assert g.run(query).single()["c"] == 1
-        with planner_disabled():
+        for use_planner in (True, False):
+            g = Graph(Dialect.REVISED, store=shop_store, use_planner=use_planner)
             assert g.run(query).single()["c"] == 1
+
+    def test_planner_off_is_the_written_plan(self, shop_store):
+        paths = paths_of("(u:User)-[:ORDERED]->(p:Product {id: 3}), (q:Product)")
+        ctx = EvalContext(store=shop_store, use_planner=False)
+        plan = plan_paths(ctx, paths, {})
+        assert plan.trivial and plan.moved_count() == 0
+        # Pinned, but still announcing what the store will enumerate.
+        assert plan.anchor_summary() == (
+            "u via label scan :User, q via label scan :Product"
+        )
 
 
 class TestObservability:

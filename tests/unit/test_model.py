@@ -125,12 +125,14 @@ class TestGraphSnapshot:
         assert snapshot.order() == 2
         assert snapshot.size() == 1
 
-    def test_adjacency_iterators(self, store_with_pair):
+    def test_relationship_endpoints(self, store_with_pair):
         store, a, b, r = store_with_pair
         snapshot = store.snapshot()
-        assert list(snapshot.out_relationships(a)) == [r]
-        assert list(snapshot.in_relationships(b)) == [r]
-        assert list(snapshot.out_relationships(b)) == []
+        # The snapshot carries endpoints; enumeration is the store's job.
+        assert (snapshot.source[r], snapshot.target[r]) == (a, b)
+        assert store.adjacent_rel_ids(a, incoming=False) == [r]
+        assert store.adjacent_rel_ids(b, outgoing=False) == [r]
+        assert store.adjacent_rel_ids(b, incoming=False) == []
 
     def test_has_dangling(self):
         snapshot = GraphSnapshot(

@@ -279,7 +279,7 @@ class TestRedo:
         store.apply_redo(("create_node", 0, ["A"], {"k": 5}))
         store.apply_redo(("set_node_prop", 0, "k", 6))
         check_invariants(store)
-        assert store.property_index("A", "k").lookup(6) == frozenset({0})
+        assert store.property_index("A", "k").ids(6) == [0]
 
     def test_unknown_redo_op_rejected(self):
         with pytest.raises(PersistenceError):

@@ -12,11 +12,8 @@ import pytest
 from repro import Dialect, Graph
 from repro.parser import ast, parse
 from repro.runtime.context import EvalContext
-from repro.runtime.match_planner import (
-    estimate_element,
-    mirror_elements,
-    plan_paths,
-)
+from repro.runtime.match_planner import estimate_element, plan_paths
+from repro.runtime.matcher import mirror_elements
 
 
 def pattern_of(source):
@@ -113,31 +110,31 @@ class TestCostEstimates:
 
 class TestPlanChoices:
     def test_anchors_at_the_cheap_end(self, market):
-        ctx = EvalContext(store=market.store)
+        ctx = EvalContext(store=market.store, use_planner=True)
         pattern = pattern_of("(u:User)-[:ORDERED]->(p:Product {id: 3})")
         plan = plan_paths(ctx, pattern.paths, {}).ordered[0]
         assert plan.path.nodes[plan.anchor_index].labels == ("Product",)
 
     def test_keeps_orientation_when_first_is_cheap(self, market):
-        ctx = EvalContext(store=market.store)
+        ctx = EvalContext(store=market.store, use_planner=True)
         pattern = pattern_of("(p:Product {id: 3})-[:ORDERED]-(u:User)")
         plan = plan_paths(ctx, pattern.paths, {}).ordered[0]
         assert plan.anchor_index == 0
 
     def test_named_var_length_keeps_its_start(self, market):
-        ctx = EvalContext(store=market.store)
+        ctx = EvalContext(store=market.store, use_planner=True)
         pattern = pattern_of("(u:User)-[rs:ORDERED*1..2]->(p:Product {id: 3})")
         plan = plan_paths(ctx, pattern.paths, {}).ordered[0]
         assert plan.anchor_index == 0
 
     def test_paths_reordered_by_cost(self, market):
-        ctx = EvalContext(store=market.store)
+        ctx = EvalContext(store=market.store, use_planner=True)
         pattern = pattern_of("(u:User), (p:Product)")
         planned = plan_paths(ctx, pattern.paths, {})
         assert planned.ordered[0].path.elements[0].labels == ("Product",)
 
     def test_bound_path_runs_first(self, market):
-        ctx = EvalContext(store=market.store)
+        ctx = EvalContext(store=market.store, use_planner=True)
         node = market.store.node(0)
         pattern = pattern_of("(p:Product), (u)")
         planned = plan_paths(ctx, pattern.paths, {"u": node})

@@ -71,7 +71,7 @@ class TestCounterHooks:
         counters = HitCounters()
         store.install_counters(counters)
         node = store.create_node(("L",), {"k": 1})
-        assert list(store.property_index("L", "k").lookup(1)) == [node]
+        assert store.property_index("L", "k").ids(1) == [node]
         assert counters.snapshot().index_lookups == 1
 
     def test_rollback_is_not_a_write(self):
@@ -172,6 +172,84 @@ class TestGraphProfile:
         assert data["statement"] == "MATCH (n:L) RETURN n"
         assert data["db_hits"]["total"] == profile.total_db_hits
         assert data["clauses"][0]["label"].startswith("Match ")
+
+
+class TestAccessPathPins:
+    """The announced access path is the enumerated one: one lookup each."""
+
+    @pytest.fixture
+    def people(self):
+        store = GraphStore()
+        for i in range(1000):
+            store.create_node(("Person",), {"id": i, "name": f"p{i}"})
+        store.create_index("Person", "id")
+        return store
+
+    def test_indexed_point_read_is_one_index_lookup(self, people):
+        query = "MATCH (p:Person {id: $i}) RETURN p.name AS name"
+        planned = Graph(store=people, use_planner=True).profile(query, {"i": 7})
+        match = planned.clauses[0]
+        assert match.anchor == "p via index :Person(id)"
+        assert "anchor p via index :Person(id)" in planned.render()
+        # One probe, one candidate (its handle and its label fetch):
+        # nothing scales with :Person.
+        assert (match.hits.index_lookups, match.hits.node_reads) == (1, 2)
+        unplanned = Graph(store=people).profile(query, {"i": 7})
+        assert unplanned.clauses[0].anchor is None
+        assert unplanned.clauses[0].hits == match.hits
+        assert unplanned.result.records == planned.result.records
+        assert planned.result.records == [{"name": "p7"}]
+
+    @pytest.mark.parametrize(
+        "p_count, q_count, index, announced, bucket",
+        [
+            (50, 3, None, "n via label scan :Q", 4),
+            (3, 50, None, "n via label scan :P", 4),
+            (50, 3, ("P", "k"), "n via index :P(k)", 3),
+            (50, 3, ("Q", "j"), "n via label scan :Q", 4),
+        ],
+    )
+    def test_multi_label_pattern_probes_the_source_it_announces(
+        self, p_count, q_count, index, announced, bucket
+    ):
+        store = GraphStore()
+        for i in range(p_count):
+            store.create_node(("P",), {"k": i % 25})
+        for i in range(q_count):
+            store.create_node(("Q",), {"k": 1})
+        store.create_node(("P", "Q"), {"k": 1})
+        if index is not None:
+            store.create_index(*index)
+        profile = Graph(store=store, use_planner=True).profile(
+            "MATCH (n:P:Q {k: 1}) RETURN count(n) AS c"
+        )
+        match = profile.clauses[0]
+        assert profile.result.records == [{"c": 1}]
+        assert match.anchor == announced
+        assert match.hits.index_lookups == 1
+        # One handle and one label fetch per id of the announced bucket
+        # (which holds the :P:Q node too) -- and of no other.
+        assert match.hits.node_reads == 2 * bucket
+
+    def test_point_read_memory_does_not_scale_with_the_label(self):
+        import tracemalloc
+
+        def peak(people: int) -> int:
+            store = GraphStore()
+            for i in range(people):
+                store.create_node(("Person",), {"id": i, "name": "x"})
+            store.create_index("Person", "id")
+            graph = Graph(store=store, use_planner=True)
+            query = "MATCH (p:Person {id: $i}) RETURN p.name"
+            graph.run(query, {"i": 1})  # warm the statement caches
+            tracemalloc.start()
+            try:
+                graph.run(query, {"i": 2})
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(20_000) <= 2 * peak(1_000)
 
 
 class TestRenderProfile:

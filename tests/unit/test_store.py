@@ -62,16 +62,17 @@ class TestCreation:
         a = store.create_node()
         r = store.create_relationship("LOOP", a, a)
         assert store.degree(a) == 2  # out + in
-        assert store.out_relationships(a) == {r}
-        assert store.in_relationships(a) == {r}
+        assert store.adjacent_rel_ids(a, incoming=False) == [r]
+        assert store.adjacent_rel_ids(a, outgoing=False) == [r]
+        assert store.adjacent_rel_ids(a) == [r]  # emitted once
 
 
 class TestAdjacency:
     def test_out_in_sets(self, store, pair):
         a, b, r = pair
-        assert store.out_relationships(a) == {r}
-        assert store.in_relationships(b) == {r}
-        assert store.in_relationships(a) == frozenset()
+        assert store.adjacent_rel_ids(a, incoming=False) == [r]
+        assert store.adjacent_rel_ids(b, outgoing=False) == [r]
+        assert store.adjacent_rel_ids(a, outgoing=False) == []
         assert store.degree(a) == 1
 
     def test_counts(self, store, pair):
@@ -142,8 +143,8 @@ class TestProperties:
         store.add_label(n, "B")
         store.remove_label(n, "A")
         assert store.node_labels(n) == frozenset({"B"})
-        assert store.nodes_with_label("A") == frozenset()
-        assert store.nodes_with_label("B") == {n}
+        assert store.node_access(("A",), fetch=True)[2] == []
+        assert store.node_access(("B",), fetch=True)[2] == [n]
 
 
 class TestJournal:
@@ -172,8 +173,8 @@ class TestJournal:
         store.rollback_to(mark)
         assert not store.node_is_deleted(a)
         assert not store.rel_is_deleted(r)
-        assert store.nodes_with_label("A") == {a}
-        assert store.out_relationships(a) == {r}
+        assert store.node_access(("A",), fetch=True)[2] == [a]
+        assert store.adjacent_rel_ids(a, incoming=False) == [r]
 
     def test_commit_trims_journal_without_changes(self, store):
         mark = store.mark()
@@ -310,20 +311,20 @@ class TestPropertyIndex:
         a = store.create_node(("User",), {"id": 1})
         b = store.create_node(("User",), {"id": 2})
         index = store.create_index("User", "id")
-        assert index.lookup(1) == {a}
-        assert index.lookup(2) == {b}
+        assert index.ids(1) == [a]
+        assert index.ids(2) == [b]
 
     def test_index_tracks_mutations(self, store):
         index = store.create_index("User", "id")
         n = store.create_node(("User",), {"id": 1})
-        assert index.lookup(1) == {n}
+        assert index.ids(1) == [n]
         store.set_node_property(n, "id", 9)
-        assert index.lookup(1) == frozenset()
-        assert index.lookup(9) == {n}
+        assert index.ids(1) == []
+        assert index.ids(9) == [n]
         store.remove_label(n, "User")
-        assert index.lookup(9) == frozenset()
+        assert index.ids(9) == []
         store.add_label(n, "User")
-        assert index.lookup(9) == {n}
+        assert index.ids(9) == [n]
 
     def test_index_survives_rollback(self, store):
         index = store.create_index("User", "id")
@@ -331,19 +332,19 @@ class TestPropertyIndex:
         mark = store.mark()
         store.set_node_property(n, "id", 2)
         store.rollback_to(mark)
-        assert index.lookup(1) == {n}
-        assert index.lookup(2) == frozenset()
+        assert index.ids(1) == [n]
+        assert index.ids(2) == []
 
     def test_numeric_equivalence_in_lookup(self, store):
         index = store.create_index("User", "id")
         n = store.create_node(("User",), {"id": 1})
-        assert index.lookup(1.0) == {n}
+        assert index.ids(1.0) == [n]
 
     def test_deleted_node_leaves_index(self, store):
         index = store.create_index("User", "id")
         n = store.create_node(("User",), {"id": 1})
         store.delete_node(n)
-        assert index.lookup(1) == frozenset()
+        assert index.ids(1) == []
 
     def test_drop_index(self, store):
         store.create_index("User", "id")
@@ -387,17 +388,20 @@ class TestTypedAdjacency:
         b = store.create_node()
         t = store.create_relationship("T", a, b)
         s = store.create_relationship("S", a, b)
-        assert store.out_relationships_of_types(a, ("T",)) == {t}
-        assert store.out_relationships_of_types(a, ("T", "S")) == {t, s}
-        assert store.in_relationships_of_types(b, ("S",)) == {s}
-        assert store.out_relationships_of_types(a, ("X",)) == frozenset()
+        assert store.adjacent_rel_ids(a, incoming=False, types=("T",)) == [t]
+        assert store.adjacent_rel_ids(a, incoming=False, types=("T", "S")) == [
+            t,
+            s,
+        ]
+        assert store.adjacent_rel_ids(b, outgoing=False, types=("S",)) == [s]
+        assert store.adjacent_rel_ids(a, incoming=False, types=("X",)) == []
 
     def test_typed_lookup_tracks_deletion(self, store):
         a = store.create_node()
         b = store.create_node()
         t = store.create_relationship("T", a, b)
         store.delete_relationship(t)
-        assert store.out_relationships_of_types(a, ("T",)) == frozenset()
+        assert store.adjacent_rel_ids(a, types=("T",)) == []
 
     def test_typed_lookup_tracks_rollback(self, store):
         a = store.create_node()
@@ -406,11 +410,11 @@ class TestTypedAdjacency:
         mark = store.mark()
         store.delete_relationship(t)
         store.rollback_to(mark)
-        assert store.out_relationships_of_types(a, ("T",)) == {t}
+        assert store.adjacent_rel_ids(a, types=("T",)) == [t]
         mark = store.mark()
         s = store.create_relationship("S", a, b)
         store.rollback_to(mark)
-        assert store.out_relationships_of_types(a, ("S",)) == frozenset()
+        assert store.adjacent_rel_ids(a, types=("S",)) == []
 
     def test_typed_agrees_with_plain_scan(self, store):
         a = store.create_node()
@@ -418,9 +422,12 @@ class TestTypedAdjacency:
         for i in range(6):
             store.create_relationship("T" if i % 2 else "S", a, b)
         for rel_type in ("T", "S"):
-            expected = frozenset(
+            expected = [
                 r
-                for r in store.out_relationships(a)
+                for r in store.adjacent_rel_ids(a, incoming=False)
                 if store.rel_type(r) == rel_type
+            ]
+            assert (
+                store.adjacent_rel_ids(a, incoming=False, types=(rel_type,))
+                == expected
             )
-            assert store.out_relationships_of_types(a, (rel_type,)) == expected

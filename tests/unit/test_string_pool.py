@@ -118,7 +118,7 @@ class TestJournalUndo:
         # references the rolled-back node.
         assert "Ghost" in store.string_pool
         assert "Phantom" in store.string_pool
-        assert store.nodes_with_label("Ghost") == frozenset()
+        assert store.node_access(("Ghost",), fetch=True)[2] == []
         check_invariants(store)
 
     def test_rollback_of_first_type_keeps_adjacency_clean(self):
