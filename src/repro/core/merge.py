@@ -41,14 +41,13 @@ the literal create-then-quotient reference in :mod:`repro.formal`.
 from __future__ import annotations
 
 import enum
-from typing import Optional
 
 from repro.errors import CypherSemanticError
 from repro.graph.values import grouping_key
 from repro.parser import ast
-from repro.runtime.compiler import compile_map_items
 from repro.runtime.context import EvalContext
-from repro.runtime.matcher import match_pattern, pattern_variables
+from repro.runtime.match_planner import PreparedPattern
+from repro.runtime.matcher import match_prepared, pattern_variables
 from repro.runtime.table import DrivingTable
 
 from repro.core.create import EntityCache, Position, instantiate_pattern
@@ -122,21 +121,31 @@ def merge(
         if name not in table.columns
     ]
     output = DrivingTable(tuple(table.columns) + tuple(new_variables))
-    # Phase 1 (read): match every record against the INPUT graph.
+    # Phase 1 (read): match every record against the INPUT graph.  The
+    # pattern is prepared once for the clause; each record is planned
+    # and matched on its own (its matches depend on the graph only, so
+    # nothing read here can see what phase 2 writes).
+    prepared = PreparedPattern(ctx, pattern.paths)
     failing: list[dict] = []
     for record in table:
         matched_any = False
-        for bindings in match_pattern(ctx, pattern, record):
+        for bindings in match_prepared(ctx, prepared, record):
             matched_any = True
             output.add({name: bindings.get(name) for name in output.columns})
         if not matched_any:
-            failing.append(dict(record))
+            failing.append(record)
+    if ctx.profile is not None:
+        ctx.profile.annotate(
+            rows_matched=len(table) - len(failing),
+            rows_created=len(failing),
+        )
     # Phase 2 (write): one instantiation per collapse class.  The key
     # functions close over `current_group`, updated before each record.
     current_group: list[tuple] = [()]
     cache = _build_cache(semantics, current_group)
     for record in failing:
-        current_group[0] = _merge_group_key(ctx, pattern, record, semantics)
+        if semantics is MergeSemantics.GROUPING:
+            current_group[0] = _merge_group_key(ctx, prepared, record)
         instance = instantiate_pattern(ctx, pattern, record, cache)
         extended = dict(record)
         extended.update(instance.bindings)
@@ -199,10 +208,7 @@ def _canonical(prop_items: tuple) -> tuple:
 # ---------------------------------------------------------------------------
 
 def _merge_group_key(
-    ctx: EvalContext,
-    pattern: ast.Pattern,
-    record: dict,
-    semantics: MergeSemantics,
+    ctx: EvalContext, prepared: PreparedPattern, record: dict
 ) -> tuple:
     """The Grouping criterion: the values of the expressions appearing
     in the pattern, plus the identities of bound variables.
@@ -210,19 +216,12 @@ def _merge_group_key(
     Only the GROUPING semantics uses it; ATOMIC creates fresh instances
     per record (no cache) and the collapse variants key on content.
     """
-    if semantics is not MergeSemantics.GROUPING:
-        return ()
     parts: list = []
-    for path in pattern.paths:
-        for element in path.elements:
-            variable = element.variable
+    for path in prepared.paths:
+        for step in path.steps:
+            variable = step.variable
             if variable is not None and variable in record:
-                value = record[variable]
-                parts.append(
-                    grouping_key(value) if value is not None else ("null",)
-                )
-            properties: Optional[ast.MapLiteral] = element.properties
-            if properties is not None:
-                for __, fn in compile_map_items(properties):
-                    parts.append(grouping_key(fn(ctx, record)))
+                parts.append(grouping_key(record[variable]))
+            for __, fn in step.items or ():
+                parts.append(grouping_key(fn(ctx, record)))
     return tuple(parts)

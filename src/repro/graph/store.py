@@ -58,7 +58,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from contextlib import contextmanager
-from typing import Any, Iterable, Iterator
+from typing import Any, Container, Iterable, Iterator, Sequence
 
 from repro.errors import (
     ConstraintViolationError,
@@ -71,10 +71,33 @@ from repro.graph.counters import NO_COUNTERS, HitCounters
 from repro.graph.indexes import UNKNOWN, LabelIndex, PropertyIndex
 from repro.graph.model import GraphSnapshot, Node, Relationship
 from repro.graph.strings import StringPool
-from repro.graph.values import grouping_key, is_storable, require_storable
+from repro.graph.values import (
+    cypher_eq,
+    grouping_key,
+    is_storable,
+    require_storable,
+)
 
 #: column hole marker: this id was never allocated (or was rolled back)
 _HOLE = -1
+
+
+def _equal_prefix(
+    properties: dict[str, Any] | None, items: Sequence[tuple[str, Any]]
+) -> int:
+    """Compare a record's property map with evaluated pattern *items*.
+
+    Returns the number of keys read -- negated when the last one read is
+    not Cypher-equal (``cypher_eq`` is not True; an absent key is
+    null), which ends the comparison.
+    """
+    reads = 0
+    for key, value in items:
+        reads += 1
+        stored = properties.get(key) if properties else None
+        if cypher_eq(stored, value) is not True:
+            return -reads
+    return reads
 
 
 class _AdjacencyHalf:
@@ -152,12 +175,16 @@ class _AdjacencyHalf:
     def extend_all(self, out: list[int]) -> None:
         out.extend(self.rels)
 
+    def group(self, type_id: int) -> list[int]:
+        """The (ascending) relationship ids of the *type_id* group."""
+        types = self.types
+        if type_id not in types:
+            return []
+        group = types.index(type_id)
+        return self.rels[self.offsets[group]:self.offsets[group + 1]].tolist()
+
     def extend_type(self, type_id: int, out: list[int]) -> None:
-        offsets = self.offsets
-        for group, existing in enumerate(self.types):
-            if existing == type_id:
-                out.extend(self.rels[offsets[group]:offsets[group + 1]])
-                return
+        out.extend(self.group(type_id))
 
     def groups(self) -> Iterator[tuple[int, list[int]]]:
         """(type id, sorted rel ids) per group -- diagnostics/oracle."""
@@ -285,7 +312,7 @@ class GraphStore:
             copied[canon(key)] = value
         return copied
 
-    def _type_ids(self, types: tuple[str, ...]) -> list[int]:
+    def type_ids(self, types: Iterable[str]) -> list[int]:
         """Pool ids of *types*, skipping types never seen (no matches)."""
         id_of = self._strings.id_of
         ids = []
@@ -520,7 +547,7 @@ class GraphStore:
             return 0
         if types is None:
             return half.degree()
-        return sum(half.typed_degree(t) for t in self._type_ids(types))
+        return sum(half.typed_degree(t) for t in self.type_ids(types))
 
     def in_degree(
         self, node_id: int, types: tuple[str, ...] | None = None
@@ -533,7 +560,7 @@ class GraphStore:
             return 0
         if types is None:
             return half.degree()
-        return sum(half.typed_degree(t) for t in self._type_ids(types))
+        return sum(half.typed_degree(t) for t in self.type_ids(types))
 
     def degree(
         self, node_id: int, types: tuple[str, ...] | None = None
@@ -548,13 +575,15 @@ class GraphStore:
     #
     # The read surface has one body per question: node_access decides
     # where a node pattern's candidates come from, adjacent_rel_ids
-    # lists the relationships at a node.
+    # lists the relationships at a node, and the id-level kernels
+    # (node_matches, match_nodes, expand) test candidates against the
+    # columns, so a candidate stays an integer until it is accepted.
     # ------------------------------------------------------------------
 
     def node_access(
         self,
         labels: Iterable[str],
-        items: Iterable[tuple[str, Any]] = (),
+        items: Sequence[tuple[str, Any]] = (),
         *,
         resolve=None,
         fetch: bool = False,
@@ -566,17 +595,18 @@ class GraphStore:
         later source, an index before a label -- falling back to all
         nodes, and returns ``(size, description, ids)``.
 
-        *items* are ``(key, value)`` pairs.  *resolve*, when given, is
-        called on the value of each pair that has a usable index and
-        may return :data:`UNKNOWN` (the value is not known yet), which
-        is sized as the index's average bucket.  Sizing reads
-        statistics only: no db-hit.
+        *items* are ``(key, value)`` pairs.  *resolve*, when given,
+        supplies the values instead: it is called (once, without
+        arguments) only if some pair has a usable index and returns the
+        pairs position by position; a value may be :data:`UNKNOWN` (not
+        known yet), which is sized as the index's average bucket.
+        Sizing reads statistics only: no db-hit.
 
         With *fetch* (all values known), ``ids`` is a fresh ascending
         list of the chosen bucket's node ids (one ``index_lookup``
         db-hit) -- a superset of the pattern's matches, which the
         caller filters -- or ``None`` when nothing narrows the pattern
-        and the caller scans :meth:`nodes`.
+        and the caller scans every live node.
         """
         size: float = self._live_nodes
         description = "all nodes"
@@ -588,14 +618,17 @@ class GraphStore:
             if count <= size:
                 size, description = count, f"label scan :{label}"
                 source, probe = label_index, label
+        resolved = None
         if items and self._property_indexes:
             for label in labels:
-                for key, value in items:
+                for position, (key, value) in enumerate(items):
                     index = self._property_indexes.get((label, key))
                     if index is None:
                         continue
                     if resolve is not None:
-                        value = resolve(value)
+                        if resolved is None:
+                            resolved = resolve()
+                        value = resolved[position][1]
                     if value is UNKNOWN:
                         estimate = max(1.0, index.average_bucket_size())
                     else:
@@ -625,29 +658,40 @@ class GraphStore:
         whole flat array.  Self-loops (present in both directions) and
         repeated type names are emitted once.
         """
+        return self._adjacent(
+            node_id,
+            outgoing,
+            incoming,
+            None if types is None else self.type_ids(types),
+        )
+
+    def _adjacent(
+        self,
+        node_id: int,
+        outgoing: bool,
+        incoming: bool,
+        type_ids: Sequence[int] | None,
+    ) -> list[int]:
+        """:meth:`adjacent_rel_ids` over resolved type ids (None = any)."""
+        if not 0 <= node_id < len(self._adj_out):
+            return []
+        if outgoing != incoming and type_ids is not None and len(type_ids) == 1:
+            # One type of one direction is one ascending slice: nothing
+            # to merge, no self-loop or repeated type to emit once.
+            half = (self._adj_out if outgoing else self._adj_in)[node_id]
+            return [] if half is None else half.group(type_ids[0])
         ids: list[int] = []
-        in_range = 0 <= node_id < len(self._adj_out)
-        if types is None:
-            if outgoing and in_range:
-                half = self._adj_out[node_id]
-                if half is not None:
-                    ids.extend(half.rels)
-            if incoming and in_range:
-                half = self._adj_in[node_id]
-                if half is not None:
-                    ids.extend(half.rels)
-        elif in_range:
-            type_ids = self._type_ids(types)
-            if outgoing:
-                half = self._adj_out[node_id]
-                if half is not None:
-                    for type_id in type_ids:
-                        half.extend_type(type_id, ids)
-            if incoming:
-                half = self._adj_in[node_id]
-                if half is not None:
-                    for type_id in type_ids:
-                        half.extend_type(type_id, ids)
+        for half in (
+            self._adj_out[node_id] if outgoing else None,
+            self._adj_in[node_id] if incoming else None,
+        ):
+            if half is None:
+                continue
+            if type_ids is None:
+                ids.extend(half.rels)
+            else:
+                for type_id in type_ids:
+                    half.extend_type(type_id, ids)
         ids.sort()
         deduped: list[int] = []
         previous = None
@@ -656,6 +700,147 @@ class GraphStore:
                 deduped.append(rel_id)
                 previous = rel_id
         return deduped
+
+    def label_mask(self, labels: Iterable[str]) -> int:
+        """The bitmask a node's label set must cover to carry *labels*.
+
+        0 for no labels; -1 -- covered by no label set -- when a label
+        was never interned, so the caller resolves a pattern's labels
+        once instead of per candidate.
+        """
+        id_of = self._strings.id_of
+        mask = 0
+        for label in labels:
+            label_id = id_of(label)
+            if label_id is None:
+                return -1
+            mask |= 1 << label_id
+        return mask
+
+    def node_matches(
+        self,
+        node_id: int,
+        mask: int,
+        items: Sequence[tuple[str, Any]] | None,
+    ) -> bool:
+        """Does node *node_id* carry the labels in *mask* and the *items*?
+
+        *mask* comes from :meth:`label_mask`, *items* are evaluated
+        ``(key, value)`` pairs compared with Cypher ``=``.  The node
+        must exist; a tombstone has no labels and no properties, as
+        :meth:`node_labels` / :meth:`node_properties` report.  Db-hits:
+        one node read for the label set (if any label is asked for) and
+        one property read per key compared.
+        """
+        deleted = self._node_deleted[node_id]
+        if mask:
+            self.counters.node_read()
+            labelset = 0 if deleted else self._node_labelsets[node_id]
+            if self._labelset_masks[labelset] & mask != mask:
+                return False
+        if items:
+            reads = _equal_prefix(
+                None if deleted else self._node_props[node_id], items
+            )
+            self.counters.property_read(reads if reads > 0 else -reads)
+            return reads > 0
+        return True
+
+    def match_nodes(
+        self,
+        ids: Iterable[int] | None,
+        mask: int,
+        items: Sequence[tuple[str, Any]] | None,
+    ) -> Iterator[int]:
+        """The nodes among *ids* that pass :meth:`node_matches`, lazily.
+
+        *ids* is what :meth:`node_access` fetched (None = every live
+        node, ascending).  One node read per candidate fetched, plus
+        the check's own db-hits.
+        """
+        if ids is None:
+            labelsets = self._node_labelsets
+            deleted = self._node_deleted
+            ids = (
+                node_id
+                for node_id in range(len(labelsets))
+                if labelsets[node_id] != _HOLE and not deleted[node_id]
+            )
+        counters = self.counters
+        unconstrained = not mask and not items
+        matches = self.node_matches
+        for node_id in ids:
+            counters.node_read()
+            if unconstrained or matches(node_id, mask, items):
+                yield node_id
+
+    def expand(
+        self,
+        node_id: int,
+        outgoing: bool,
+        incoming: bool,
+        type_ids: Sequence[int] | None,
+        items: Sequence[tuple[str, Any]] | None,
+        used: Container[int],
+        *,
+        rel_ids: Iterable[int] | None = None,
+        end: int | None = None,
+        end_mask: int = 0,
+        end_items: Sequence[tuple[str, Any]] | None = None,
+    ) -> Iterator[tuple[int, int]]:
+        """One relationship step from *node_id*: ``(rel id, other end)``.
+
+        Enumerates the adjacency (:meth:`adjacent_rel_ids` over
+        resolved *type_ids*, ascending, a self-loop once) -- or the
+        given *rel_ids*, which are then also checked for type and for
+        being attached to *node_id* in the requested direction -- and
+        lazily yields the relationships that are not in *used*, carry
+        the evaluated *items*, and lead to a node that is *end* (if
+        given) and passes :meth:`node_matches` on *end_mask* /
+        *end_items*.  Db-hits: one relationship read per candidate not
+        in *used*, one property read per key compared, plus the node
+        check's own.
+        """
+        given = rel_ids is not None
+        if given:
+            for rel_id in rel_ids:
+                self._require_rel(rel_id)
+        else:
+            rel_ids = self._adjacent(node_id, outgoing, incoming, type_ids)
+        counters = self.counters
+        sources = self._rel_source
+        targets = self._rel_target
+        check_type = given and type_ids is not None
+        check_end = bool(end_mask or end_items)
+        matches = self.node_matches
+        for rel_id in rel_ids:
+            if rel_id in used:
+                continue
+            counters.rel_read()
+            if check_type and self._rel_types[rel_id] not in type_ids:
+                continue
+            source = sources[rel_id]
+            if outgoing and source == node_id:
+                other = targets[rel_id]
+            elif incoming and targets[rel_id] == node_id:
+                other = source
+            else:
+                continue
+            if items:
+                reads = _equal_prefix(
+                    None
+                    if self._rel_deleted[rel_id]
+                    else self._rel_props[rel_id],
+                    items,
+                )
+                counters.property_read(reads if reads > 0 else -reads)
+                if reads < 0:
+                    continue
+            if end is not None and other != end:
+                continue
+            if check_end and not matches(other, end_mask, end_items):
+                continue
+            yield rel_id, other
 
     # ------------------------------------------------------------------
     # Journal

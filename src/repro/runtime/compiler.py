@@ -50,7 +50,7 @@ from repro.errors import (
 from repro.graph.model import Node, Relationship
 from repro.graph.values import cypher_eq, type_name
 from repro.parser import ast
-from repro.runtime.aggregation import is_aggregate_call
+from repro.runtime.aggregation import children, is_aggregate_call
 from repro.runtime.context import EvalContext
 from repro.runtime.functions import _ACCEPTS_NULL, FUNCTIONS
 
@@ -149,20 +149,68 @@ def compile_map_items(
     helper lets the matcher and the update clauses evaluate each map
     expression exactly once per record.
     """
+    return compile_map(properties)[0]
+
+
+def compile_map(
+    properties: ast.MapLiteral,
+) -> tuple[tuple[tuple[str, Compiled], ...], frozenset[str]]:
+    """:func:`compile_map_items` plus the variables the map reads.
+
+    The second component names every variable the map's expressions
+    mention, so a caller can tell which bindings the map depends on
+    without walking the AST.  Both are memoized in one entry; with
+    compilation disabled only the variables are (the interpreting
+    closures are rebuilt per call and the entry's items stay None).
+    """
+    entry = _MAP_CACHE.get(properties)
+    if entry is None:
+        entry = (
+            None,
+            frozenset().union(
+                *[_variables_of(value) for __, value in properties.items]
+            ),
+        )
+        _MAP_CACHE.put(properties, entry)
+    items, variables = entry
     if not _ENABLED:
         interpret = _interpreter()
-        return tuple(
-            (key, _interpreting(interpret, value))
-            for key, value in properties.items
+        items = tuple(
+            [
+                (key, _interpreting(interpret, value))
+                for key, value in properties.items
+            ]
         )
-    entry = _MAP_CACHE.get(properties)
-    if entry is not None:
-        return entry
-    entry = tuple(
-        (key, compile_expression(value)) for key, value in properties.items
-    )
-    _MAP_CACHE.put(properties, entry)
-    return entry
+    elif items is None:
+        items = tuple(
+            [
+                (key, compile_expression(value))
+                for key, value in properties.items
+            ]
+        )
+        _MAP_CACHE.put(properties, (items, variables))
+    return items, variables
+
+
+def _variables_of(expression: ast.Expression) -> set[str]:
+    """The variable names *expression* reads (pattern predicates included)."""
+    names: set[str] = set()
+    if isinstance(expression, ast.Variable):
+        names.add(expression.name)
+    pattern = None
+    if isinstance(expression, ast.PatternExpression):
+        pattern = expression.pattern
+    elif isinstance(expression, ast.ExistsExpression):
+        pattern = expression.argument
+    if isinstance(pattern, ast.PathPattern):
+        for element in pattern.elements:
+            if element.variable is not None:
+                names.add(element.variable)
+            if element.properties is not None:
+                names |= compile_map(element.properties)[1]
+    for child in children(expression):
+        names |= _variables_of(child)
+    return names
 
 
 # ---------------------------------------------------------------------------

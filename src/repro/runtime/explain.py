@@ -119,6 +119,11 @@ def render_profile(profile) -> str:
                 planner_note += (
                     f"; {entry.paths_reordered} paths reordered"
                 )
+        if entry.rows_matched is not None:
+            planner_note += (
+                f"; {entry.rows_matched} rows matched, "
+                f"{entry.rows_created} rows created"
+            )
         lines.append(
             f"{indent}{entry.label}"
             f"  [rows {entry.rows_in} -> {entry.rows_out}; "

@@ -17,7 +17,10 @@ Sizes and access paths come from
 :meth:`~repro.graph.store.GraphStore.node_access` -- the same call the
 matcher enumerates candidates from -- over counters that every mutation
 and every journal undo maintain, so planning costs O(pattern size) and
-no db-hits.  This module only plans: it never touches the matcher.
+no db-hits of its own (a property map needed to size an index bucket
+is evaluated once, charged to its expressions and reused by the probe:
+:func:`estimate_step`).  This module only plans: it never touches the
+matcher.
 
 Correctness:
 
@@ -44,13 +47,209 @@ Correctness:
 from __future__ import annotations
 
 import dataclasses
-from functools import lru_cache
 from typing import Any, Mapping, NamedTuple
 
+from repro.errors import CypherError
 from repro.graph.indexes import UNKNOWN
 from repro.parser import ast
-from repro.runtime.compiler import compile_expression
+from repro.runtime.compiler import compile_map
 from repro.runtime.context import EvalContext
+
+# ---------------------------------------------------------------------------
+# The static half of a plan: one preparation per clause execution
+# ---------------------------------------------------------------------------
+
+@dataclasses.dataclass(slots=True)
+class NodeStep:
+    """A node pattern with everything that depends only on the pattern."""
+
+    variable: str | None
+    labels: tuple[str, ...]
+    #: ``GraphStore.label_mask(labels)``
+    mask: int
+    #: compiled property map, ``((key, fn), ...)``, or None
+    items: tuple | None
+    #: variables of the enclosing pattern that the property map reads
+    refs: frozenset[str]
+    #: position of this step's evaluated property map in a record's
+    #: value memo (see :func:`evaluate_step`)
+    slot: int
+
+
+@dataclasses.dataclass(slots=True)
+class RelStep:
+    """A relationship pattern, resolved like :class:`NodeStep`."""
+
+    variable: str | None
+    direction: str
+    #: ``GraphStore.type_ids(types)``, or None for an untyped pattern
+    type_ids: list[int] | None
+    var_length: tuple | None
+    items: tuple | None
+    refs: frozenset[str]
+    slot: int
+
+
+class PreparedPath:
+    """One path pattern's steps and planning facts."""
+
+    __slots__ = (
+        "path", "steps", "provides", "refs", "sort_spec", "movable",
+        "_mirrors",
+    )
+
+    def __init__(self, path: ast.PathPattern, steps: tuple):
+        self.path = path
+        #: alternating :class:`NodeStep` / :class:`RelStep`
+        self.steps = steps
+        #: variables the path binds: its elements' plus the path variable
+        self.provides = {step.variable for step in steps}
+        self.provides.add(path.variable)
+        self.provides.discard(None)
+        #: pattern variables read by the path's property maps
+        self.refs = _NO_REFS.union(*[step.refs for step in steps])
+        kinds = tuple(
+            ["var" if rel.var_length else "fixed" for rel in steps[1::2]]
+        )
+        #: may start at another node than the first (no variable-length
+        #: step: list bindings and sort keys are defined left to right)
+        self.movable = "var" not in kinds
+        #: step shape for reconstructing a match's naive enumeration
+        #: key -- the anchor node id, then per step the relationship id
+        #: (fixed) or the id tuple of the segment (variable-length).
+        #: With one variable-length step its segment length is total
+        #: rels minus fixed steps; with two or more the split is
+        #: ambiguous and there is no key (None).
+        self.sort_spec = kinds if kinds.count("var") < 2 else None
+        self._mirrors: dict[int, tuple] = {}
+
+    def split_at(self, anchor_index: int) -> tuple[tuple, tuple]:
+        """The steps leftwards (mirrored) and rightwards of an anchor."""
+        split = 2 * anchor_index
+        leftward = self._mirrors.get(anchor_index)
+        if leftward is None:
+            leftward = mirror_elements(self.steps[: split + 1])
+            self._mirrors[anchor_index] = leftward
+        return leftward, self.steps[split:]
+
+
+class PreparedPattern:
+    """A path list prepared for one clause execution over one store.
+
+    Compiled property maps, label masks, type ids, provided and
+    referenced variables, sort specs and (on first use) mirrored step
+    lists are resolved here, once, and shared by the planner and the
+    matcher for every record of the clause.  Nothing outlives the
+    clause.
+    """
+
+    __slots__ = ("paths", "written", "slots", "per_visit")
+
+    def __init__(self, ctx: EvalContext, paths: tuple[ast.PathPattern, ...]):
+        store = ctx.store
+        provided = {
+            name
+            for path in paths
+            for name in (path.variable, *[e.variable for e in path.elements])
+        }
+        slot = 0
+        prepared = []
+        for path in paths:
+            steps = []
+            for position, element in enumerate(path.elements):
+                items, refs = None, _NO_REFS
+                if element.properties is not None:
+                    items, variables = compile_map(element.properties)
+                    refs = variables & provided
+                if position % 2 == 0:
+                    step = NodeStep(
+                        element.variable,
+                        element.labels,
+                        store.label_mask(element.labels),
+                        items,
+                        refs,
+                        slot,
+                    )
+                else:
+                    step = RelStep(
+                        element.variable,
+                        element.direction,
+                        store.type_ids(element.types) if element.types else None,
+                        element.var_length,
+                        items,
+                        refs,
+                        slot,
+                    )
+                steps.append(step)
+                slot += 1
+            prepared.append(PreparedPath(path, tuple(steps)))
+        self.paths = tuple(prepared)
+        #: the written plan: written order, each path from its first node
+        self.written = tuple(
+            [PathPlan(path, index, 0) for index, path in enumerate(paths)]
+        )
+        self.slots = slot
+        #: steps whose property maps read the pattern's own variables
+        self.per_visit = tuple(
+            [step for path in prepared for step in path.steps if step.refs]
+        )
+
+    def fresh_values(self, record: Mapping[str, Any]) -> list:
+        """An empty value memo for one record (see :func:`evaluate_step`)."""
+        values: list = [None] * self.slots
+        for step in self.per_visit:
+            if not step.refs <= record.keys():
+                values[step.slot] = PER_VISIT
+        return values
+
+
+_NO_REFS: frozenset[str] = frozenset()
+
+#: memo entry of a step whose property map reads variables the pattern
+#: itself still has to bind for this record: evaluated at every visit
+PER_VISIT = object()
+
+
+def evaluate_step(
+    ctx: EvalContext, step: NodeStep | RelStep, bindings: Mapping[str, Any],
+    values: list,
+) -> tuple[tuple[str, Any], ...] | None:
+    """The step's property map as evaluated ``(key, value)`` pairs.
+
+    Each map is evaluated at most once per record and kept in *values*
+    (one slot per step), so the planner's estimate, the probe and every
+    candidate it is compared with see the same values and its
+    expressions cost one evaluation (and its db-hits) per record.  A
+    map reading variables the pattern binds itself (:data:`PER_VISIT`)
+    is evaluated per visit, against the bindings of that visit.
+    """
+    known = values[step.slot]
+    if (known is None or known is PER_VISIT) and step.items is not None:
+        evaluated = tuple(
+            [(key, fn(ctx, bindings)) for key, fn in step.items]
+        )
+        if known is None:
+            values[step.slot] = evaluated
+        return evaluated
+    return known
+
+
+def mirror_elements(prefix: tuple) -> tuple:
+    """*prefix* reversed with relationship directions flipped.
+
+    The mirrored list starts at the anchor and walks back to the path's
+    written start.  Works on pattern elements and on prepared steps.
+    """
+    mirrored = []
+    for element in reversed(prefix):
+        direction = getattr(element, "direction", None)
+        if direction == ast.OUT:
+            element = dataclasses.replace(element, direction=ast.IN)
+        elif direction == ast.IN:
+            element = dataclasses.replace(element, direction=ast.OUT)
+        mirrored.append(element)
+    return tuple(mirrored)
+
 
 # ---------------------------------------------------------------------------
 # Plans
@@ -116,52 +315,58 @@ def estimate_element(
 ) -> tuple[float, str]:
     """Estimated candidate count and access path for one node pattern.
 
+    :func:`estimate_step` over a pattern prepared for this one call.
+    """
+    prepared = PreparedPattern(ctx, (ast.PathPattern(elements=(element,)),))
+    step = prepared.paths[0].steps[0]
+    return estimate_step(
+        ctx, step, bound, record, prepared.fresh_values(record)
+    )
+
+
+def estimate_step(
+    ctx: EvalContext,
+    step: NodeStep,
+    bound: set[str],
+    record: Mapping[str, Any],
+    values: list,
+) -> tuple[float, str]:
+    """Estimated candidate count and access path for one node step.
+
     The access path is the store's decision
     (:meth:`~repro.graph.store.GraphStore.node_access`, the same call
     the matcher enumerates from); planning adds only what the store
-    cannot know: a bound variable costs nothing, a property value that
-    depends on unbound variables is :data:`UNKNOWN`, and an un-indexed
-    property map still filters.  Sizes are statistics: no db-hits.
+    cannot know: a bound variable costs nothing, a property map that
+    cannot be evaluated yet is :data:`UNKNOWN`, and an un-indexed
+    property map still filters.  Sizes are statistics and charge no
+    db-hits.  If the store asks for the map's values (some key has a
+    usable index) they are evaluated through :func:`evaluate_step` --
+    the one evaluation of this record, charged to the expressions like
+    any other and reused by the probe.
     """
-    if element.variable is not None and element.variable in bound:
-        return 0.0, f"bound({element.variable})"
-    items = element.properties.items if element.properties is not None else ()
+    if step.variable is not None and step.variable in bound:
+        return 0.0, f"bound({step.variable})"
+    items = step.items or ()
+
+    def resolve() -> tuple:
+        # A map that fails to evaluate is sized as unknown here and
+        # evaluated again by the matcher, which raises the error where
+        # the written plan would.
+        if values[step.slot] is not PER_VISIT:
+            try:
+                return evaluate_step(ctx, step, record, values)
+            except CypherError:
+                pass
+        return tuple((key, UNKNOWN) for key, __ in items)
+
     cost, access, __ = ctx.store.node_access(
-        element.labels,
-        items,
-        resolve=lambda expr: _try_evaluate(ctx, expr, record, bound),
+        step.labels, items, resolve=resolve
     )
     if items and not access.startswith("index "):
         # Discount mildly so a property-carrying end beats a bare one
         # with the same label.
         cost *= 0.9
     return cost, access
-
-
-def _try_evaluate(
-    ctx: EvalContext,
-    expression: ast.Expression,
-    record: Mapping[str, Any],
-    bound: set[str],
-) -> Any:
-    """The value of a property expression, or UNKNOWN if not yet bound."""
-    if not _variables_of(expression) <= bound | set(record.keys()):
-        return UNKNOWN
-    try:
-        return compile_expression(expression)(ctx, dict(record))
-    except Exception:
-        return UNKNOWN
-
-
-def _variables_of(expression: ast.Expression) -> set[str]:
-    from repro.runtime.aggregation import children
-
-    names: set[str] = set()
-    if isinstance(expression, ast.Variable):
-        names.add(expression.name)
-    for child in children(expression):
-        names |= _variables_of(child)
-    return names
 
 
 # ---------------------------------------------------------------------------
@@ -173,19 +378,30 @@ def plan_paths(
     paths: tuple[ast.PathPattern, ...],
     record: Mapping[str, Any],
 ) -> PatternPlan:
-    """Choose an anchor per path and an execution order for *paths*.
+    """:func:`plan_prepared` over a pattern prepared for this one call."""
+    prepared = PreparedPattern(ctx, tuple(paths))
+    return plan_prepared(ctx, prepared, record, prepared.fresh_values(record))
+
+
+def plan_prepared(
+    ctx: EvalContext,
+    prepared: PreparedPattern,
+    record: Mapping[str, Any],
+    values: list,
+) -> PatternPlan:
+    """Choose an anchor per path and an execution order for one record.
 
     With ``ctx.use_planner`` off every choice is pinned -- written
     order, anchor 0, as the matcher runs it -- which leaves the
-    estimates EXPLAIN prints.
+    estimates EXPLAIN prints.  *values* is the record's value memo
+    (:func:`evaluate_step`).
     """
     pinned = not ctx.use_planner
+    paths = prepared.paths
     bound = {name for name, value in record.items() if value is not None}
-    provided = set()
-    for path in paths:
-        provided |= _path_provides(path)
     refs = [
-        _property_refs(path) & provided - set(record) for path in paths
+        path.refs - record.keys() if path.refs else path.refs
+        for path in paths
     ]
     keep_written_order = pinned or any(refs)
     plans: list[PathPlan] = []
@@ -194,26 +410,28 @@ def plan_paths(
         candidates: list[PathPlan] = []
         for index in remaining:
             path = paths[index]
-            own_refs = bool(refs[index] & _path_provides(path))
+            own_refs = bool(refs[index] & path.provides)
             anchor, cost, access = _choose_anchor(
-                ctx, path, bound, record, pin_anchor=pinned or own_refs
+                ctx, path, bound, record, values,
+                pin_anchor=pinned or own_refs,
             )
-            candidates.append(PathPlan(path, index, anchor, cost, access))
+            candidates.append(PathPlan(path.path, index, anchor, cost, access))
             if keep_written_order:
                 break  # written order: only the earliest unplanned path
         best = min(candidates, key=lambda plan: plan.cost)
         plans.append(best)
         remaining.remove(best.written_index)
         # Later paths benefit from the variables this one binds.
-        bound |= _path_provides(best.path)
+        bound |= paths[best.written_index].provides
     return PatternPlan(tuple(plans))
 
 
 def _choose_anchor(
     ctx: EvalContext,
-    path: ast.PathPattern,
+    path: PreparedPath,
     bound: set[str],
     record: Mapping[str, Any],
+    values: list,
     *,
     pin_anchor: bool,
 ) -> tuple[int, float, str]:
@@ -224,41 +442,16 @@ def _choose_anchor(
     defined by left-to-right expansion) and for paths whose property
     maps read the path's own earlier variables (*pin_anchor*).
     """
-    nodes = path.nodes
+    nodes = path.steps[::2]
     best_index = 0
-    best_cost, best_access = estimate_element(ctx, nodes[0], bound, record)
-    movable = not pin_anchor and not any(
-        rel.is_var_length for rel in path.relationships
+    best_cost, best_access = estimate_step(
+        ctx, nodes[0], bound, record, values
     )
-    if movable:
+    if path.movable and not pin_anchor:
         for index in range(1, len(nodes)):
-            cost, access = estimate_element(
-                ctx, nodes[index], bound, record
+            cost, access = estimate_step(
+                ctx, nodes[index], bound, record, values
             )
             if cost < best_cost:
                 best_index, best_cost, best_access = index, cost, access
     return best_index, best_cost, best_access
-
-
-def _path_provides(path: ast.PathPattern) -> set[str]:
-    """Variables *path* binds: its elements' plus the path variable."""
-    names = {
-        element.variable
-        for element in path.elements
-        if element.variable is not None
-    }
-    if path.variable is not None:
-        names.add(path.variable)
-    return names
-
-
-@lru_cache(maxsize=1024)
-def _property_refs(path: ast.PathPattern) -> frozenset[str]:
-    """Variables referenced by *path*'s property-map expressions."""
-    names: set[str] = set()
-    for element in path.elements:
-        if element.properties is None:
-            continue
-        for __, expr in element.properties.items:
-            names |= _variables_of(expr)
-    return frozenset(names)

@@ -20,27 +20,39 @@ Enumeration order is deterministic (ascending entity ids) so that the
 *legacy* executor's anomalies are reproducible on demand; the revised
 semantics never depends on this order.
 
-The read path has one body per question: :func:`match_paths` runs every
-path list as a plan through :func:`_run_plan` (planner off = the
-written plan), :func:`_node_candidates` enumerates the access path the
-store chose (``GraphStore.node_access``), and :func:`_rel_candidates`
-reads the one adjacency enumerator (``GraphStore.adjacent_rel_ids``).
+The read path has one body per question: every path list is prepared
+once per clause execution (:class:`~repro.runtime.match_planner.PreparedPattern`)
+and runs as a plan through :func:`_run_plan` (planner off = the written
+plan); :func:`_node_candidates` enumerates the access path the store
+chose (``GraphStore.node_access``) and :func:`_hop` steps through
+the store's id-level kernels (``match_nodes`` / ``expand`` /
+``node_matches``), so a candidate is an integer until it is accepted
+and only a bound one becomes a ``Node`` / ``Relationship`` handle.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from functools import lru_cache
+from functools import partial
 from operator import itemgetter
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import CypherTypeError
 from repro.graph.model import Node, Path, Relationship
-from repro.graph.values import cypher_eq, type_name
+from repro.graph.values import type_name
 from repro.parser import ast
-from repro.runtime.compiler import compile_map_items
 from repro.runtime.context import EvalContext, MatchMode
-from repro.runtime.match_planner import PathPlan, plan_paths
+from repro.runtime.match_planner import (
+    NodeStep,
+    PathPlan,
+    PreparedPath,
+    PreparedPattern,
+    RelStep,
+    evaluate_step,
+    plan_prepared,
+)
+
+#: what a homomorphism step must avoid: no relationship is ever in use
+_NOTHING_USED: frozenset[int] = frozenset()
 
 
 def match_pattern(
@@ -57,34 +69,55 @@ def match_paths(
 ) -> Iterator[dict]:
     """All extensions of *record* matching the given path patterns.
 
+    Prepares the pattern for this one record; a clause that matches a
+    whole table prepares once and calls :func:`match_prepared` per
+    record.
+    """
+    return match_prepared(ctx, PreparedPattern(ctx, tuple(paths)), record)
+
+
+def match_prepared(
+    ctx: EvalContext,
+    prepared: PreparedPattern,
+    record: Mapping[str, Any],
+) -> Iterator[dict]:
+    """All extensions of *record* matching a prepared path list.
+
     Every path list runs as a plan through :func:`_run_plan` -- MERGE's
     read half, OPTIONAL MATCH and pattern predicates included.  With
     the planner off the plan is the *written* one (written order, each
     path anchored at its first node, nothing estimated): the paper's
     naive strategy and the order-defining reference.  With it on,
-    :func:`~repro.runtime.match_planner.plan_paths` picks anchors and
-    path order, and the result is still exactly the written plan's:
+    :func:`~repro.runtime.match_planner.plan_prepared` picks anchors
+    and path order, and the result is still exactly the written plan's:
     the same multiset always, and -- when ``ctx.preserve_match_order``
     is set -- the same (ascending-id) order, by buffering one record's
     matches and re-sorting them on their naive enumeration keys.
     """
-    paths = tuple(paths)
+    values = prepared.fresh_values(record)
+    ordered: Sequence[PathPlan] = prepared.written
+    keys = None
     if ctx.use_planner:
-        plan = plan_paths(ctx, paths, record)
+        plan = plan_prepared(ctx, prepared, record, values)
         if ctx.profile is not None:
             ctx.profile.annotate(
                 anchor=plan.anchor_summary(),
                 paths_reordered=plan.moved_count(),
             )
         if not ctx.preserve_match_order or plan.trivial:
-            return _run_plan(ctx, plan.ordered, 0, dict(record), set())
-        if all(_path_sort_spec(path) is not None for path in paths):
-            return _in_written_order(ctx, plan.ordered, record)
-        # A path with two or more variable-length steps has no
+            ordered = plan.ordered
+        elif all(path.sort_spec is not None for path in prepared.paths):
+            ordered = plan.ordered
+            keys = [None] * len(ordered)
+        # else: a path with two or more variable-length steps has no
         # reconstructible enumeration key; reproduce the order by
-        # construction instead.
-    written = [PathPlan(path, index, 0) for index, path in enumerate(paths)]
-    return _run_plan(ctx, written, 0, dict(record), set())
+        # construction (the written plan) instead.
+    matches = _run_plan(
+        ctx, prepared.paths, ordered, 0, dict(record), set(), values, keys
+    )
+    if keys is None:
+        return matches
+    return _in_written_order(matches, keys)
 
 
 def pattern_variables(pattern: ast.Pattern) -> tuple[str, ...]:
@@ -109,17 +142,9 @@ def pattern_variables(pattern: ast.Pattern) -> tuple[str, ...]:
 # Plans: the one path-list enumerator
 # ---------------------------------------------------------------------------
 
-def _in_written_order(
-    ctx: EvalContext,
-    ordered: Sequence[PathPlan],
-    record: Mapping[str, Any],
-) -> Iterator[dict]:
+def _in_written_order(matches: Iterator[dict], keys: list) -> Iterator[dict]:
     """One record's matches, re-sorted on their naive enumeration keys."""
-    keys: list[Any] = [None] * len(ordered)
-    keyed = [
-        (tuple(keys), bindings)
-        for bindings in _run_plan(ctx, ordered, 0, dict(record), set(), keys)
-    ]
+    keyed = [(tuple(keys), bindings) for bindings in matches]
     keyed.sort(key=itemgetter(0))
     for __, bindings in keyed:
         yield bindings
@@ -127,52 +152,56 @@ def _in_written_order(
 
 def _run_plan(
     ctx: EvalContext,
+    paths: Sequence[PreparedPath],
     ordered: Sequence[PathPlan],
     position: int,
     bindings: dict,
     used: set[int],
+    values: list,
     keys: list | None = None,
 ) -> Iterator[dict]:
     """Enumerate matches path by path in planned order.
 
     Starts at ``position`` 0 with a private copy of the record as
-    *bindings* and an empty *used* set.  With *keys* (one slot per
-    path), slot *i* holds the sort key of written path *i*'s current
-    match whenever a match is yielded -- the naive nesting order, so
-    sorting on the slots reproduces naive enumeration.
+    *bindings* and an empty *used* set.  With *keys* (one
+    slot per path), slot *i* holds the sort key of written path *i*'s
+    current match whenever a match is yielded -- the naive nesting
+    order, so sorting on the slots reproduces naive enumeration.
     """
     if position == len(ordered):
         yield dict(bindings)
         return
-    path, written_index, anchor_index, __, __ = ordered[position]
+    __, written_index, anchor_index, __, __ = ordered[position]
+    path = paths[written_index]
     if anchor_index == 0:
-        matches = _match_single_path(ctx, path, bindings, used)
+        matches = _match_single_path(ctx, path, bindings, used, values)
     else:
-        matches = _match_from(ctx, path, anchor_index, bindings, used)
+        matches = _match_from(ctx, path, anchor_index, bindings, used, values)
+    variable = path.path.variable
     for nodes, rels in matches:
         added_path = False
-        if path.variable is not None and path.variable not in bindings:
-            bindings[path.variable] = Path(nodes, rels)
+        if variable is not None and variable not in bindings:
+            bindings[variable] = Path(nodes, rels)
             added_path = True
         if keys is not None:
-            keys[written_index] = _written_key(
-                _path_sort_spec(path), nodes, rels
-            )
+            keys[written_index] = _written_key(path.sort_spec, nodes, rels)
         try:
             yield from _run_plan(
-                ctx, ordered, position + 1, bindings, used, keys
+                ctx, paths, ordered, position + 1, bindings, used, values,
+                keys,
             )
         finally:
             if added_path:
-                del bindings[path.variable]
+                del bindings[variable]
 
 
 def _match_from(
     ctx: EvalContext,
-    path: ast.PathPattern,
+    path: PreparedPath,
     anchor_index: int,
     bindings: dict,
     used: set[int],
+    values: list,
 ) -> Iterator[tuple[list, list]]:
     """Match one path starting at node element *anchor_index* > 0.
 
@@ -184,75 +213,48 @@ def _match_from(
     written orientation, so path-variable bindings are unaffected by
     where the walk started.
     """
-    elements = path.elements
-    split = 2 * anchor_index
-    anchor = elements[split]
-    leftward = mirror_elements(elements[: split + 1])
-    rightward = elements[split:]
-    for node in _node_candidates(ctx, anchor, bindings):
-        added = _bind(bindings, anchor.variable, node)
+    leftward, rightward = path.split_at(anchor_index)
+    left_nodes: list[Node] = []
+    left_rels: list[Relationship] = []
+    right_nodes: list[Node] = []
+    right_rels: list[Relationship] = []
+    stream = _anchors(ctx, rightward[0], left_nodes, bindings, values)
+    stream = _hops(
+        ctx, stream, leftward, left_nodes, left_rels, bindings, used, values
+    )
+    stream = _restart(stream, left_nodes, right_nodes)
+    stream = _hops(
+        ctx, stream, rightward, right_nodes, right_rels, bindings, used,
+        values,
+    )
+    for __ in stream:
+        yield (
+            left_nodes[::-1] + right_nodes[1:],
+            left_rels[::-1] + right_rels,
+        )
+
+
+def _restart(
+    stream: Iterator[Node], walked: list[Node], nodes_acc: list[Node]
+) -> Iterator[Node]:
+    """Start a second walk at the first node of the walk *stream* did."""
+    for __ in stream:
+        nodes_acc.append(walked[0])
         try:
-            for left_nodes, left_rels in _extend(
-                ctx, leftward, 1, node, [node], [], bindings, used
-            ):
-                for right_nodes, right_rels in _extend(
-                    ctx, rightward, 1, node, [node], [], bindings, used
-                ):
-                    yield (
-                        left_nodes[::-1] + right_nodes[1:],
-                        left_rels[::-1] + right_rels,
-                    )
+            yield walked[0]
         finally:
-            _unbind(bindings, anchor.variable, added)
-
-
-@lru_cache(maxsize=1024)
-def mirror_elements(prefix: tuple) -> tuple:
-    """*prefix* reversed with relationship directions flipped.
-
-    The mirrored element list starts at the anchor and walks back to
-    the path's written start; cached because the same pattern is
-    planned once per driving record.
-    """
-    mirrored = []
-    for element in reversed(prefix):
-        if isinstance(element, ast.RelationshipPattern):
-            if element.direction == ast.OUT:
-                element = dataclasses.replace(element, direction=ast.IN)
-            elif element.direction == ast.IN:
-                element = dataclasses.replace(element, direction=ast.OUT)
-        mirrored.append(element)
-    return tuple(mirrored)
+            nodes_acc.pop()
 
 
 # ---------------------------------------------------------------------------
 # Legacy-order sort keys
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=1024)
-def _path_sort_spec(path: ast.PathPattern) -> tuple | None:
-    """Step shape of *path* for key reconstruction, or None.
-
-    A match's naive enumeration key is the anchor node id followed by
-    one entry per relationship step: the relationship id for a fixed
-    step, the id tuple for a variable-length segment.  With at most one
-    variable-length step its segment length can be recovered from the
-    match (total rels minus fixed steps); with two or more the split is
-    ambiguous and the key is not reconstructible.
-    """
-    steps = tuple(
-        "var" if rel.is_var_length else "fixed"
-        for rel in path.relationships
-    )
-    if steps.count("var") >= 2:
-        return None
-    return steps
-
-
 def _written_key(spec: tuple, nodes: list, rels: list) -> tuple:
-    """The naive enumeration key of one matched path (see spec above).
+    """The naive enumeration key of one matched path.
 
-    Tuple comparison on variable-length segments matches the matcher's
+    *spec* is the path's ``PreparedPath.sort_spec``.  Tuple
+    comparison on variable-length segments matches the matcher's
     prefix-first expansion: ``()`` < ``(5,)`` < ``(5, 3)`` < ``(9,)``.
     """
     key: list[Any] = [nodes[0].id]
@@ -276,100 +278,159 @@ def _written_key(spec: tuple, nodes: list, rels: list) -> tuple:
 
 def _match_single_path(
     ctx: EvalContext,
-    path: ast.PathPattern,
+    path: PreparedPath,
     bindings: dict,
     used: set[int],
+    values: list,
 ) -> Iterator[tuple[list[Node], list[Relationship]]]:
-    elements = path.elements
-    first = elements[0]
-    for node in _node_candidates(ctx, first, bindings):
-        added = _bind(bindings, first.variable, node)
-        try:
-            yield from _extend(
-                ctx, elements, 1, node, [node], [], bindings, used
-            )
-        finally:
-            _unbind(bindings, first.variable, added)
-
-
-def _extend(
-    ctx: EvalContext,
-    elements: tuple,
-    index: int,
-    current: Node,
-    nodes_acc: list[Node],
-    rels_acc: list[Relationship],
-    bindings: dict,
-    used: set[int],
-) -> Iterator[tuple[list[Node], list[Relationship]]]:
-    if index >= len(elements):
+    nodes_acc: list[Node] = []
+    rels_acc: list[Relationship] = []
+    stream = _anchors(ctx, path.steps[0], nodes_acc, bindings, values)
+    stream = _hops(
+        ctx, stream, path.steps, nodes_acc, rels_acc, bindings, used, values
+    )
+    for __ in stream:
         yield list(nodes_acc), list(rels_acc)
-        return
-    rel_pattern = elements[index]
-    node_pattern = elements[index + 1]
-    if rel_pattern.is_var_length:
-        yield from _extend_var_length(
-            ctx,
-            elements,
-            index,
-            current,
-            nodes_acc,
-            rels_acc,
-            bindings,
-            used,
-        )
-        return
-    # The bindings visible to the pattern's property expressions are
-    # fixed for the duration of this step (this element's own variables
-    # are bound only after the property check), so each property map is
-    # evaluated once here and reused for every candidate.
-    rel_props = _evaluate_properties(ctx, rel_pattern.properties, bindings)
-    node_props = _evaluate_properties(ctx, node_pattern.properties, bindings)
-    for rel, next_node in _rel_candidates(
-        ctx, rel_pattern, current, bindings, used, rel_props
-    ):
-        if not _node_matches(ctx, node_pattern, next_node, bindings, node_props):
-            continue
-        rel_added = _bind(bindings, rel_pattern.variable, rel)
-        node_added = _bind(bindings, node_pattern.variable, next_node)
-        track_used = ctx.match_mode is MatchMode.TRAIL
-        if track_used:
-            used.add(rel.id)
-        nodes_acc.append(next_node)
-        rels_acc.append(rel)
+
+
+# A path is walked by a chain of generators, one per pattern element,
+# each pulling its start nodes from the one before it: while a stage is
+# suspended at its ``yield`` the node it yielded is bound, on the
+# accumulators and (its relationship) on the trail, so the stages after
+# it see exactly the state the nested loops of a recursive walk would
+# -- in the same order -- without a generator per candidate.
+
+def _anchors(
+    ctx: EvalContext,
+    step: NodeStep,
+    nodes_acc: list[Node],
+    bindings: dict,
+    values: list,
+) -> Iterator[Node]:
+    """The nodes a walk can start at, each bound while it is current."""
+    variable = step.variable
+    if variable in bindings:
+        variable = None  # pre-checked for equality by _node_candidates
+    for node in _node_candidates(ctx, step, bindings, values):
+        if variable is not None:
+            bindings[variable] = node
+        nodes_acc.append(node)
         try:
-            yield from _extend(
-                ctx,
-                elements,
-                index + 2,
-                next_node,
-                nodes_acc,
-                rels_acc,
-                bindings,
-                used,
-            )
+            yield node
         finally:
             nodes_acc.pop()
-            rels_acc.pop()
-            if track_used:
-                used.discard(rel.id)
-            _unbind(bindings, node_pattern.variable, node_added)
-            _unbind(bindings, rel_pattern.variable, rel_added)
+            if variable is not None:
+                del bindings[variable]
 
 
-def _extend_var_length(
+def _hops(
     ctx: EvalContext,
-    elements: tuple,
-    index: int,
-    current: Node,
+    stream: Iterator[Node],
+    steps: tuple,
     nodes_acc: list[Node],
     rels_acc: list[Relationship],
     bindings: dict,
     used: set[int],
-) -> Iterator[tuple[list[Node], list[Relationship]]]:
-    rel_pattern = elements[index]
-    node_pattern = elements[index + 1]
-    lower, upper = rel_pattern.var_length
+    values: list,
+) -> Iterator[Node]:
+    """*stream* extended by every relationship step of *steps*."""
+    for index in range(1, len(steps), 2):
+        hop = _hop if steps[index].var_length is None else _var_length_hop
+        stream = hop(
+            ctx, stream, steps[index], steps[index + 1], nodes_acc, rels_acc,
+            bindings, used, values,
+        )
+    return stream
+
+
+def _hop(
+    ctx: EvalContext,
+    stream: Iterator[Node],
+    rel_step: RelStep,
+    node_step: NodeStep,
+    nodes_acc: list[Node],
+    rels_acc: list[Relationship],
+    bindings: dict,
+    used: set[int],
+    values: list,
+) -> Iterator[Node]:
+    """One fixed step from every node of *stream*."""
+    store = ctx.store
+    track_used = ctx.match_mode is MatchMode.TRAIL
+    avoid = used if track_used else _NOTHING_USED
+    outgoing = rel_step.direction != ast.IN
+    incoming = rel_step.direction != ast.OUT
+    type_ids = rel_step.type_ids
+    mask = node_step.mask
+    for current in stream:
+        # The bindings visible to the two patterns' property
+        # expressions are fixed while this node is current (the step's
+        # own variables are bound only after the check), so each
+        # property map is evaluated once here -- at most once per
+        # record -- and the store compares it with every candidate.
+        rel_items = evaluate_step(ctx, rel_step, bindings, values)
+        node_items = evaluate_step(ctx, node_step, bindings, values)
+        rel_ids = end = None
+        rel_variable = rel_step.variable
+        if rel_variable is not None and rel_variable in bindings:
+            value = bindings[rel_variable]
+            if value is None:
+                continue
+            if not isinstance(value, Relationship):
+                raise CypherTypeError(
+                    f"variable '{rel_variable}' is bound to "
+                    f"{type_name(value)}, expected a Relationship"
+                )
+            # A bound relationship was never type-filtered or oriented;
+            # adjacency-derived candidates already are.
+            rel_ids = (value.id,)
+            rel_variable = None
+        node_variable = node_step.variable
+        if node_variable is not None and node_variable in bindings:
+            end = _bound_node_id(bindings[node_variable])
+            node_variable = None
+        for rel_id, node_id in store.expand(
+            current.id, outgoing, incoming, type_ids, rel_items, avoid,
+            rel_ids=rel_ids, end=end, end_mask=mask, end_items=node_items,
+        ):
+            # Accepted: only now do the ids become handles.
+            rel = Relationship(store, rel_id)
+            node = Node(store, node_id)
+            if rel_variable is not None:
+                bindings[rel_variable] = rel
+            if node_variable is not None:
+                bindings[node_variable] = node
+            if track_used:
+                used.add(rel_id)
+            nodes_acc.append(node)
+            rels_acc.append(rel)
+            try:
+                yield node
+            finally:
+                nodes_acc.pop()
+                rels_acc.pop()
+                if track_used:
+                    used.discard(rel_id)
+                if node_variable is not None:
+                    del bindings[node_variable]
+                if rel_variable is not None:
+                    del bindings[rel_variable]
+
+
+def _var_length_hop(
+    ctx: EvalContext,
+    stream: Iterator[Node],
+    rel_step: RelStep,
+    node_step: NodeStep,
+    nodes_acc: list[Node],
+    rels_acc: list[Relationship],
+    bindings: dict,
+    used: set[int],
+    values: list,
+) -> Iterator[Node]:
+    """One variable-length step from every node of *stream*."""
+    store = ctx.store
+    lower, upper = rel_step.var_length
     lower = 1 if lower is None else lower
     if upper is None:
         if ctx.match_mode is MatchMode.HOMOMORPHISM:
@@ -377,223 +438,118 @@ def _extend_var_length(
         else:
             # Trails cannot repeat relationships, so the graph size
             # bounds the expansion.
-            upper = ctx.store.relationship_count()
+            upper = store.relationship_count()
     track_used = ctx.match_mode is MatchMode.TRAIL
-    # Bindings at every _node_matches/_rel_candidates call inside the
-    # expansion equal the bindings at entry (deeper binds are scoped to
-    # the recursive branch and undone before the loop resumes), so the
-    # property maps are evaluated once for the whole expansion.
-    rel_props = _evaluate_properties(ctx, rel_pattern.properties, bindings)
-    node_props = _evaluate_properties(ctx, node_pattern.properties, bindings)
+    avoid = used if track_used else _NOTHING_USED
+    outgoing = rel_step.direction != ast.IN
+    incoming = rel_step.direction != ast.OUT
+    type_ids = rel_step.type_ids
+    mask = node_step.mask
 
     def expand(
-        node: Node,
-        depth: int,
-        segment: list[Relationship],
-        segment_nodes: list[Node],
-    ) -> Iterator[tuple[list[Node], list[Relationship]]]:
-        if depth >= lower and _node_matches(
-            ctx, node_pattern, node, bindings, node_props
+        node_id: int, depth: int, segment: list[int], visited: list[int]
+    ) -> Iterator[Node]:
+        if (
+            depth >= lower
+            and (end is None or end == node_id)
+            and (unconstrained or store.node_matches(node_id, mask, node_items))
         ):
-            list_added = _bind_list(bindings, rel_pattern.variable, segment)
-            node_added = _bind(bindings, node_pattern.variable, node)
+            # The segment becomes handles only now that it is bound.  A
+            # zero-length segment contributes no new path nodes (its
+            # end *is* the start); a k-step segment its k visited nodes.
+            rels = [Relationship(store, rel_id) for rel_id in segment]
+            node = Node(store, node_id)
+            list_added = _bind(bindings, rel_step.variable, rels)
+            node_added = _bind(bindings, node_step.variable, node)
+            nodes_mark, rels_mark = len(nodes_acc), len(rels_acc)
+            nodes_acc.extend([Node(store, n) for n in visited])
+            rels_acc.extend(rels)
             try:
-                # A zero-length segment contributes no new path nodes
-                # (the endpoint *is* `current`); a k-step segment
-                # contributes its k visited nodes.
-                yield from _extend(
-                    ctx,
-                    elements,
-                    index + 2,
-                    node,
-                    nodes_acc + segment_nodes,
-                    rels_acc + segment,
-                    bindings,
-                    used,
-                )
+                yield node
             finally:
-                _unbind(bindings, node_pattern.variable, node_added)
-                _unbind(bindings, rel_pattern.variable, list_added)
+                del nodes_acc[nodes_mark:]
+                del rels_acc[rels_mark:]
+                _unbind(bindings, node_step.variable, node_added)
+                _unbind(bindings, rel_step.variable, list_added)
         if depth >= upper:
             return
-        for rel, next_node in _rel_candidates(
-            ctx,
-            rel_pattern,
-            node,
-            bindings,
-            used,
-            rel_props,
-            ignore_bound_variable=True,
+        # A bound relationship variable constrains the whole list, not
+        # the single steps, so the expansion always reads the adjacency.
+        for rel_id, next_id in store.expand(
+            node_id, outgoing, incoming, type_ids, rel_items, avoid
         ):
             if track_used:
-                used.add(rel.id)
-            segment.append(rel)
-            segment_nodes.append(next_node)
+                used.add(rel_id)
+            segment.append(rel_id)
+            visited.append(next_id)
             try:
-                yield from expand(next_node, depth + 1, segment, segment_nodes)
+                yield from expand(next_id, depth + 1, segment, visited)
             finally:
-                segment_nodes.pop()
+                visited.pop()
                 segment.pop()
                 if track_used:
-                    used.discard(rel.id)
+                    used.discard(rel_id)
 
-    yield from expand(current, 0, [], [])
+    for current in stream:
+        # Bindings at every check inside one expansion equal the
+        # bindings at its start (deeper binds are undone before the
+        # loop resumes), so the property maps are evaluated once for
+        # the whole expansion.
+        rel_items = evaluate_step(ctx, rel_step, bindings, values)
+        node_items = evaluate_step(ctx, node_step, bindings, values)
+        end = None
+        if node_step.variable is not None and node_step.variable in bindings:
+            end = _bound_node_id(bindings[node_step.variable])
+        unconstrained = not mask and not node_items
+        yield from expand(current.id, 0, [], [])
 
 
 # ---------------------------------------------------------------------------
 # Candidate enumeration
 # ---------------------------------------------------------------------------
 
-def _evaluate_properties(
-    ctx: EvalContext,
-    properties: ast.MapLiteral | None,
-    bindings: Mapping[str, Any],
-) -> tuple[tuple[str, Any], ...] | None:
-    """Evaluate a pattern's property map once against *bindings*.
-
-    The returned ``(key, value)`` pairs are reused for every candidate
-    the pattern is checked against, so each property expression costs
-    one evaluation (and its db-hits) per pattern per record instead of
-    one per candidate.
-    """
-    if properties is None:
-        return None
-    return tuple(
-        (key, fn(ctx, bindings))
-        for key, fn in compile_map_items(properties)
-    )
-
-
 def _node_candidates(
-    ctx: EvalContext, pattern: ast.NodePattern, bindings: dict
-) -> Iterator[Node]:
-    variable = pattern.variable
+    ctx: EvalContext, step: NodeStep, bindings: dict, values: list
+) -> Iterable[Node]:
+    """The nodes *step* can start a path at, ascending (lazily)."""
+    store = ctx.store
+    variable = step.variable
+    items = None
     if variable is not None and variable in bindings:
         value = bindings[variable]
         if value is None:
-            return
+            return ()
         if not isinstance(value, Node):
             raise CypherTypeError(
                 f"variable '{variable}' is bound to {type_name(value)}, "
                 f"expected a Node"
             )
-        props = _evaluate_properties(ctx, pattern.properties, bindings)
-        if _node_matches(ctx, pattern, value, bindings, props):
-            yield value
-        return
-    props = _evaluate_properties(ctx, pattern.properties, bindings)
-    store = ctx.store
+        if step.items is not None:
+            items = evaluate_step(ctx, step, bindings, values)
+        if step.mask or items:
+            # A handle to a node that no longer exists fails here, as
+            # reading its labels would.
+            store.node_is_deleted(value.id)
+            if not store.node_matches(value.id, step.mask, items):
+                return ()
+        return (value,)
+    if step.items is not None:
+        items = evaluate_step(ctx, step, bindings, values)
     # The store picks the one source to enumerate (a superset of the
-    # matches); the check below filters the other labels and properties.
-    __, __, ids = store.node_access(pattern.labels, props or (), fetch=True)
-    candidates = store.nodes() if ids is None else map(store.node, ids)
-    for node in candidates:
-        if _node_matches(ctx, pattern, node, bindings, props):
-            yield node
+    # matches) and filters it against the other labels and properties;
+    # what passes is bound, so it becomes a handle.
+    __, __, ids = store.node_access(step.labels, items or (), fetch=True)
+    return map(
+        partial(Node, store), store.match_nodes(ids, step.mask, items)
+    )
 
 
-def _node_matches(
-    ctx: EvalContext,
-    pattern: ast.NodePattern,
-    node: Node,
-    bindings: dict,
-    props: tuple[tuple[str, Any], ...] | None,
-) -> bool:
-    variable = pattern.variable
-    if variable is not None and variable in bindings:
-        bound = bindings[variable]
-        if not isinstance(bound, Node) or bound.id != node.id:
-            return False
-    if pattern.labels:
-        # One label-set fetch for the whole pattern (one db-hit, not
-        # one per label in the pattern).
-        labels = node.labels
-        for label in pattern.labels:
-            if label not in labels:
-                return False
-    if props is not None:
-        for key, value in props:
-            if cypher_eq(node.get(key), value) is not True:
-                return False
-    return True
+def _bound_node_id(bound: Any) -> int:
+    """The node id a bound variable pins a step's far end to.
 
-
-def _rel_candidates(
-    ctx: EvalContext,
-    pattern: ast.RelationshipPattern,
-    current: Node,
-    bindings: dict,
-    used: set[int],
-    props: tuple[tuple[str, Any], ...] | None,
-    *,
-    ignore_bound_variable: bool = False,
-) -> Iterator[tuple[Relationship, Node]]:
-    store = ctx.store
-    variable = pattern.variable
-    if (
-        not ignore_bound_variable
-        and variable is not None
-        and variable in bindings
-    ):
-        value = bindings[variable]
-        if value is None:
-            return
-        if not isinstance(value, Relationship):
-            raise CypherTypeError(
-                f"variable '{variable}' is bound to {type_name(value)}, "
-                f"expected a Relationship"
-            )
-        candidate_ids: Iterable[int] = (value.id,)
-        type_checked = False
-    else:
-        # Typed patterns use the per-type adjacency index and skip
-        # relationships of other types without touching them; the store
-        # builds one ordered id list per step instead of materialising
-        # and unioning per-direction sets.
-        candidate_ids = store.adjacent_rel_ids(
-            current.id,
-            outgoing=pattern.direction != ast.IN,
-            incoming=pattern.direction != ast.OUT,
-            types=pattern.types or None,
-        )
-        type_checked = True
-    for rel_id in candidate_ids:
-        if ctx.match_mode is MatchMode.TRAIL and rel_id in used:
-            continue
-        rel = store.relationship(rel_id)
-        # A bound variable's relationship was never type-filtered;
-        # adjacency-derived candidates already were.
-        if not type_checked and pattern.types and rel.type not in pattern.types:
-            continue
-        source_id = rel.start.id
-        target_id = rel.end.id
-        # Orient the step: the relationship must actually attach to
-        # `current` in a way compatible with the pattern's direction.
-        if pattern.direction == ast.OUT:
-            if source_id != current.id:
-                continue
-            next_node = rel.end
-        elif pattern.direction == ast.IN:
-            if target_id != current.id:
-                continue
-            next_node = rel.start
-        else:
-            if source_id == current.id:
-                next_node = rel.end
-            elif target_id == current.id:
-                next_node = rel.start
-            else:
-                continue
-        if props is not None:
-            matched = True
-            for key, value in props:
-                if cypher_eq(rel.get(key), value) is not True:
-                    matched = False
-                    break
-            if not matched:
-                continue
-        yield rel, next_node
-        # An undirected pattern on a self-loop matches only once.
+    A variable bound to anything but a node matches no node (-1).
+    """
+    return bound.id if isinstance(bound, Node) else -1
 
 
 # ---------------------------------------------------------------------------
@@ -607,18 +563,6 @@ def _bind(bindings: dict, variable: str | None, value: Any) -> bool:
     if variable in bindings:
         return False  # pre-checked for equality by the caller
     bindings[variable] = value
-    return True
-
-
-def _bind_list(
-    bindings: dict, variable: str | None, rels: list[Relationship]
-) -> bool:
-    """Bind a var-length relationship variable to the relationship list."""
-    if variable is None:
-        return False
-    if variable in bindings:
-        return False
-    bindings[variable] = list(rels)
     return True
 
 

@@ -95,6 +95,8 @@ class ClauseProfile:
         "children",
         "anchor",
         "paths_reordered",
+        "rows_matched",
+        "rows_created",
         "workers",
         "morsels",
         "morsel_ms",
@@ -114,6 +116,10 @@ class ClauseProfile:
         #: paths ran out of written order
         self.anchor: str | None = None
         self.paths_reordered = 0
+        #: MERGE annotations (None on other clauses): how many driving
+        #: rows found a match / went on to create
+        self.rows_matched: int | None = None
+        self.rows_created: int | None = None
         #: morsel-executor annotations (None / 0 on serial clauses):
         #: worker count, morsel count, and per-morsel wall times
         self.workers: int | None = None
@@ -137,6 +143,8 @@ class ClauseProfile:
             "db_hits": self.hits.to_dict(),
             "anchor": self.anchor,
             "paths_reordered": self.paths_reordered,
+            "rows_matched": self.rows_matched,
+            "rows_created": self.rows_created,
             "workers": self.workers,
             "morsels": self.morsels,
             "morsel_ms": (

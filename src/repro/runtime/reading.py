@@ -12,7 +12,8 @@ from repro.graph.values import type_name
 from repro.parser import ast
 from repro.runtime.compiler import compile_expression
 from repro.runtime.context import EvalContext
-from repro.runtime.matcher import match_pattern, pattern_variables
+from repro.runtime.match_planner import PreparedPattern
+from repro.runtime.matcher import match_prepared, pattern_variables
 from repro.runtime.table import DrivingTable
 
 
@@ -25,9 +26,10 @@ def execute_match(
         for name in pattern_variables(clause.pattern)
         if name not in table.columns
     ]
-    # Planning happens inside the matcher (per record, so estimates see
-    # each record's actual bindings) -- see repro.runtime.match_planner.
-    pattern = clause.pattern
+    # The pattern is prepared once for the clause; planning happens
+    # inside the matcher (per record, so estimates see each record's
+    # actual bindings) -- see repro.runtime.match_planner.
+    prepared = PreparedPattern(ctx, clause.pattern.paths)
     where_fn = (
         compile_expression(clause.where) if clause.where is not None else None
     )
@@ -36,7 +38,7 @@ def execute_match(
     append = rows.append
     for record in table:
         matched_any = False
-        for bindings in match_pattern(ctx, pattern, record):
+        for bindings in match_prepared(ctx, prepared, record):
             if where_fn is not None:
                 if where_fn(ctx, bindings) is not True:
                     continue

@@ -18,7 +18,8 @@ from repro.dialect import Dialect
 from repro.graph.store import GraphStore
 from repro.parser import ast, parse
 from repro.runtime.context import EvalContext, MatchMode
-from repro.runtime.matcher import match_paths, mirror_elements
+from repro.runtime.match_planner import mirror_elements
+from repro.runtime.matcher import match_paths
 
 #: A random small graph: up to 5 nodes with one of two labels, up to 8
 #: edges with one of two types.

@@ -228,3 +228,141 @@ class TestOutputTablesAgree:
         )
         formal_sig = _formal_table_signature(outcome)
         assert engine_sig == formal_sig
+
+
+# ---------------------------------------------------------------------------
+# The read half over tables with repeated and equivalent keys
+# ---------------------------------------------------------------------------
+
+#: 1 and 1.0 are equivalent keys (one index bucket); null never matches
+KEY_VALUES = (None, 0, 1, 1.0, 2)
+
+seed_paths = st.lists(
+    st.tuples(
+        st.sampled_from(KEY_VALUES[1:]), st.sampled_from(KEY_VALUES[1:])
+    ),
+    min_size=1,
+    max_size=4,
+)
+key_rows = st.lists(
+    st.tuples(
+        st.sampled_from(KEY_VALUES),
+        st.sampled_from(KEY_VALUES),
+        st.integers(min_value=0, max_value=3),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+KEYED_PATTERNS = {
+    "order": "MERGE ALL (:User {id: cid})-[:ORDERED]->(:Product {id: pid})",
+    "named": "MERGE ALL (c:User {id: cid})-[r:ORDERED]->(p:Product {id: pid})",
+    # a bound variable in the pattern
+    "bound": "MERGE ALL (u)-[:ORDERED]->(p:Product {id: pid})",
+}
+
+
+def keyed_pattern(name):
+    statement = parse(KEYED_PATTERNS[name], Dialect.REVISED)
+    return statement.branches()[0].clauses[0].pattern
+
+
+def seeded_graph(paths, indexed):
+    graph = Graph(Dialect.REVISED)
+    store = graph.store
+    for cid, pid in paths:
+        user = store.create_node(("User",), {"id": cid})
+        product = store.create_node(("Product",), {"id": pid})
+        store.create_relationship("ORDERED", user, product)
+    if indexed:
+        store.create_index("User", "id")
+        store.create_index("Product", "id")
+    return graph
+
+
+def keyed_tables(graph, specs):
+    """The same rows for the engine (handles) and the reference (tags);
+    every row is repeated, so every key occurs at least twice."""
+    users = [n.id for n in graph.store.nodes() if n.has_label("User")]
+    engine_rows, formal_rows = [], []
+    for cid, pid, pick in specs * 2:
+        user = users[pick % len(users)]
+        engine_rows.append(
+            {"cid": cid, "pid": pid, "u": graph.store.node(user)}
+        )
+        formal_rows.append({"cid": cid, "pid": pid, "u": F.node_tag(user)})
+    return engine_rows, formal_rows
+
+
+def tagged(record):
+    from repro.graph.model import Node, Relationship
+
+    row = {}
+    for name, value in record.items():
+        if isinstance(value, Node):
+            value = F.node_tag(value.id)
+        elif isinstance(value, Relationship):
+            value = F.rel_tag(value.id)
+        row[name] = value
+    return row
+
+
+class TestReadHalfOnRepeatedKeys:
+    """Duplicate rows, equivalent-but-not-identical keys (1 / 1.0), null
+    keys and bound variables: the engine's read half and the
+    reference's per-row match + create-then-quotient give the same
+    table and the same graph, for all five variants.
+    """
+
+    @given(
+        paths=seed_paths,
+        specs=key_rows,
+        semantics=semantics_strategy,
+        name=st.sampled_from(sorted(KEYED_PATTERNS)),
+        indexed=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_same_table_ids_and_graph_as_the_reference(
+        self, paths, specs, semantics, name, indexed
+    ):
+        import json
+
+        from repro.io.graph_json import graph_to_dict
+        from repro.runtime.matcher import match_pattern
+        from repro.testing.invariants import canonical_graph_json
+
+        graph = seeded_graph(paths, indexed)
+        before = graph.snapshot()
+        pattern = keyed_pattern(name)
+        engine_rows, formal_rows = keyed_tables(graph, specs)
+        ctx = EvalContext(store=graph.store)
+        # T_match, row by row, through the per-record entry point.
+        per_record = [
+            tagged({**row, **bindings})
+            for row in engine_rows
+            for bindings in match_pattern(ctx, pattern, row)
+        ]
+        table = DrivingTable(("cid", "pid", "u"), engine_rows)
+        out = merge(ctx, pattern, table, semantics)
+        outcome = F.merge_variant(
+            before, pattern, tuple(formal_rows), semantics.value
+        )
+        # The read half: same matches, same ids, same (table) order.
+        engine_table = [tagged(record) for record in out]
+        assert engine_table[: len(per_record)] == per_record
+        assert list(outcome.table[: len(per_record)]) == per_record
+        # The whole outcome, up to renaming of created entities ...
+        assert isomorphic(graph.snapshot(), outcome.graph)
+        assert _engine_table_signature(
+            graph.snapshot(), out
+        ) == _formal_table_signature(outcome)
+        # ... and exactly, where both allocate one instance per failing
+        # row (or group) in table order.
+        if semantics in (MergeSemantics.ATOMIC, MergeSemantics.GROUPING):
+            order = lambda row: repr(sorted(row.items()))
+            assert sorted(engine_table, key=order) == sorted(
+                (dict(row) for row in outcome.table), key=order
+            )
+            assert canonical_graph_json(graph.store) == json.dumps(
+                graph_to_dict(outcome.graph), sort_keys=True
+            )

@@ -33,6 +33,7 @@ from repro.graph.store import GraphStore
 from repro.testing.invariants import check_invariants
 from repro.parser import parse
 from repro.runtime.context import EvalContext, MatchMode
+from repro.runtime.match_planner import PreparedPattern
 from repro.runtime.matcher import _match_single_path, match_paths
 from repro.session import Graph
 
@@ -141,13 +142,17 @@ def nested_naive_matches(store, paths):
     one nested loop per path over the naive single-path matcher."""
     ctx = EvalContext(store=store)
     bindings, used, found = {}, set(), []
+    prepared = PreparedPattern(ctx, tuple(paths))
+    values = prepared.fresh_values(bindings)
 
     def run(index):
         if index == len(paths):
             found.append(canon_bindings(bindings))
             return
         path = paths[index]
-        for nodes, rels in _match_single_path(ctx, path, bindings, used):
+        for nodes, rels in _match_single_path(
+            ctx, prepared.paths[index], bindings, used, values
+        ):
             named = path.variable is not None and path.variable not in bindings
             if named:
                 bindings[path.variable] = Path(nodes, rels)

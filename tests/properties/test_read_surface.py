@@ -24,6 +24,7 @@ from repro.graph.store import GraphStore
 from repro.graph.values import cypher_eq
 from repro.parser import ast
 from repro.runtime.context import EvalContext, MatchMode
+from repro.runtime.match_planner import PreparedPattern
 from repro.runtime.matcher import _node_candidates, match_paths
 from repro.testing.invariants import check_invariants
 
@@ -134,11 +135,20 @@ class TestNodeAccess:
         check_invariants(store, allow_dangling=True)
         pattern = node_pattern(labels, properties)
         expected = brute_force(store, labels, properties)
+        path = ast.PathPattern(variable=None, elements=(pattern,))
         for mode in MatchMode:
             ctx = EvalContext(store=store, match_mode=mode)
-            found = [node.id for node in _node_candidates(ctx, pattern, {})]
+            prepared = PreparedPattern(ctx, (path,))
+            found = [
+                node.id
+                for node in _node_candidates(
+                    ctx,
+                    prepared.paths[0].steps[0],
+                    {},
+                    prepared.fresh_values({}),
+                )
+            ]
             assert found == expected  # same nodes, ascending
-            path = ast.PathPattern(variable=None, elements=(pattern,))
             for use_planner in (False, True):
                 ctx = EvalContext(
                     store=store, match_mode=mode, use_planner=use_planner

@@ -147,6 +147,27 @@ class TestCompilationDisabled:
             )
         assert result.single()["n"] == 1
 
+    def test_map_variables_are_memoized_in_both_modes(self, ctx, monkeypatch):
+        properties = parse_expression("{k: a.k + b, j: 1}")
+        walks = []
+        variables_of = compiler._variables_of
+        monkeypatch.setattr(
+            compiler,
+            "_variables_of",
+            lambda e: walks.append(e) or variables_of(e),
+        )
+        with compiler.compilation_disabled():
+            items, variables = compiler.compile_map(properties)
+            walked = len(walks)
+            assert walked and variables == {"a", "b"}
+            assert compiler.compile_map(properties)[1] is variables
+            assert items[1][1](ctx, {}) == 1
+        # Compiling later fills the same entry in; no second analysis.
+        compiled, again = compiler.compile_map(properties)
+        assert again is variables
+        assert compiler.compile_map(properties)[0] is compiled
+        assert len(walks) == walked
+
 
 class TestEngineStatementCache:
     def test_parse_cache_hits(self):

@@ -11,10 +11,10 @@ from repro.parser import parse
 from repro.runtime.context import EvalContext
 from repro.runtime.match_planner import (
     PatternPlan,
+    PreparedPattern,
     estimate_element,
     plan_paths,
 )
-from repro.runtime.matcher import _path_sort_spec
 
 
 def paths_of(source, dialect=Dialect.REVISED):
@@ -201,15 +201,14 @@ class TestPlanChoices:
         assert cost == pytest.approx(1.0)  # average bucket of a unique index
 
     def test_sort_spec_shapes(self):
-        assert _path_sort_spec(paths_of("(a)-[:T]->(b)")[0]) == ("fixed",)
-        assert _path_sort_spec(paths_of("(a)-[:T*1..2]->(b)")[0]) == ("var",)
-        assert _path_sort_spec(
-            paths_of("(a)-[:T]->(b)-[:S*0..2]->(c)")[0]
-        ) == ("fixed", "var")
-        assert (
-            _path_sort_spec(paths_of("(a)-[:T*1..2]->(b)-[:S*1..2]->(c)")[0])
-            is None
-        )
+        def spec(source):
+            ctx = EvalContext(store=GraphStore())
+            return PreparedPattern(ctx, paths_of(source)).paths[0].sort_spec
+
+        assert spec("(a)-[:T]->(b)") == ("fixed",)
+        assert spec("(a)-[:T*1..2]->(b)") == ("var",)
+        assert spec("(a)-[:T]->(b)-[:S*0..2]->(c)") == ("fixed", "var")
+        assert spec("(a)-[:T*1..2]->(b)-[:S*1..2]->(c)") is None
 
 
 class TestPlannerOff:

@@ -13,7 +13,7 @@ from repro import Dialect, Graph
 from repro.parser import ast, parse
 from repro.runtime.context import EvalContext
 from repro.runtime.match_planner import estimate_element, plan_paths
-from repro.runtime.matcher import mirror_elements
+from repro.runtime.match_planner import mirror_elements
 
 
 def pattern_of(source):

@@ -252,6 +252,123 @@ class TestAccessPathPins:
         assert peak(20_000) <= 2 * peak(1_000)
 
 
+class TestPlannerChargesNothing:
+    """Planning reads statistics; a pattern property expression is
+    evaluated once per record, for the estimate and the probe alike."""
+
+    QUERY = "MATCH (a:A) MATCH (b:B {k: a.k}) RETURN count(*) AS c"
+
+    @pytest.fixture
+    def store(self):
+        store = GraphStore()
+        store.create_index("B", "k")
+        for i in range(5):
+            store.create_node(("A",), {"k": i})
+            store.create_node(("B",), {"k": i})
+        return store
+
+    def test_planner_on_and_off_profile_to_the_same_db_hits(self, store):
+        planned = Graph(store=store, use_planner=True).profile(self.QUERY)
+        written = Graph(store=store).profile(self.QUERY)
+        assert planned.result.records == written.result.records == [{"c": 5}]
+        assert planned.clauses[1].anchor == "b via index :B(k)"
+        # Per driving row: a.k is read once, then one indexed candidate
+        # is fetched (its handle, its label set) and its k compared.
+        for profile in (planned, written):
+            probe = profile.clauses[1].hits
+            assert (probe.property_reads, probe.index_lookups) == (10, 5)
+            assert probe.node_reads == 10
+        assert [c.hits for c in planned.clauses] == [
+            c.hits for c in written.clauses
+        ]
+        assert planned.total_db_hits == written.total_db_hits == 36
+
+    def test_the_exception_a_sized_path_the_matcher_never_reaches(self, store):
+        # The one way the planner shows up in db-hits (docs/semantics.md):
+        # to order the paths it sizes b's index bucket, which evaluates
+        # a.k once per record; x then runs first and matches nothing, so
+        # the probe that would have reused the value never happens.  The
+        # written plan evaluates lazily and never reads a.k.
+        query = (
+            "MATCH (a:A) MATCH (x:Missing), (b:B {k: a.k}) "
+            "RETURN count(*) AS c"
+        )
+        planned = Graph(store=store, use_planner=True).profile(query)
+        written = Graph(store=store).profile(query)
+        assert planned.result.records == written.result.records == [{"c": 0}]
+        assert planned.clauses[1].hits.property_reads == 5
+        assert written.clauses[1].hits.property_reads == 0
+        assert planned.total_db_hits == written.total_db_hits + 5
+
+    def test_an_erroring_expression_surfaces_from_the_matcher(self, store):
+        # The estimate sizes the failing map as unknown; the probe then
+        # raises exactly what the written plan raises.
+        query = "MATCH (a:A) MATCH (b:B {k: 1 / (a.k - a.k)}) RETURN b"
+        errors = []
+        for use_planner in (True, False):
+            with pytest.raises(CypherEvaluationError) as raised:
+                Graph(store=store, use_planner=use_planner).run(query)
+            errors.append((type(raised.value), str(raised.value)))
+        assert errors[0] == errors[1]
+
+    def test_kernels_charge_per_record_touched(self, store):
+        counters = HitCounters()
+        store.install_counters(counters)
+        try:
+            size, description, ids = store.node_access(
+                ("B",), (("k", 3),), fetch=True
+            )
+            assert (size, description, len(ids)) == (1, "index :B(k)", 1)
+            mask = store.label_mask(("B",))
+            assert list(store.match_nodes(ids, mask, (("k", 3),))) == ids
+            # one probe; the candidate's fetch and its label set; one key
+            assert counters.snapshot() == DbHits(
+                node_reads=2, property_reads=1, index_lookups=1
+            )
+            assert not store.node_matches(ids[0], mask, (("k", 4), ("j", 1)))
+            # the label set again, and only the key that differed
+            assert counters.snapshot() == DbHits(
+                node_reads=3, property_reads=2, index_lookups=1
+            )
+        finally:
+            store.reset_counters()
+
+
+class TestMergeProfile:
+    """PROFILE says what MERGE did: rows matched / rows created."""
+
+    #: the Example 5 table: a duplicate row and null keys
+    ROWS = [
+        {"cid": 98, "pid": 125},
+        {"cid": 98, "pid": 125},
+        {"cid": 98, "pid": None},
+        {"cid": 98, "pid": None},
+        {"cid": 99, "pid": 125},
+        {"cid": 99, "pid": None},
+    ]
+    QUERY = (
+        "UNWIND $rows AS r MERGE {variant} "
+        "(:User {{id: r.cid}})-[:ORDERED]->(:Product {{id: r.pid}})"
+    )
+
+    @pytest.mark.parametrize("variant", ["ALL", "SAME"])
+    def test_annotations(self, graph, variant):
+        graph.run("CREATE (:User {id: 98})-[:ORDERED]->(:Product {id: 125})")
+        profile = graph.profile(
+            self.QUERY.format(variant=variant), {"rows": self.ROWS}
+        )
+        merge = profile.clauses[1]
+        assert (merge.rows_in, merge.rows_out) == (6, 6)
+        # (98,125) x2 matches; (98,null) x2, (99,125), (99,null) create.
+        assert (merge.rows_matched, merge.rows_created) == (2, 4)
+        assert "; 2 rows matched, 4 rows created]" in profile.render()
+        entry = profile.to_dict()["clauses"][1]
+        assert (entry["rows_matched"], entry["rows_created"]) == (2, 4)
+        # Other clauses carry no MERGE annotation.
+        assert profile.clauses[0].rows_matched is None
+        assert "rows matched" not in profile.render().splitlines()[1]
+
+
 class TestRenderProfile:
     def test_render_contains_metrics(self, graph):
         graph.run("CREATE (:L {k: 1})")
