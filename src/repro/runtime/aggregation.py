@@ -72,8 +72,32 @@ def contains_aggregate(expression: ast.Expression) -> bool:
     return any(contains_aggregate(child) for child in children(expression))
 
 
+#: Aggregates fed ``(value, percentile)`` pairs rather than bare values.
+PERCENTILE_NAMES = frozenset({"percentiledisc", "percentilecont"})
+
+
 class AggregateAccumulator:
-    """Accumulates one aggregate call over the records of one group."""
+    """Accumulates one aggregate call over the records of one group.
+
+    :meth:`add` is the whole ad-hoc protocol: add every record's value
+    in table order, read :meth:`result`.  A maintained view keeps the
+    accumulator across commits and also takes values back out:
+    :meth:`commutes` says whether a value may be added or removed
+    without knowing its position among the group's records, and
+    :meth:`remove` undoes such an ``add``; when it may not, the view
+    re-aggregates the group in order with ``add`` alone.
+    """
+
+    __slots__ = (
+        "name",
+        "distinct",
+        "_seen",
+        "_count",
+        "_sum",
+        "_values",
+        "_extremum",
+        "_percentile",
+    )
 
     def __init__(self, name: str, distinct: bool = False):
         if name not in AGGREGATE_NAMES and name != "count(*)":
@@ -84,14 +108,22 @@ class AggregateAccumulator:
         self._count = 0
         self._sum: Any = 0
         self._values: list[Any] = []
-        self._min: Any = None
-        self._max: Any = None
+        #: (sort key, value) of the current min / max
+        self._extremum: Any = None
+        self._percentile: Any = None
 
     def add(self, value: Any) -> None:
-        """Feed one evaluated argument value (record by record)."""
-        if self.name == "count(*)":
+        """Feed one evaluated argument value (record by record).
+
+        Percentile aggregates are fed ``(value, percentile)``; the last
+        record's percentile is the one :meth:`result` uses.
+        """
+        name = self.name
+        if name == "count(*)":
             self._count += 1
             return
+        if name in PERCENTILE_NAMES:
+            value, self._percentile = value
         if value is None:
             return  # aggregates skip nulls
         if self.distinct:
@@ -100,59 +132,78 @@ class AggregateAccumulator:
                 return
             self._seen.add(key)
         self._count += 1
-        if self.name == "count":
+        if name == "count":
             return
-        if self.name == "collect":
+        if name == "collect":
             self._values.append(value)
             return
-        if self.name in ("min", "max"):
-            self._update_extremum(value)
+        if name == "min" or name == "max":
+            key = sort_key(value)
+            held = self._extremum
+            if (
+                held is None
+                or (key < held[0] if name == "min" else key > held[0])
+            ):
+                self._extremum = (key, value)
             return
-        if self.name in (
-            "sum",
-            "avg",
-            "stdev",
-            "stdevp",
-            "percentiledisc",
-            "percentilecont",
-        ):
-            if not is_number(value):
-                raise CypherTypeError(
-                    f"{self.name}() expects numbers, got {type_name(value)}"
-                )
-            self._sum += value
+        if not is_number(value):
+            raise CypherTypeError(
+                f"{name}() expects numbers, got {type_name(value)}"
+            )
+        self._sum += value
+        if name != "sum" and name != "avg":
             self._values.append(value)
+
+    def commutes(self, value: Any) -> bool:
+        """May *value* be added or removed at any position?
+
+        True when the result after ``add(value)`` / ``remove(value)``
+        is what adding the group's records in order would give,
+        wherever this one sits among them: counts always; an integer
+        into an integer ``sum`` / ``avg`` (float addition rounds by
+        order); a ``min`` / ``max`` candidate that does not tie with
+        the held extremum (the first of equal keys is the one
+        returned, and removing the held one needs the runner-up).
+        Never for ``DISTINCT`` (which duplicate was kept is positional),
+        ``collect``, ``stdev*`` or ``percentile*``.
+        """
+        name = self.name
+        if name == "count(*)":
+            return True
+        if name in PERCENTILE_NAMES or self.distinct:
+            return False
+        if value is None or name == "count":
+            return True
+        if name == "sum" or name == "avg":
+            return type(value) is int and type(self._sum) is int
+        if name == "min" or name == "max":
+            held = self._extremum
+            return held is None or sort_key(value) != held[0]
+        return False
+
+    def remove(self, value: Any) -> None:
+        """Undo one earlier ``add(value)``; requires ``commutes(value)``."""
+        if value is None and self.name != "count(*)":
             return
-        raise AssertionError(f"unhandled aggregate {self.name}")
+        self._count -= 1
+        if self.name == "sum" or self.name == "avg":
+            self._sum -= value
 
-    def _update_extremum(self, value: Any) -> None:
-        key = sort_key(value)
-        if self.name == "min":
-            if self._min is None or key < self._min[0]:
-                self._min = (key, value)
-        else:
-            if self._max is None or key > self._max[0]:
-                self._max = (key, value)
-
-    def result(self, percentile: Any = None) -> Any:
+    def result(self) -> Any:
         """Final value of the aggregate for this group."""
         if self.name in ("count", "count(*)"):
             return self._count
         if self.name == "collect":
             return list(self._values)
-        if self.name == "min":
-            return self._min[1] if self._min is not None else None
-        if self.name == "max":
-            return self._max[1] if self._max is not None else None
+        if self.name in ("min", "max"):
+            return None if self._extremum is None else self._extremum[1]
         if self.name == "sum":
             return self._sum
         if self.name == "avg":
             return self._sum / self._count if self._count else None
         if self.name in ("stdev", "stdevp"):
             return self._stdev(sample=self.name == "stdev")
-        if self.name in ("percentiledisc", "percentilecont"):
-            return self._percentile(percentile)
-        raise AssertionError(f"unhandled aggregate {self.name}")
+        return self._percentile_value(self._percentile)
 
     def _stdev(self, *, sample: bool) -> Any:
         if not self._count:
@@ -164,7 +215,7 @@ class AggregateAccumulator:
         divisor = self._count - 1 if sample else self._count
         return math.sqrt(variance / divisor)
 
-    def _percentile(self, percentile: Any) -> Any:
+    def _percentile_value(self, percentile: Any) -> Any:
         if not is_number(percentile) or not 0 <= percentile <= 1:
             raise CypherEvaluationError(
                 "percentile must be a number between 0.0 and 1.0"

@@ -15,6 +15,7 @@ from repro.graph.values import grouping_key, sort_key
 from repro.parser import ast
 from repro.parser.unparse import unparse
 from repro.runtime.aggregation import (
+    PERCENTILE_NAMES,
     AggregateAccumulator,
     children,
     contains_aggregate,
@@ -40,13 +41,19 @@ def project_with(
     table: DrivingTable,
 ) -> DrivingTable:
     """Apply a WITH body (and its optional WHERE) to the driving table."""
-    result = _project(ctx, body, table, require_aliases=True)
-    if where is not None:
-        where_fn = compile_expression(where)
-        result = result.filter(
-            lambda record: where_fn(ctx, record) is True
-        )
-    return result
+    return filter_where(
+        ctx, where, _project(ctx, body, table, require_aliases=True)
+    )
+
+
+def filter_where(
+    ctx: EvalContext, where: ast.Expression | None, table: DrivingTable
+) -> DrivingTable:
+    """The records of a projected table that pass a WITH's WHERE."""
+    if where is None:
+        return table
+    where_fn = compile_expression(where)
+    return table.filter(lambda record: where_fn(ctx, record) is True)
 
 
 # ---------------------------------------------------------------------------
@@ -65,16 +72,18 @@ def _column_name(item: ast.ProjectionItem, require_alias: bool) -> str:
 
 
 def _expand_items(
-    body: ast.ProjectionBody, table: DrivingTable, require_alias: bool
+    body: ast.ProjectionBody,
+    input_columns: tuple[str, ...],
+    require_alias: bool,
 ) -> list[tuple[str, ast.Expression]]:
     """Resolve ``*`` and aliases into an ordered (name, expr) list."""
     columns: list[tuple[str, ast.Expression]] = []
     if body.include_existing:
-        if not table.columns:
+        if not input_columns:
             raise CypherSemanticError(
                 "RETURN * is not allowed when there are no variables in scope"
             )
-        for column in table.columns:
+        for column in input_columns:
             columns.append((column, ast.Variable(column)))
     for item in body.items:
         name = _column_name(item, require_alias)
@@ -93,14 +102,15 @@ def _project(
     *,
     require_aliases: bool,
 ) -> DrivingTable:
-    columns = _expand_items(body, table, require_aliases)
-    aggregating = any(contains_aggregate(expr) for __, expr in columns)
-    if aggregating:
-        rows = _aggregate_rows(ctx, columns, table)
+    projection = Projection(body, table.columns, require_aliases)
+    aggregation = projection.aggregation
+    if aggregation is not None:
+        groups: dict[tuple, Group] = {}
+        for record in table:
+            aggregation.add(ctx, groups, record)
+        rows = aggregation.rows(ctx, groups)
     else:
-        column_fns = [
-            (name, compile_expression(expr)) for name, expr in columns
-        ]
+        column_fns = projection.column_fns
         rows = [
             (
                 {name: fn(ctx, record) for name, fn in column_fns},
@@ -108,94 +118,175 @@ def _project(
             )
             for record in table
         ]
-    output_columns = tuple(name for name, __ in columns)
-    if body.distinct:
-        rows = _distinct_rows(rows, output_columns)
-    if body.order_by:
-        rows = _order_rows(ctx, body.order_by, rows)
-    rows = _skip_limit(ctx, body, rows)
-    result = DrivingTable(output_columns)
-    for output, __ in rows:
-        result.add(output)
-    return result
+    return projection.finish(ctx, rows)
 
 
-def _aggregate_rows(
-    ctx: EvalContext,
-    columns: list[tuple[str, ast.Expression]],
-    table: DrivingTable,
-) -> list[tuple[dict, dict]]:
-    """Group by the non-aggregate items and fold the aggregates.
+class Projection:
+    """A RETURN / WITH body compiled against its input columns.
 
-    Returns (output_record, representative_input_record) pairs; the
-    representative record lets ORDER BY expressions still reference
-    grouping variables.
+    ``_project`` runs its two steps back to back: one (output, input
+    record) pair per record -- or per group, through
+    :attr:`aggregation` -- then :meth:`finish`.  A maintained view
+    (``repro.views``) keeps the pairs across commits, recomputes only
+    those a commit touched and calls :meth:`finish` on the rest as
+    cached.
     """
-    grouping_items = [
-        (name, expr) for name, expr in columns if not contains_aggregate(expr)
-    ]
-    aggregate_items = [
-        (name, expr) for name, expr in columns if contains_aggregate(expr)
-    ]
-    # Aggregate nodes are discovered and their argument expressions
-    # compiled once per clause; each record pays only the feeds.
-    feeders = [
-        (id(node), node, _compile_feeder(node))
-        for __, expr in aggregate_items
-        for node in _aggregate_nodes(expr)
-    ]
-    grouping_fns = [
-        (name, compile_expression(expr)) for name, expr in grouping_items
-    ]
-    groups: dict[tuple, dict] = {}
-    for record in table:
-        grouping_values = {
-            name: fn(ctx, record) for name, fn in grouping_fns
-        }
-        key = tuple(
-            grouping_key(grouping_values[name]) for name, __ in grouping_items
+
+    def __init__(
+        self,
+        body: ast.ProjectionBody,
+        input_columns: tuple[str, ...],
+        require_aliases: bool,
+    ):
+        self.body = body
+        columns = _expand_items(body, input_columns, require_aliases)
+        self.output_columns = tuple(name for name, __ in columns)
+        self.aggregation: Aggregation | None = None
+        if any(contains_aggregate(expr) for __, expr in columns):
+            self.aggregation = Aggregation(columns)
+        else:
+            self.column_fns = [
+                (name, compile_expression(expr)) for name, expr in columns
+            ]
+
+    @property
+    def has_tail(self) -> bool:
+        """Does :meth:`finish` do more than collect the outputs?"""
+        body = self.body
+        return bool(
+            body.distinct
+            or body.order_by
+            or body.skip is not None
+            or body.limit is not None
         )
+
+    def finish(
+        self, ctx: EvalContext, rows: list[tuple[dict, dict]]
+    ) -> DrivingTable:
+        """DISTINCT -> ORDER BY -> SKIP -> LIMIT over the pairs."""
+        body = self.body
+        if body.distinct:
+            rows = _distinct_rows(rows, self.output_columns)
+        if body.order_by:
+            rows = _order_rows(ctx, body.order_by, rows)
+        rows = _skip_limit(ctx, body, rows)
+        result = DrivingTable(self.output_columns)
+        for output, __ in rows:
+            result.add(output)
+        return result
+
+
+class Group:
+    """One group of an aggregating projection."""
+
+    __slots__ = ("values", "record", "accumulators")
+
+    def __init__(
+        self, values: dict, record: Mapping[str, Any], accumulators: list
+    ):
+        #: the grouping items as evaluated on the first record
+        self.values = values
+        #: the first record: what ORDER BY and the non-aggregate parts
+        #: of an aggregate item read grouping variables from
+        self.record = record
+        #: one per aggregate call, aligned with ``Aggregation.calls``
+        self.accumulators = accumulators
+
+
+class Aggregation:
+    """Implicit grouping, compiled once per clause.
+
+    Groups by the non-aggregate items and folds the aggregate calls.
+    Ad hoc, every record goes through :meth:`add` in table order and
+    :meth:`rows` emits.  A maintained view keeps the groups instead:
+    it evaluates :meth:`key_of` and :meth:`arguments` once per record,
+    caches what they returned, and feeds the cached arguments to the
+    same accumulators -- one at a time where
+    ``AggregateAccumulator.commutes``, a whole group over again where
+    not.
+    """
+
+    def __init__(self, columns: list[tuple[str, ast.Expression]]):
+        self.grouping_items = [
+            (name, expr)
+            for name, expr in columns
+            if not contains_aggregate(expr)
+        ]
+        self.aggregate_items = [
+            (name, expr) for name, expr in columns if contains_aggregate(expr)
+        ]
+        self._grouping_fns = [
+            (name, compile_expression(expr))
+            for name, expr in self.grouping_items
+        ]
+        # Aggregate calls are discovered and their argument expressions
+        # compiled once per clause; each record pays only the feeds.
+        self.calls = [
+            node
+            for __, expr in self.aggregate_items
+            for node in _aggregate_nodes(expr)
+        ]
+        self._argument_fns = [_compile_argument(node) for node in self.calls]
+
+    def key_of(
+        self, ctx: EvalContext, record: Mapping[str, Any]
+    ) -> tuple[tuple, dict]:
+        """The record's group key and its evaluated grouping items."""
+        values = {name: fn(ctx, record) for name, fn in self._grouping_fns}
+        return tuple(grouping_key(value) for value in values.values()), values
+
+    def arguments(self, ctx: EvalContext, record: Mapping[str, Any]) -> tuple:
+        """What the record feeds each aggregate call, in call order."""
+        return tuple(fn(ctx, record) for fn in self._argument_fns)
+
+    def new_group(self, values: dict, record: Mapping[str, Any]) -> Group:
+        return Group(
+            values, record, [_make_accumulator(node) for node in self.calls]
+        )
+
+    def add(
+        self,
+        ctx: EvalContext,
+        groups: dict[tuple, Group],
+        record: Mapping[str, Any],
+    ) -> None:
+        """Feed one record to its group, which its first record creates."""
+        key, values = self.key_of(ctx, record)
         group = groups.get(key)
         if group is None:
-            group = {
-                "values": grouping_values,
-                "record": record,
-                "accumulators": {
-                    node_id: _make_accumulator(node)
-                    for node_id, node, __ in feeders
-                },
-                "percentiles": {},
-            }
-            groups[key] = group
-        accumulators = group["accumulators"]
-        percentiles = group["percentiles"]
-        for node_id, __, feed in feeders:
-            feed(ctx, accumulators[node_id], percentiles, record)
-    # An aggregation with no grouping items over an empty table still
-    # produces one row (count(*) = 0, collect = [] ...).
-    if not groups and not grouping_items:
-        groups[()] = {
-            "values": {},
-            "record": {},
-            "accumulators": {
-                node_id: _make_accumulator(node)
-                for node_id, node, __ in feeders
-            },
-            "percentiles": {},
-        }
-    rows: list[tuple[dict, dict]] = []
-    for group in groups.values():
-        output = dict(group["values"])
+            group = groups[key] = self.new_group(values, record)
+        for accumulator, argument_fn in zip(
+            group.accumulators, self._argument_fns
+        ):
+            accumulator.add(argument_fn(ctx, record))
+
+    def emit(self, ctx: EvalContext, group: Group) -> dict:
+        """The group's output record."""
+        output = dict(group.values)
         substitutions = {
-            node_id: accumulator.result(group["percentiles"].get(node_id))
-            for node_id, accumulator in group["accumulators"].items()
+            id(node): accumulator.result()
+            for node, accumulator in zip(self.calls, group.accumulators)
         }
-        for name, expr in aggregate_items:
+        for name, expr in self.aggregate_items:
             output[name] = _evaluate_substituted(
-                ctx, expr, group["record"], substitutions
+                ctx, expr, group.record, substitutions
             )
-        rows.append((output, group["record"]))
-    return rows
+        return output
+
+    def rows(
+        self, ctx: EvalContext, groups: Mapping[tuple, Group]
+    ) -> list[tuple[dict, Mapping[str, Any]]]:
+        """(output, first input record) per group, in the order given.
+
+        An aggregation with no grouping items over an empty table still
+        produces one row (count(*) = 0, collect = [] ...).
+        """
+        if not groups and not self.grouping_items:
+            groups = {(): self.new_group({}, {})}
+        return [
+            (self.emit(ctx, group), group.record)
+            for group in groups.values()
+        ]
 
 
 def _aggregate_nodes(expression: ast.Expression) -> Iterable[ast.Expression]:
@@ -214,55 +305,39 @@ def _make_accumulator(node: ast.Expression) -> AggregateAccumulator:
     return AggregateAccumulator(node.name, distinct=node.distinct)
 
 
-def _compile_feeder(node: ast.Expression):
-    """A per-record feed closure ``(ctx, accumulator, percentiles, record)``.
+def _compile_argument(node: ast.Expression):
+    """``(ctx, record) -> value`` for what one aggregate call is fed.
 
     Argument expressions are compiled once here; arity problems still
     surface only when a record is actually fed (an aggregation over an
     empty ungrouped table never feeds), matching interpreter behaviour.
     """
     if isinstance(node, ast.CountStar):
-
-        def feed_count_star(ctx, accumulator, percentiles, record) -> None:
-            accumulator.add(None)
-
-        return feed_count_star
+        return lambda ctx, record: None
     assert isinstance(node, ast.FunctionCall)
     if not node.args:
         message = f"aggregate {node.name}() requires an argument"
 
-        def feed_missing_argument(
-            ctx, accumulator, percentiles, record
-        ) -> None:
+        def missing_argument(ctx, record):
             raise CypherEvaluationError(message)
 
-        return feed_missing_argument
+        return missing_argument
     value_fn = compile_expression(node.args[0])
-    if node.name in ("percentiledisc", "percentilecont"):
-        if len(node.args) != 2:
-            message = f"{node.name}() expects 2 arguments"
+    if node.name not in PERCENTILE_NAMES:
+        return value_fn
+    if len(node.args) != 2:
+        message = f"{node.name}() expects 2 arguments"
 
-            def feed_wrong_arity(
-                ctx, accumulator, percentiles, record
-            ) -> None:
-                value_fn(ctx, record)
-                raise CypherEvaluationError(message)
+        def wrong_arity(ctx, record):
+            value_fn(ctx, record)
+            raise CypherEvaluationError(message)
 
-            return feed_wrong_arity
-        node_id = id(node)
-        percentile_fn = compile_expression(node.args[1])
-
-        def feed_percentile(ctx, accumulator, percentiles, record) -> None:
-            value = value_fn(ctx, record)
-            percentiles[node_id] = percentile_fn(ctx, record)
-            accumulator.add(value)
-
-        return feed_percentile
-
-    def feed(ctx, accumulator, percentiles, record) -> None:
-        accumulator.add(value_fn(ctx, record))
-
-    return feed
+        return wrong_arity
+    percentile_fn = compile_expression(node.args[1])
+    return lambda ctx, record: (
+        value_fn(ctx, record),
+        percentile_fn(ctx, record),
+    )
 
 
 def _evaluate_substituted(

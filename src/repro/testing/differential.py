@@ -581,7 +581,7 @@ def _check_views(
 
 def _row_multiset(rows: tuple) -> dict:
     counts: dict = {}
-    for row in rows:
+    for row in map(repr, rows):  # a list-valued column does not hash
         counts[row] = counts.get(row, 0) + 1
     return counts
 

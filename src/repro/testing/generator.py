@@ -1095,7 +1095,9 @@ class _Builder:
             clauses.append(self.unwind_clause())
         clauses.append(self._read_match())
         if rng.random() < 0.15:
-            clauses.append(self._read_match())
+            # An OPTIONAL MATCH over bound variables keeps the rows it
+            # cannot extend: the shape a footprint must not narrow.
+            clauses.append(self._read_match(optional_share=0.5))
         if rng.random() < 0.2 and self.env.all_names():
             where = self._tame_predicate() if rng.random() < 0.4 else None
             clauses.append(
@@ -1110,13 +1112,26 @@ class _Builder:
             query=ast.SingleQuery(clauses=tuple(clauses))
         )
 
-    def _read_match(self) -> ast.MatchClause:
+    def _read_node(self) -> ast.NodePattern:
+        """A node pattern that, more often than not, has no property
+        map: on graphs of at most eight nodes a map per position leaves
+        most views empty, and an empty view exercises no maintenance.
+        Half the re-used variables carry a label of their own."""
+        bound = set(self.env.nodes)
+        pattern = self._node_pattern(
+            bind=True, reuse_ok=True, with_expressions=False
+        )
+        if self.rng.random() < 0.6:
+            pattern = replace(pattern, properties=None)
+        if pattern.variable in bound and self.rng.random() < 0.5:
+            # A MATCH may label a variable it rebinds: the position
+            # filters on labels the binding occurrence never named.
+            pattern = replace(pattern, labels=(self.rng.choice(LABELS),))
+        return pattern
+
+    def _read_match(self, optional_share: float = 0.12) -> ast.MatchClause:
         rng = self.rng
-        elements: list = [
-            self._node_pattern(
-                bind=True, reuse_ok=True, with_expressions=False
-            )
-        ]
+        elements: list = [self._read_node()]
         for __ in range(rng.randint(0, 2)):
             variable = None
             if rng.random() < 0.6:
@@ -1138,17 +1153,13 @@ class _Builder:
                     var_length=var_length,
                 )
             )
-            elements.append(
-                self._node_pattern(
-                    bind=True, reuse_ok=True, with_expressions=False
-                )
-            )
+            elements.append(self._read_node())
         where = self._tame_predicate() if rng.random() < 0.45 else None
         return ast.MatchClause(
             pattern=ast.Pattern(
                 paths=(ast.PathPattern(elements=tuple(elements)),)
             ),
-            optional=rng.random() < 0.12,
+            optional=rng.random() < optional_share,
             where=where,
         )
 
@@ -1210,14 +1221,26 @@ class _Builder:
                     )
                 )
                 new_env.values.append(alias)
-        aggregated = False
-        if not is_with and rng.random() < 0.15:
-            alias = new_env.fresh("c")
-            items.append(
-                ast.ProjectionItem(ast.CountStar(), alias=alias)
-            )
-            new_env.values.append(alias)
-            aggregated = True
+        aggregates: set[str] = set()
+        if not is_with and rng.random() < 0.3:
+            # Grouping by an entity makes every group one record; by
+            # its values, or by nothing, groups have members to fold.
+            roll = rng.random()
+            if roll < 0.35:
+                items.clear()
+            elif roll < 0.7:
+                items = [
+                    item
+                    for item in items
+                    if not isinstance(item.expression, ast.Variable)
+                ]
+            for __ in range(rng.randint(1, 2)):
+                alias = new_env.fresh("c")
+                items.append(
+                    ast.ProjectionItem(self._tame_aggregate(), alias=alias)
+                )
+                new_env.values.append(alias)
+                aggregates.add(alias)
         if not items:
             alias = new_env.fresh("v")
             items.append(ast.ProjectionItem(ast.Literal(1), alias=alias))
@@ -1227,9 +1250,9 @@ class _Builder:
             item.alias
             for item in items
             if item.alias in new_env.values
-            and not isinstance(item.expression, ast.CountStar)
+            and item.alias not in aggregates
         ]
-        if sortable and not aggregated and rng.random() < 0.3:
+        if sortable and rng.random() < 0.3:
             order_by = (
                 ast.SortItem(
                     ast.Variable(rng.choice(sortable)),
@@ -1237,7 +1260,13 @@ class _Builder:
                 ),
             )
         limit = None
-        if order_by and rng.random() < 0.4:
+        # Which of two rows tied under ORDER BY a LIMIT keeps depends
+        # on match order, which only the legacy dialect defines.
+        if (
+            order_by
+            and self.dialect is Dialect.CYPHER9
+            and rng.random() < 0.6
+        ):
             limit = ast.Literal(rng.randint(1, 5))
         body = ast.ProjectionBody(
             items=tuple(items),
@@ -1247,6 +1276,33 @@ class _Builder:
         )
         self.env = new_env
         return body
+
+    def _tame_aggregate(self) -> ast.Expression:
+        """An aggregate call that cannot raise on the fuzz graphs.
+
+        ``sum`` / ``avg`` read the integer keys only (null or integer
+        on every node); the rest take any property.  ``collect`` is
+        left to the legacy dialect: its list is in match order, which
+        only that dialect defines.
+        """
+        rng = self.rng
+        names = ["count", "sum", "avg", "min", "max"]
+        if self.dialect is Dialect.CYPHER9:
+            names.append("collect")
+        if not self.env.nodes or rng.random() < 0.2:
+            return ast.CountStar()
+        name = rng.choice(names)
+        keys = INT_KEYS if name in ("sum", "avg") else INT_KEYS + (STRING_KEY,)
+        return ast.FunctionCall(
+            name,
+            (
+                ast.Property(
+                    ast.Variable(rng.choice(self.env.nodes)),
+                    rng.choice(keys),
+                ),
+            ),
+            distinct=rng.random() < 0.25,
+        )
 
     def _clause_named(self, name: str) -> ast.Clause:
         if name == "match":

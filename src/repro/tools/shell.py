@@ -418,9 +418,12 @@ class Shell:
                 if per_refresh > 0 and reexec > 0
                 else "n/a"
             )
+            mode = stats["mode"]
+            if stats["fallback_reason"]:
+                mode += f": {stats['fallback_reason']}"
             self._print(
-                f"{stats['id']} [{stats['mode']}] rows={stats['rows']} "
-                f"lsn={stats['covered_lsn']} "
+                f"{stats['id']} [{mode}] rows={stats['rows']} "
+                f"lsn={stats['covered_lsn']} lag={stats['lag']} "
                 f"skipped={stats['batches_skipped']}/"
                 f"{stats['batches_seen']} "
                 f"maintain={per_refresh * 1e3:.3f}ms/refresh "

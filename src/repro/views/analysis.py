@@ -4,9 +4,10 @@
 maintainable* -- whether the registry can keep its result current by
 re-evaluating only the records touched by each committed redo-op batch
 -- and, if so, produces the :class:`ViewPlan` the maintenance loop
-consumes.  Queries outside the supported shape fall back to full
-re-execution on the next relevant commit; the registry stays correct
-either way, the plan only changes the cost.
+consumes.  Queries outside the supported shape get a
+:class:`Fallback` -- why, and a footprint -- and are re-executed on
+the next relevant commit; the registry stays correct either way, the
+plan only changes the cost.
 
 The delta-supported shape is::
 
@@ -16,11 +17,15 @@ The delta-supported shape is::
 
 with no UNION, no variable-length relationships, no pattern predicates
 (``exists((n)-->())`` and friends read graph structure beyond the
-row's own entities), no aggregates, and no path variable.  Everything
-after the MATCH is a deterministic function of the match's binding
-table, so it is re-applied over the *maintained* bindings at refresh
-time -- the delta rules only have to keep the binding table itself
-equal to what a fresh MATCH would produce.
+row's own entities), no aggregating WITH, and no path variable.
+Everything after the MATCH -- an aggregating RETURN included -- is a
+deterministic function of the match's binding table, so the delta
+rules only have to keep the binding table itself equal to what a fresh
+MATCH would produce; the plan splits the rest into what is computed
+once per binding row and cached (:attr:`ViewPlan.prefix` and the
+projection of :attr:`ViewPlan.publish`) and what runs over the cached
+rows (its DISTINCT / ORDER BY / SKIP / LIMIT and
+:attr:`ViewPlan.suffix`).
 
 Anonymous pattern elements get fresh internal variables (``__view``
 prefix) so every maintained binding row names all of its entities;
@@ -32,15 +37,23 @@ over-approximation of the labels, relationship types and property
 keys the view depends on.  A committed batch whose every operation is
 irrelevant under the footprint advances the view's covered LSN without
 recomputing anything -- the cached result object survives by identity.
+Fallback views have one too, read off every pattern and expression of
+the statement; what it lacks is provenance (which entities the current
+rows bind), so there every delete is relevant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator
+from typing import Container, Iterator
 
 from repro.parser import ast
-from repro.runtime.aggregation import children, contains_aggregate
+from repro.runtime.aggregation import (
+    children,
+    contains_aggregate,
+    is_aggregate_call,
+)
+from repro.runtime.pipeline import is_record_local
 
 #: Prefix for internal variables assigned to anonymous pattern elements.
 INTERNAL_PREFIX = "__view"
@@ -81,17 +94,28 @@ _KNOWN_EXPRESSIONS = (
 )
 
 
+class _Everything:
+    """The provenance of a view that keeps none: any id may be bound."""
+
+    def __contains__(self, item: object) -> bool:
+        return True
+
+
+EVERYTHING = _Everything()
+
+
 @dataclass
 class Footprint:
     """What parts of the graph a view's result can depend on.
 
-    ``match_*`` fields over-approximate the MATCH side (which rows
-    exist); ``output_*`` the projection side (what the rows render
-    as).  ``match_all`` / ``output_all`` mean the respective side could
-    not be bounded and every operation of that flavour is relevant.
+    ``match_all`` / ``output_all`` mean the MATCH side (which rows
+    exist) / the projection side (what the rows render as) could not
+    be bounded: every operation, respectively every property or label
+    change on a bound entity, is relevant.
     """
 
-    #: per node position: required label set (empty = unlabeled)
+    #: per node position a created node can fill on its own: required
+    #: label set (empty = unlabeled)
     label_sets: tuple[frozenset, ...] = ()
     #: per relationship position: allowed type set (empty = any type)
     type_sets: tuple[frozenset, ...] = ()
@@ -105,31 +129,25 @@ class Footprint:
     def op_relevant(
         self,
         op: tuple,
-        node_prov: Iterable[int],
-        rel_prov: Iterable[int],
+        node_prov: Container[int],
+        rel_prov: Container[int],
     ) -> bool:
         """Could *op* change this view's result?
 
         *node_prov* / *rel_prov* are the entity ids currently bound in
-        maintained rows.  Must err toward ``True``: a ``False`` skips
-        maintenance for the whole batch.
+        maintained rows (:data:`EVERYTHING` for a view that keeps no
+        rows).  Must err toward ``True``: a ``False`` skips maintenance
+        for the op.
         """
         if self.match_all:
             return True
         kind = op[0]
         if kind == "create_node":
-            if self.type_sets:
-                # A new node alone cannot extend a path with
-                # relationship steps; the enabling create_rel is its
-                # own (relevant) op.
-                return False
             op_labels = set(op[2])
             return any(
                 required <= op_labels for required in self.label_sets
             )
         if kind == "create_rel":
-            if not self.type_sets:
-                return False
             return any(
                 not allowed or op[2] in allowed
                 for allowed in self.type_sets
@@ -139,7 +157,9 @@ class Footprint:
         if kind == "delete_rel":
             return op[1] in rel_prov
         if kind in ("add_label", "remove_label"):
-            return op[2] in self.labels or op[1] in node_prov
+            return op[2] in self.labels or (
+                self.output_all and op[1] in node_prov
+            )
         if kind == "set_node_prop":
             return op[2] in self.keys or (
                 self.output_all and op[1] in node_prov
@@ -157,62 +177,101 @@ class ViewPlan:
 
     #: the match clause with internal variables assigned everywhere
     match_clause: ast.MatchClause
-    #: the clauses after the MATCH, ending in the RETURN (unmodified)
-    post_clauses: tuple[ast.Clause, ...]
     #: node variable per node position (internal names included)
     node_vars: tuple[str, ...]
     #: relationship variable per step (internal names included)
     rel_vars: tuple[str, ...]
     #: user-visible columns fed to the post-MATCH clauses
     visible_vars: tuple[str, ...]
+    #: record-local clauses after the MATCH, run once per binding row
+    prefix: tuple[ast.Clause, ...]
+    #: the first WITH / RETURN that needs the whole table -- or the
+    #: RETURN, if none does: its items are evaluated once per record
+    #: (aggregates: folded), the rest of it runs over the cached rows
+    publish: ast.WithClause | ast.ReturnClause
+    #: what follows a publishing WITH, re-executed over its table
+    suffix: tuple[ast.Clause, ...]
     footprint: Footprint = field(default_factory=Footprint)
+
+
+@dataclass
+class Fallback:
+    """Why a statement is re-executed instead, and what can change it."""
+
+    reason: str
+    footprint: Footprint
 
 
 class _Widen(Exception):
     """Raised by the footprint walk on an unanalysable construct."""
 
 
-def analyse(statement: ast.Statement) -> ViewPlan | None:
-    """The delta plan for *statement*, or ``None`` for full refresh."""
-    query = statement.query
-    if not isinstance(query, ast.SingleQuery):
-        return None
-    clauses = query.clauses
-    if len(clauses) < 2 or not isinstance(clauses[0], ast.MatchClause):
-        return None
-    match = clauses[0]
-    if match.optional or len(match.pattern.paths) != 1:
-        return None
-    path = match.pattern.paths[0]
-    if path.variable is not None:
-        return None
-    if any(rel.is_var_length for rel in path.relationships):
-        return None
-    if not isinstance(clauses[-1], ast.ReturnClause):
-        return None
-    for clause in clauses[1:-1]:
-        if not isinstance(clause, (ast.WithClause, ast.UnwindClause)):
-            return None
-    if any(_clause_has_aggregate(clause) for clause in clauses):
-        return None
-    try:
-        if any(
-            _has_pattern_predicate(expr)
-            for expr in _clause_expressions(clauses)
-        ):
-            return None
-    except _Widen:
-        return None
-    rewritten, node_vars, rel_vars, visible = _assign_internal(match)
-    footprint = _footprint(rewritten, clauses[1:])
+def analyse(statement: ast.Statement) -> ViewPlan | Fallback:
+    """The delta plan for *statement*, or why it has none."""
+    reason = _fallback_reason(statement)
+    if reason is not None:
+        return Fallback(reason, _statement_footprint(statement))
+    clauses = statement.query.clauses
+    post = clauses[1:]
+    cut = next(
+        (
+            index
+            for index, clause in enumerate(post)
+            if not is_record_local(clause)
+        ),
+        len(post) - 1,
+    )
+    rewritten, node_vars, rel_vars, visible = _assign_internal(clauses[0])
+    footprint = _footprint((rewritten,), post)
+    if rel_vars:
+        # A new node alone cannot extend a path with relationship
+        # steps; the enabling create_rel is its own (relevant) op.
+        footprint = replace(footprint, label_sets=())
     return ViewPlan(
         match_clause=rewritten,
-        post_clauses=tuple(clauses[1:]),
         node_vars=node_vars,
         rel_vars=rel_vars,
         visible_vars=visible,
+        prefix=tuple(post[:cut]),
+        publish=post[cut],
+        suffix=tuple(post[cut + 1 :]),
         footprint=footprint,
     )
+
+
+def _fallback_reason(statement: ast.Statement) -> str | None:
+    """One line on what keeps *statement* off the delta path."""
+    query = statement.query
+    if not isinstance(query, ast.SingleQuery):
+        return "UNION"
+    clauses = query.clauses
+    if not isinstance(clauses[0], ast.MatchClause):
+        return "the first clause is not a MATCH"
+    if not isinstance(clauses[-1], ast.ReturnClause):
+        return "the statement does not end in RETURN"
+    match = clauses[0]
+    if match.optional:
+        return "OPTIONAL MATCH"
+    if len(match.pattern.paths) != 1:
+        return "more than one path in the MATCH"
+    path = match.pattern.paths[0]
+    if path.variable is not None:
+        return "path variable"
+    if any(rel.is_var_length for rel in path.relationships):
+        return "variable-length relationship"
+    for clause in clauses[1:-1]:
+        if isinstance(clause, ast.MatchClause):
+            return "more than one MATCH clause"
+        if not isinstance(clause, (ast.WithClause, ast.UnwindClause)):
+            return f"{type(clause).__name__} after the MATCH"
+        if _clause_has_aggregate(clause):
+            return "aggregating WITH"
+    if any(
+        _has_pattern_predicate(expr)
+        for expr in _clause_expressions(clauses)
+    ):
+        return "pattern predicate"
+    return None
 
 
 def _assign_internal(
@@ -283,6 +342,8 @@ def _clause_expressions(
             where = getattr(clause, "where", None)
             if where is not None:
                 yield where
+        else:  # LOAD CSV, ...: reads something the walk cannot bound
+            raise _Widen()
 
 
 def _has_pattern_predicate(expression: ast.Expression) -> bool:
@@ -298,46 +359,49 @@ def _has_pattern_predicate(expression: ast.Expression) -> bool:
     )
 
 
+def _statement_footprint(statement: ast.Statement) -> Footprint:
+    """The footprint of a statement that has no delta plan.
+
+    There are no maintained rows to re-project, so nothing is "only
+    output": every clause decides what the one re-execution returns.
+    """
+    return _footprint(
+        tuple(
+            clause
+            for branch in statement.branches()
+            for clause in branch.clauses
+        ),
+        (),
+    )
+
+
 def _footprint(
-    match: ast.MatchClause, post: tuple[ast.Clause, ...]
+    reads: tuple[ast.Clause, ...], renders: tuple[ast.Clause, ...]
 ) -> Footprint:
-    path = match.pattern.paths[0]
+    """What *reads* (which rows exist) and *renders* (what the rows
+    look like) name; a pattern position keeps its own labels only."""
     label_sets = []
     type_sets = []
     labels: set[str] = set()
     keys: set[str] = set()
-    for element in path.elements:
-        if isinstance(element, ast.NodePattern):
-            label_sets.append(frozenset(element.labels))
-            labels.update(element.labels)
-        else:
-            type_sets.append(frozenset(element.types))
-        if element.properties is not None:
-            keys.update(element.properties.keys())
-    match_all = False
-    output_all = False
-    try:
-        exprs = []
-        for element in path.elements:
-            if element.properties is not None:
-                exprs.append(element.properties)
-        if match.where is not None:
-            exprs.append(match.where)
-        for expr in exprs:
-            _scan(expr, labels, keys)
-    except _Widen:
-        match_all = True
-    try:
-        for expr in _clause_expressions(post):
-            _scan(expr, labels, keys)
-        if any(
-            _projects_entities(clause)
-            for clause in post
-            if isinstance(clause, (ast.WithClause, ast.ReturnClause))
-        ):
-            output_all = True
-    except _Widen:
-        output_all = True
+    for clause in reads:
+        if not isinstance(clause, ast.MatchClause):
+            continue
+        for path in clause.pattern.paths:
+            for element in path.elements:
+                if isinstance(element, ast.NodePattern):
+                    label_sets.append(frozenset(element.labels))
+                    labels.update(element.labels)
+                else:
+                    type_sets.append(frozenset(element.types))
+                if element.properties is not None:
+                    keys.update(element.properties.keys())
+    match_all = _scan_clauses(reads, labels, keys)
+    output_all = _scan_clauses(renders, labels, keys) or any(
+        _projects_entities(clause)
+        for clause in reads + renders
+        if isinstance(clause, (ast.WithClause, ast.ReturnClause))
+    )
     return Footprint(
         label_sets=tuple(label_sets),
         type_sets=tuple(type_sets),
@@ -348,19 +412,47 @@ def _footprint(
     )
 
 
+def _scan_clauses(
+    clauses: tuple[ast.Clause, ...], labels: set[str], keys: set[str]
+) -> bool:
+    """Collect what the clauses' expressions name; ``True`` if some
+    construct could not be read (the side is unbounded)."""
+    try:
+        for expr in _clause_expressions(clauses):
+            _scan(expr, labels, keys)
+    except _Widen:
+        return True
+    return False
+
+
 def _projects_entities(clause) -> bool:
     """True if the projection can expose a whole entity.
 
     A projected entity renders every property it has, so any property
     change on a bound entity invalidates the cached rows even when the
-    key is named nowhere in the query.
+    key is named nowhere in the query.  ``count(n)`` renders nothing of
+    ``n``; every other aggregate of a bare variable can.
     """
     body = clause.body
     if body.include_existing:
         return True
     return any(
-        isinstance(item.expression, ast.Variable) for item in body.items
+        isinstance(item.expression, ast.Variable)
+        or any(
+            isinstance(call, ast.FunctionCall)
+            and call.name != "count"
+            and any(isinstance(arg, ast.Variable) for arg in call.args)
+            for call in _aggregate_calls(item.expression)
+        )
+        for item in body.items
     )
+
+
+def _aggregate_calls(expression: ast.Expression) -> Iterator[ast.Expression]:
+    if is_aggregate_call(expression):
+        yield expression
+    for child in children(expression):
+        yield from _aggregate_calls(child)
 
 
 def _scan(expression, labels: set[str], keys: set[str]) -> None:
@@ -377,6 +469,16 @@ def _scan(expression, labels: set[str], keys: set[str]) -> None:
         return
     if isinstance(expression, ast.MapLiteral):
         keys.update(expression.keys())
+    if isinstance(expression, ast.Subscript):
+        # ``n['k']`` reads a property like ``n.k``; a computed index
+        # could name any key (an integer literal only indexes a list).
+        index = expression.index
+        if not isinstance(index, ast.Literal):
+            raise _Widen()
+        if isinstance(index.value, str):
+            keys.add(index.value)
+        elif not isinstance(index.value, int):
+            raise _Widen()
     if (
         isinstance(expression, ast.FunctionCall)
         and expression.name in _DYNAMIC_FUNCTIONS

@@ -24,12 +24,51 @@ from repro.graph.store import GraphStore
 from repro.testing.differential import canonical_rows
 from repro.views import ViewRegistry
 
-#: (source, dialect) pairs mixing delta-maintained and fallback shapes.
+#: (source, dialect) pairs mixing row-wise, folded and fallback shapes.
 VIEWS = (
     ("MATCH (a:A)-[r:T]->(b) RETURN a AS a, r AS r, b AS b", "revised"),
     ("MATCH (n:A) RETURN n AS n, n.i AS i, n.k AS k", "cypher9"),
     ("MATCH (n:B) RETURN count(*) AS c", "revised"),
     ("MATCH (a:A)-[:T]->(b:B) WHERE b.i > 1 RETURN b.i AS i", "cypher9"),
+    # grouped, legacy: exact group order; collect: exact list order
+    (
+        "MATCH (n:A) RETURN n.k AS k, count(*) AS c, collect(n.i) AS l, "
+        "count(DISTINCT n.i) AS d",
+        "cypher9",
+    ),
+    # the same with aggregates that fold in O(1): a group still moves
+    # when its first record does
+    ("MATCH (n:A) RETURN n.k AS k, count(*) AS c, sum(n.i) AS s", "cypher9"),
+    # the extremum is deleted or overwritten; ties between 1 and 1.5
+    ("MATCH (n:B) RETURN min(n.i) AS lo, max(n.i) AS hi", "cypher9"),
+    # float sums round by order: only a re-aggregation in key order
+    # reproduces re-execution to the last bit
+    (
+        "MATCH (a:A)-[r:T]->(b) RETURN a.i AS i, sum(r.w) AS s, "
+        "avg(r.w) AS m ORDER BY i DESC",
+        "revised",
+    ),
+    # integer sum / avg: O(1) both ways; the first record's a.k shows
+    (
+        "MATCH (a:A)-[r:T]->(b:B) "
+        "RETURN a.i AS i, sum(b.i) + a.k AS s, avg(b.i) AS m",
+        "cypher9",
+    ),
+    # a DISTINCT barrier first, an aggregate over its table after
+    ("MATCH (n:A) WITH DISTINCT n.k AS k RETURN count(k) AS c", "revised"),
+    ("OPTIONAL MATCH (n:B) RETURN count(n) AS c, max(n.i) AS hi", "revised"),
+    # fallback footprints: an OPTIONAL MATCH that rebinds a variable
+    # under another label keeps the rows it cannot extend ...
+    (
+        "MATCH (a:A) OPTIONAL MATCH (a:B)-[:T]->(b:B) "
+        "RETURN a.i AS i, b.i AS j",
+        "cypher9",
+    ),
+    ("MATCH (a:A) OPTIONAL MATCH (a:B) RETURN a.i AS i", "revised"),
+    # ... and a subscript reads a property like a dot does
+    ("MATCH (a:A), (b:B) RETURN a['k'] AS k, b.i AS i", "cypher9"),
+    ("MATCH (a:A)-[r:T*1..2]->(b) RETURN r[0]['w'] AS w", "cypher9"),
+    ("MATCH (n:A) RETURN n['k'] AS k", "revised"),
 )
 
 #: op templates, instantiated with two small integers (x, y)
@@ -42,6 +81,9 @@ WRITES = (
     "MATCH (n:B {{i: {x}}}) REMOVE n:B",
     "MATCH (n {{i: {x}}}) DETACH DELETE n",
     "MATCH ()-[r:T]->() WHERE r.w = {y} DELETE r",
+    "MATCH (a:A {{i: {x}}}) MATCH (b:B) CREATE (a)-[:T {{w: {y}.1}}]->(b)",
+    "MATCH (n:B {{i: {x}}}) SET n.i = {y}.5",
+    "MATCH (n:B {{i: {x}}}) SET n.i = {y}",
 )
 
 scripts = st.lists(
@@ -176,5 +218,209 @@ def test_rollback_leaves_views_untouched(script):
         for view, published in zip(views, before):
             assert view.result() is published
             _assert_equivalent(store, view)
+    finally:
+        registry.close()
+
+
+def _run(engine, store, views, *statements):
+    for statement in statements:
+        engine.execute(statement)
+        for view in views:
+            _assert_equivalent(store, view)
+
+
+def test_grouped_aggregate_keeps_exact_group_order_in_the_legacy_dialect():
+    """Groups appear in the order of their first record; a group whose
+    first record goes away moves, one that empties disappears and one
+    that refills reappears at its new first record -- whether its
+    aggregates fold in O(1) (count) or re-aggregate (collect)."""
+    store, engine, registry, (view, counts) = _setup(
+        views=(
+            (
+                "MATCH (n:A) RETURN n.k AS k, count(*) AS c, "
+                "collect(n.i) AS l",
+                "cypher9",
+            ),
+            ("MATCH (n:A) RETURN n.k AS k, count(*) AS c", "cypher9"),
+        )
+    )
+    try:
+        assert view.stats.mode == counts.stats.mode == "delta"
+        _run(
+            engine,
+            store,
+            [view, counts],
+            "CREATE (:A {i: 2, k: 7})",
+            "CREATE (:A {i: 3, k: 2})",
+            "CREATE (:A {i: 4})",  # null key: its own group
+            "MATCH (n:A {i: 1}) SET n.k = 7",  # k=2's first record leaves
+            "MATCH (n:A {i: 3}) DETACH DELETE n",  # k=2 empties ...
+            "MATCH (n:A {i: 0}) SET n.k = 2",  # ... and refills, first
+            "MATCH (n:A) SET n.k = 1",  # one group
+            "MATCH (n:A) DETACH DELETE n",  # none
+            "CREATE (:A {i: 9, k: 9})",
+        )
+        assert view.result().to_dicts() == [{"k": 9, "c": 1, "l": [9]}]
+        assert counts.result().to_dicts() == [{"k": 9, "c": 1}]
+        assert view.stats.full_refreshes == 1
+        assert counts.stats.full_refreshes == 1
+    finally:
+        registry.close()
+
+
+def test_min_max_survive_losing_their_extremum():
+    store, engine, registry, (view,) = _setup(
+        views=(("MATCH (n:B) RETURN min(n.i) AS lo, max(n.i) AS hi", "revised"),)
+    )
+    try:
+        _run(
+            engine,
+            store,
+            [view],
+            "CREATE (:B {i: 5})",
+            "CREATE (:B {i: 0})",
+            "MATCH (n:B {i: 5}) DETACH DELETE n",  # the max
+            "MATCH (n:B {i: 0}) SET n.i = 3",  # the min, overwritten
+            "CREATE (:B {i: 1.0})",  # ties with {i: 1} by value
+            "MATCH (n:B) WHERE n.i = 1 AND id(n) < 3 DETACH DELETE n",
+            "MATCH (n:B) DETACH DELETE n",  # empty: nulls
+        )
+        assert view.result().to_dicts() == [{"lo": None, "hi": None}]
+        assert view.stats.full_refreshes == 1
+    finally:
+        registry.close()
+
+
+def test_float_sum_is_bit_equal_to_reexecution():
+    store, engine, registry, (view,) = _setup(
+        views=(("MATCH (n:B) RETURN sum(n.w) AS s, avg(n.w) AS m", "cypher9"),)
+    )
+    try:
+        _run(
+            engine,
+            store,
+            [view],
+            # 0.1 + 0.2 + 0.3 != 0.3 + 0.2 + 0.1 in floats
+            "MATCH (n:B {i: 1}) SET n.w = 0.1",
+            "CREATE (:B {i: 7, w: 0.3})",
+            "MATCH (n:B {i: 2}) SET n.w = 0.2",
+            "MATCH (n:B {i: 1}) SET n.w = 1e16",
+            "MATCH (n:B {i: 1}) REMOVE n.w",
+            "MATCH (n:B {i: 7}) SET n.w = 3",  # an integer among floats
+            "MATCH (n:B {i: 2}) REMOVE n.w",  # integers only again
+            "MATCH (n:B {i: 1}) SET n.w = 4",
+        )
+        assert view.result().to_dicts() == [{"s": 7, "m": 3.5}]
+    finally:
+        registry.close()
+
+
+def test_a_refresh_that_raises_keeps_its_backlog():
+    """Every read raises what re-execution raises until a later commit
+    repairs the data -- for a fallback view, a row-wise delta view, a
+    folded aggregate and the clauses after a publishing WITH alike --
+    and only a refresh that published counts as one."""
+    store, engine, registry, views = _setup(
+        views=(
+            ("OPTIONAL MATCH (n:A) RETURN sum(n.k) AS s", "revised"),
+            ("MATCH (n:A) RETURN 10 / n.k AS q", "revised"),
+            ("MATCH (n:A) RETURN sum(n.k) AS s", "revised"),
+            ("MATCH (n:A) WITH DISTINCT n.k AS k RETURN 10 / k AS q", "revised"),
+        )
+    )
+    try:
+        assert [view.stats.mode for view in views] == [
+            "full",
+            "delta",
+            "delta",
+            "delta",
+        ]
+        before = [view.result() for view in views]
+        refreshes = [view.stats.full_refreshes for view in views]
+        assert before[2].to_dicts() == [{"s": 2}]
+        lsn = store.lsn
+        engine.execute("MATCH (n:A {i: 0}) SET n.k = 'oops'")
+        for view, published in zip(views, before):
+            errors = []
+            for __ in range(2):  # the second read must not serve stale
+                try:
+                    view.result()
+                except CypherError as error:
+                    errors.append((type(error), str(error)))
+            try:
+                _recompute(store, view)
+            except CypherError as error:
+                expected = (type(error), str(error))
+            assert errors == [expected, expected]
+            assert view.covered_lsn == lsn and view.stats.lag == 1
+            assert view._result is published
+        # stats() reports instead of raising
+        assert [row["lag"] for row in registry.stats()] == [1, 1, 1, 1]
+        assert [view.stats.full_refreshes for view in views] == refreshes
+        engine.execute("MATCH (n:A {i: 0}) SET n.k = 5")
+        for view in views:
+            _assert_equivalent(store, view)
+            assert view.stats.lag == 0
+        assert [view.stats.full_refreshes for view in views] == [
+            count + 1 for count in refreshes
+        ]
+        assert views[2].result().to_dicts() == [{"s": 7}]
+        # ... and delta maintenance resumes on the rebuilt state
+        refreshes = views[2].stats.full_refreshes
+        engine.execute("MATCH (n:A {i: 0}) SET n.k = 6")
+        _assert_equivalent(store, views[2])
+        assert views[2].stats.full_refreshes == refreshes
+    finally:
+        registry.close()
+
+
+def test_fallback_footprint_keeps_the_rows_an_optional_match_cannot_extend():
+    """``(a:B)`` in the OPTIONAL MATCH filters its own position only: a
+    created ``:A`` is a row whether or not it is also a ``:B``."""
+    store, engine, registry, views = _setup(
+        views=(
+            (
+                "MATCH (a:A) OPTIONAL MATCH (a:B)-[:T]->(c:B) "
+                "RETURN a.i AS i, c.i AS j",
+                "cypher9",
+            ),
+            ("MATCH (a:A) OPTIONAL MATCH (a:B) RETURN a.i AS i", "cypher9"),
+        )
+    )
+    try:
+        assert [view.stats.mode for view in views] == ["full", "full"]
+        _run(
+            engine,
+            store,
+            views,
+            "CREATE (:A {i: 7})",
+            "MATCH (a:A {i: 7}) SET a:B",
+            "MATCH (a:A {i: 7}), (b:B {i: 2}) CREATE (a)-[:T]->(b)",
+            "MATCH (a:A {i: 7}) REMOVE a:B",
+        )
+        assert {"i": 7} in views[1].result().to_dicts()
+    finally:
+        registry.close()
+
+
+def test_a_subscript_read_is_a_property_read():
+    store, engine, registry, views = _setup(
+        views=(
+            ("MATCH (a:A), (b:B) RETURN a['k'] AS k, b.i AS i", "cypher9"),
+            ("MATCH (a:A)-[r:T*1..2]->(b) RETURN r[0]['w'] AS w", "cypher9"),
+            ("MATCH (n:A) RETURN n['k'] AS k", "cypher9"),
+        )
+    )
+    try:
+        assert [view.stats.mode for view in views] == ["full", "full", "delta"]
+        _run(
+            engine,
+            store,
+            views,
+            "MATCH (a:A) SET a.k = 9",
+            "MATCH ()-[r:T]->() SET r.w = 9",
+        )
+        assert views[1].result().to_dicts() == [{"w": 9}]
+        assert views[2].result().to_dicts() == [{"k": 9}, {"k": 9}]
     finally:
         registry.close()

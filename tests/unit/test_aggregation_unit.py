@@ -16,8 +16,11 @@ from repro.runtime.aggregation import (
 def feed(name, values, distinct=False, percentile=None):
     accumulator = AggregateAccumulator(name, distinct=distinct)
     for value in values:
-        accumulator.add(value)
-    return accumulator.result(percentile)
+        # percentile aggregates are fed (value, percentile) pairs
+        accumulator.add(
+            (value, percentile) if name.startswith("percentile") else value
+        )
+    return accumulator.result()
 
 
 class TestAccumulators:
