@@ -32,10 +32,10 @@ def test_parse_cached(benchmark):
         "MATCH (u:User {id: 1})-[:ORDERED]->(p:Product) "
         "WHERE p.price > 10 RETURN u, collect(p.name) AS names"
     )
-    graph.engine.parse(source)  # warm the cache
+    graph.engine.prepare(source)  # warm the cache
 
-    statement = benchmark(graph.engine.parse, source)
-    assert statement.branches()
+    prepared = benchmark(graph.engine.prepare, source)
+    assert prepared.statement.branches()
 
 
 def test_single_create_statement(benchmark):

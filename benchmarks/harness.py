@@ -422,68 +422,6 @@ def p2_profile_observability() -> None:
     )
 
 
-def p3_expression_compiler(rows: int = 12000) -> None:
-    print(f"\nP3  Expression compiler ({rows} rows; WHERE-filtered MATCH + SET)")
-    from repro.runtime import compiler
-
-    statement = (
-        "MATCH (n:Item) "
-        "WHERE n.v % 2 = 0 AND n.w + 1 < 90 AND n.name STARTS WITH 'item' "
-        "SET n.score = n.v * 2 + n.w "
-        "RETURN count(n) AS touched"
-    )
-
-    def build() -> Graph:
-        graph = Graph(Dialect.REVISED)
-        for i in range(rows):
-            graph.store.create_node(
-                ("Item",), {"v": i, "w": i % 97, "name": f"item{i}"}
-            )
-        return graph
-
-    # Interpreted baseline: every evaluate() walks the AST per row.
-    graph = build()
-    with compiler.compilation_disabled():
-        graph.run(statement)  # warm the statement cache
-        _, interpreted_ms, __ = measured_call(
-            graph.store, lambda: graph.run(statement)
-        )
-
-    # Compiled: the warm-up run pays compilation once, the timed run
-    # reuses every closure (the production steady state).
-    graph = build()
-    compiler.clear_cache()
-    warmed = graph.run(statement)
-    result, compiled_ms, hits = measured_call(
-        graph.store, lambda: graph.run(statement)
-    )
-    touched = result.single()["touched"]
-    assert touched == warmed.single()["touched"]
-    speedup = interpreted_ms / compiled_ms if compiled_ms else float("inf")
-    record(
-        "P3",
-        "interpreted baseline",
-        "per-row AST walks dominate",
-        f"{touched} rows set in {interpreted_ms:.1f} ms",
-        elapsed_ms=interpreted_ms,
-    )
-    record(
-        "P3",
-        "compiled closures",
-        "dispatch paid once per distinct expression",
-        f"{touched} rows set in {compiled_ms:.1f} ms; "
-        f"db hits {hits.compact()}",
-        elapsed_ms=compiled_ms,
-        db_hits=hits.to_dict(),
-    )
-    record(
-        "P3",
-        "speedup",
-        ">= 1.5x compiled vs interpreted",
-        f"{speedup:.2f}x",
-    )
-
-
 def p4_selective_match(users: int = 12000) -> None:
     print(
         f"\nP4  Match planner ({users} User nodes; "
@@ -1461,7 +1399,7 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="smoke run: shrink the P3/P4 workloads so CI fails fast",
+        help="smoke run: shrink the workloads so CI fails fast",
     )
     args = parser.parse_args(argv)
     print("Reproduction harness: Updating Graph Databases with Cypher")
@@ -1476,7 +1414,6 @@ def main(argv: list[str] | None = None) -> None:
     e9_grammars()
     p1_scaling_teaser()
     p2_profile_observability()
-    p3_expression_compiler(rows=1500 if args.quick else 12000)
     p4_selective_match(users=1500 if args.quick else 12000)
     p5_fuzz_throughput(count=30 if args.quick else 120)
     p6_durability(statements=200 if args.quick else 1000)

@@ -1,27 +1,23 @@
 """Small shared caching primitives.
 
 :class:`LRUCache` is the bounded, least-recently-used map behind the
-engine's parsed-statement cache and the expression compiler's
-closure cache.  It keeps hit/miss counters so callers (the shell's
-``:cache`` command, the PROFILE layer) can report cache effectiveness.
+engine's statement cache (text -> :class:`~repro.engine.Prepared`).  It
+keeps hit/miss counters so callers (the shell's ``:cache`` command,
+PROFILE, the server's ``/stats``) can report cache effectiveness.
 
-Keys may be arbitrary objects; an unhashable key (possible because
-:class:`~repro.parser.ast.Literal` can wrap runtime values such as
-lists during aggregate substitution) is treated as a guaranteed miss
-on ``get`` and silently not stored on ``put`` -- callers fall back to
-recomputing, which is always correct.
-
-The cache is thread-safe: the morsel executor (``runtime.parallel``)
-shares the compiler's closure caches across worker threads, and
-``OrderedDict.move_to_end`` is not atomic, so every operation takes a
-re-entrant lock.
+There is no lock: every step is one C-level ``OrderedDict`` call on a
+hashable key, atomic under the interpreter lock, and the one compound
+step -- a hit refreshing recency -- tolerates losing its entry to a
+concurrent eviction (the value already read is still good).  Counters
+are advisory under concurrent use.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
-from typing import Any, Hashable, Iterator
+from typing import Any, Hashable
+
+_MISSING = object()
 
 
 class LRUCache:
@@ -31,7 +27,7 @@ class LRUCache:
     the stalest entry once ``capacity`` is exceeded.
     """
 
-    __slots__ = ("capacity", "hits", "misses", "evictions", "_data", "_lock")
+    __slots__ = ("capacity", "hits", "misses", "evictions", "_data")
 
     def __init__(self, capacity: int):
         if capacity < 1:
@@ -41,62 +37,38 @@ class LRUCache:
         self.misses = 0
         self.evictions = 0
         self._data: OrderedDict[Hashable, Any] = OrderedDict()
-        self._lock = threading.RLock()
 
-    def get(self, key: Any, default: Any = None) -> Any:
+    def get(self, key: Hashable, default: Any = None) -> Any:
         """The cached value, or *default*; refreshes recency on a hit."""
-        with self._lock:
-            try:
-                value = self._data[key]
-            except KeyError:
-                self.misses += 1
-                return default
-            except TypeError:  # unhashable key
-                self.misses += 1
-                return default
-            self.hits += 1
+        value = self._data.get(key, _MISSING)
+        if value is _MISSING:
+            self.misses += 1
+            return default
+        self.hits += 1
+        try:
             self._data.move_to_end(key)
-            return value
+        except KeyError:  # evicted by another thread since the read
+            pass
+        return value
 
-    def put(self, key: Any, value: Any) -> None:
+    def put(self, key: Hashable, value: Any) -> None:
         """Insert (or refresh) an entry, evicting the stalest if full."""
-        with self._lock:
+        data = self._data
+        data.pop(key, None)
+        data[key] = value
+        while len(data) > self.capacity:
             try:
-                self._data[key] = value
-            except TypeError:  # unhashable key: not cacheable
-                return
-            self._data.move_to_end(key)
-            while len(self._data) > self.capacity:
-                self._data.popitem(last=False)
-                self.evictions += 1
-
-    def clear(self) -> None:
-        """Drop all entries (counters are preserved)."""
-        with self._lock:
-            self._data.clear()
+                data.popitem(last=False)
+            except KeyError:  # emptied by another thread
+                break
+            self.evictions += 1
 
     def info(self) -> dict[str, int]:
         """Plain-dict counters: hits, misses, evictions, size, capacity."""
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "size": len(self._data),
-                "capacity": self.capacity,
-            }
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
-
-    def __contains__(self, key: Any) -> bool:
-        with self._lock:
-            try:
-                return key in self._data
-            except TypeError:
-                return False
-
-    def __iter__(self) -> Iterator:
-        with self._lock:
-            return iter(tuple(self._data))
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "evictions": self.evictions,
+            "size": len(self._data),
+            "capacity": self.capacity,
+        }

@@ -22,7 +22,7 @@ from repro.errors import CypherSemanticError, CypherTypeError
 from repro.graph.model import Node, Relationship
 from repro.graph.values import normalize_property_map, type_name
 from repro.parser import ast
-from repro.runtime.compiler import compile_map_items
+from repro.runtime.compiler import compile_map
 from repro.runtime.context import EvalContext
 from repro.runtime.table import DrivingTable
 
@@ -260,7 +260,8 @@ def _evaluate_properties(
     if properties is None:
         return {}
     return normalize_property_map(
-        (key, fn(ctx, scope)) for key, fn in compile_map_items(properties)
+        (key, fn(ctx, scope))
+        for key, fn in compile_map(ctx.compile, properties)[0]
     )
 
 

@@ -23,7 +23,6 @@ from repro.graph.model import Node, Path, Relationship
 from repro.graph.values import type_name
 from repro.parser import ast
 from repro.runtime.context import EvalContext
-from repro.runtime.expressions import evaluate
 from repro.runtime.table import DrivingTable
 
 
@@ -47,10 +46,10 @@ def collect_deletions(
     """Evaluate every DELETE expression over every record."""
     nodes: set[int] = set()
     rels: set[int] = set()
+    expression_fns = [ctx.compile(e) for e in clause.expressions]
     for record in table:
-        for expression in clause.expressions:
-            value = evaluate(ctx, expression, record)
-            _collect_value(value, nodes, rels)
+        for expression_fn in expression_fns:
+            _collect_value(expression_fn(ctx, record), nodes, rels)
     return nodes, rels
 
 

@@ -9,12 +9,13 @@ atomic application coincide observably; both dialects share this code.
 
 from __future__ import annotations
 
+from typing import Any
+
 from repro.errors import CypherTypeError, DeletedEntityError
 from repro.graph.model import Node, Relationship
 from repro.graph.values import type_name
 from repro.parser import ast
 from repro.runtime.context import EvalContext
-from repro.runtime.expressions import evaluate
 from repro.runtime.table import DrivingTable
 
 
@@ -30,20 +31,28 @@ def execute_remove(
     ``ignore_deleted=True`` gives the legacy tolerance of operating on
     deleted entities (a silent no-op); the revised dialect raises.
     """
+    target_fns = [
+        ctx.compile(
+            item.target.subject
+            if isinstance(item, ast.RemoveProperty)
+            else item.target
+        )
+        for item in clause.items
+    ]
     for record in table:
-        for item in clause.items:
-            _apply_item(ctx, item, record, ignore_deleted)
+        for item, target_fn in zip(clause.items, target_fns):
+            _apply_item(ctx, item, target_fn(ctx, record), ignore_deleted)
     return table
 
 
 def _apply_item(
     ctx: EvalContext,
     item: ast.RemoveItem,
-    record: dict,
+    target: Any,
     ignore_deleted: bool,
 ) -> None:
+    """Remove what *item* names from its evaluated *target*."""
     if isinstance(item, ast.RemoveProperty):
-        target = evaluate(ctx, item.target.subject, record)
         if target is None:
             return
         if isinstance(target, Node):
@@ -69,7 +78,6 @@ def _apply_item(
             f"REMOVE expects a Node or Relationship, got {type_name(target)}"
         )
     if isinstance(item, ast.RemoveLabels):
-        target = evaluate(ctx, item.target, record)
         if target is None:
             return
         if not isinstance(target, Node):

@@ -24,7 +24,7 @@ from repro.errors import CypherTypeError, DeletedEntityError, PropertyConflictEr
 from repro.graph.model import Node, Relationship
 from repro.graph.values import equivalent, type_name
 from repro.parser import ast
-from repro.runtime.compiler import compile_expression
+from repro.runtime.compiler import Compiler
 from repro.runtime.context import EvalContext
 from repro.runtime.table import DrivingTable
 
@@ -57,7 +57,7 @@ def collect_changes(
     """
     prop_changes: PropChanges = {}
     lab_changes: LabChanges = set()
-    collectors = [_compile_item(item) for item in items]
+    collectors = [_compile_item(ctx.compile, item) for item in items]
     for record in table:
         for collect in collectors:
             collect(ctx, record, prop_changes, lab_changes)
@@ -125,11 +125,11 @@ def _current_properties(ctx: EvalContext, entity: tuple[str, int]) -> dict:
     return dict(ctx.store.rel_properties(entity[1]))
 
 
-def _compile_item(item: ast.SetItem):
+def _compile_item(compile: Compiler, item: ast.SetItem):
     """A per-record collector ``(ctx, record, prop_changes, lab_changes)``."""
     if isinstance(item, ast.SetProperty):
-        subject_fn = compile_expression(item.target.subject)
-        value_fn = compile_expression(item.value)
+        subject_fn = compile(item.target.subject)
+        value_fn = compile(item.value)
         key = item.target.key
 
         def collect_property(ctx, record, prop_changes, lab_changes) -> None:
@@ -140,8 +140,8 @@ def _compile_item(item: ast.SetItem):
 
         return collect_property
     if isinstance(item, ast.SetAllProperties):
-        target_fn = compile_expression(item.target)
-        value_fn = compile_expression(item.value)
+        target_fn = compile(item.target)
+        value_fn = compile(item.value)
 
         def collect_replace(ctx, record, prop_changes, lab_changes) -> None:
             entity = _entity_target(ctx, target_fn(ctx, record))
@@ -159,8 +159,8 @@ def _compile_item(item: ast.SetItem):
 
         return collect_replace
     if isinstance(item, ast.SetAdditiveProperties):
-        target_fn = compile_expression(item.target)
-        value_fn = compile_expression(item.value)
+        target_fn = compile(item.target)
+        value_fn = compile(item.value)
 
         def collect_additive(ctx, record, prop_changes, lab_changes) -> None:
             entity = _entity_target(ctx, target_fn(ctx, record))
@@ -171,7 +171,7 @@ def _compile_item(item: ast.SetItem):
 
         return collect_additive
     if isinstance(item, ast.SetLabels):
-        target_fn = compile_expression(item.target)
+        target_fn = compile(item.target)
         labels = item.labels
 
         def collect_labels(ctx, record, prop_changes, lab_changes) -> None:

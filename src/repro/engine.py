@@ -1,10 +1,13 @@
-"""The query engine: parse, execute, guarantee statement atomicity.
+"""The query engine: prepare, execute, guarantee statement atomicity.
 
 :class:`CypherEngine` executes whole statements against a
 :class:`~repro.graph.store.GraphStore` under a chosen
 :class:`~repro.dialect.Dialect`.  Responsibilities:
 
-* parsing (with a small AST cache keyed by source and dialect);
+* statement preparation: :meth:`CypherEngine.prepare` turns a text into
+  one :class:`Prepared`, kept in the engine's one bounded statement
+  cache; ``run``, ``profile``, ``explain``, ``plan``, the server's
+  sessions and the maintained views all execute what it produced;
 * running UNION branches and combining their outputs (Section 8.2:
   updates are side effects applied left to right; output tables are
   unioned, with ``UNION`` deduplicating and ``UNION ALL`` not);
@@ -30,8 +33,12 @@ from repro.errors import CypherError, UpdateError
 from repro.graph.store import GraphStore
 from repro.parser import ast
 from repro.parser.parser import parse
+from repro.runtime.compiler import STATS as COMPILER_STATS
+from repro.runtime.compiler import Compiler, compile_expression
 from repro.runtime.context import EvalContext, MatchMode
 from repro.runtime.pipeline import execute_clauses
+from repro.runtime.rewrite import rewrite_statement
+from repro.runtime.scoping import check_statement
 from repro.runtime.table import DrivingTable
 
 
@@ -175,37 +182,114 @@ _READ_ONLY_CLAUSES = (
 )
 
 
-def statement_is_read_only(
-    statement: ast.Statement | ast.SchemaStatement,
-) -> bool:
-    """True when *statement* cannot mutate the graph.
+class Prepared:
+    """One statement, prepared once: a pure function of ``(text,
+    dialect, extended_merge)``.
 
-    Conservative and purely syntactic: any update clause (CREATE, SET,
-    REMOVE, DELETE, MERGE, FOREACH) in any UNION branch, or a schema
-    command, makes the statement a write.  The session layer uses this
-    to decide whether a statement may run against a committed snapshot
-    while another session holds an open write transaction, so a false
-    "read-only" would break isolation -- unknown clause types count as
-    writes.
+    What depends on how a run starts (initial columns, names of the
+    supplied parameters) is memoized by :meth:`executable`.  Closures
+    live on the statement's own nodes
+    (:attr:`repro.parser.ast.Expression._compiled`), so evicting a
+    ``Prepared`` from the engine's statement cache frees AST, rewrites
+    and closures together.  Facts about the *store* (label masks, type
+    ids, access paths) are resolved per clause execution, not here.
     """
-    if isinstance(statement, ast.SchemaStatement):
-        return False
 
-    def query_is_read_only(query: ast.Query) -> bool:
-        if isinstance(query, ast.UnionQuery):
-            return query_is_read_only(query.left) and query_is_read_only(
-                query.right
-            )
-        return all(
-            isinstance(clause, _READ_ONLY_CLAUSES)
-            for clause in query.clauses
+    __slots__ = (
+        "statement",
+        "dialect",
+        "read_only",
+        "uses_load_csv",
+        "compile",
+        "_executables",
+    )
+
+    #: :meth:`executable` entries kept before the memo starts over (a
+    #: caller varying the parameter *names* of one text must not grow it)
+    MEMO_LIMIT = 16
+
+    def __init__(
+        self,
+        statement: ast.Statement | ast.SchemaStatement,
+        dialect: Dialect,
+    ):
+        self.statement = statement
+        self.dialect = dialect
+        schema = isinstance(statement, ast.SchemaStatement)
+        clauses = [
+            clause
+            for branch in (() if schema else statement.branches())
+            for clause in branch.clauses
+        ]
+        #: True when the statement cannot mutate the graph.
+        #: Conservative and purely syntactic: any update clause in any
+        #: UNION branch, or a schema command, makes it a write.  The
+        #: session layer runs read-only statements against a committed
+        #: snapshot while another session holds an open write
+        #: transaction, so a false "read-only" would break isolation --
+        #: unknown clause types count as writes.
+        self.read_only = not schema and all(
+            isinstance(clause, _READ_ONLY_CLAUSES) for clause in clauses
         )
+        self.uses_load_csv = any(
+            isinstance(clause, ast.LoadCsvClause) for clause in clauses
+        )
+        #: the closure-maker of this statement's clauses (``ctx.compile``)
+        self.compile: Compiler = compile_expression
+        self._executables: dict[tuple, ast.Statement] = {}
 
-    return query_is_read_only(statement.query)
+    def executable(
+        self,
+        columns: tuple[str, ...],
+        parameters: Mapping[str, Any],
+        rewrite: bool,
+    ) -> ast.Statement:
+        """The statement as it runs from a table of *columns*.
+
+        Scope-checked eagerly (typos fail even on empty driving tables)
+        and, with *rewrite*, pushed down and hoisted -- which assumes a
+        valid statement and depends on which *parameters* are supplied.
+        Once per ``(columns, parameter names)``; a scope error is
+        raised on every call.
+        """
+        key = (columns, frozenset(parameters) if rewrite else None)
+        statement = self._executables.get(key)
+        if statement is None:
+            statement = self.statement
+            check_statement(statement, frozenset(columns))
+            if rewrite:
+                statement = rewrite_statement(
+                    statement, initial_columns=columns, parameters=key[1]
+                )
+            if len(self._executables) >= self.MEMO_LIMIT:
+                self._executables.clear()
+            self._executables[key] = statement
+        return statement
+
+
+def run_query(
+    ctx: EvalContext, query: ast.Query, initial: DrivingTable, dialect: Dialect
+) -> DrivingTable:
+    """``[[query]](G, T)``: UNION branches left to right, each a clause
+    pipeline over its own copy of *initial*."""
+    if isinstance(query, ast.UnionQuery):
+        left = run_query(ctx, query.left, initial.copy(), dialect)
+        right = run_query(ctx, query.right, initial.copy(), dialect)
+        combined = left.concat(right)
+        return combined if query.all else combined.distinct()
+    final = execute_clauses(ctx, query.clauses, initial, dialect)
+    if query.return_clause is None:
+        # Statements without RETURN output the empty table.
+        return DrivingTable()
+    return final
 
 
 class CypherEngine:
-    """Executes Cypher statements against a graph store."""
+    """Executes Cypher statements against a graph store.
+
+    The dialect and ``extended_merge`` are fixed at construction: the
+    statement cache is keyed by text alone.
+    """
 
     def __init__(
         self,
@@ -217,7 +301,6 @@ class CypherEngine:
         use_planner: bool = False,
         workers: int = 1,
         parallel: str = "thread",
-        use_rewrites: bool | None = None,
     ):
         self.store = store if store is not None else GraphStore()
         self.dialect = Dialect.parse(dialect)
@@ -227,6 +310,8 @@ class CypherEngine:
             if isinstance(match_mode, MatchMode)
             else MatchMode(match_mode)
         )
+        #: Cost-based match planning *and* the plan rewrites (predicate
+        #: pushdown + hoisting): an optimised session gets both.
         self.use_planner = use_planner
         #: Morsel workers for read-only segments (1 = serial executor);
         #: the effective count is further capped per scope by
@@ -238,35 +323,45 @@ class CypherEngine:
                 f"parallel must be 'thread' or 'process', got {parallel!r}"
             )
         self.parallel = parallel
-        #: Plan rewrites (predicate pushdown + hoisting).  None -- the
-        #: default -- follows use_planner, so optimised sessions get
-        #: both cost-based planning and rewrites; pass True/False to
-        #: decouple them.
-        self.use_rewrites = (
-            use_planner if use_rewrites is None else use_rewrites
-        )
-        self._ast_cache: LRUCache = LRUCache(capacity=1024)
+        #: text -> Prepared: the one statement cache, and through the
+        #: statements' nodes the only place a closure is retained
+        self._statements = LRUCache(capacity=1024)
 
     # ------------------------------------------------------------------
 
-    def parse(self, source: str) -> ast.Statement:
-        """Parse *source* under the engine's dialect (LRU-cached)."""
-        key = (source, self.dialect, self.extended_merge)
-        statement = self._ast_cache.get(key)
-        if statement is None:
-            statement = parse(
-                source, self.dialect, extended_merge=self.extended_merge
-            )
-            self._ast_cache.put(key, statement)
-        return statement
+    def prepare(
+        self, source: str | Prepared | ast.Statement | ast.SchemaStatement
+    ) -> Prepared:
+        """The :class:`Prepared` for *source*.
+
+        A text costs one lookup in the statement cache (a miss parses
+        it); a prepared statement is returned as it is; a bare AST gets
+        a fresh, uncached ``Prepared``.
+        """
+        if isinstance(source, str):
+            prepared = self._statements.get(source)
+            if prepared is None:
+                prepared = Prepared(
+                    parse(
+                        source,
+                        self.dialect,
+                        extended_merge=self.extended_merge,
+                    ),
+                    self.dialect,
+                )
+                self._statements.put(source, prepared)
+            return prepared
+        if isinstance(source, Prepared):
+            return source
+        return Prepared(source, self.dialect)
 
     def ast_cache_info(self) -> dict[str, int]:
         """Statement-cache counters (hits, misses, evictions, size)."""
-        return self._ast_cache.info()
+        return self._statements.info()
 
     def execute(
         self,
-        source: str | ast.Statement,
+        source: str | Prepared | ast.Statement,
         parameters: Mapping[str, Any] | None = None,
         table: DrivingTable | None = None,
         *,
@@ -284,34 +379,21 @@ class CypherEngine:
         :class:`~repro.runtime.profile.QueryProfile` is attached to the
         result (``result.profile``).
         """
-        statement = (
-            source
-            if isinstance(source, (ast.Statement, ast.SchemaStatement))
-            else self.parse(source)
-        )
-        query_profile = (
-            self._new_profile(source, statement) if profile else None
-        )
+        hits_before = self._statements.hits
+        prepared = self.prepare(source)
+        statement = prepared.statement
+        query_profile = None
+        if profile:
+            query_profile = self._new_profile(
+                statement, self._statements.hits > hits_before
+            )
         if isinstance(statement, ast.SchemaStatement):
             return self._execute_schema(statement, query_profile)
         initial = table.copy() if table is not None else DrivingTable.unit()
-        # Eager scope checking: typos fail even on empty driving tables.
-        from repro.runtime.scoping import check_statement
-
-        check_statement(statement, frozenset(initial.columns))
         supplied = dict(parameters or {})
-        executed = statement
-        if self.use_rewrites:
-            from repro.runtime.rewrite import rewrite_statement
-
-            # Rewrites run after scope checking (they assume a valid
-            # statement) and never change semantics -- see the module
-            # docstring for the equivalence argument.
-            executed = rewrite_statement(
-                statement,
-                initial_columns=tuple(initial.columns),
-                parameters=frozenset(supplied),
-            )
+        executed = prepared.executable(
+            initial.columns, supplied, self.use_planner
+        )
         ctx = EvalContext(
             store=self.store,
             parameters=supplied,
@@ -321,19 +403,17 @@ class CypherEngine:
             profile=query_profile,
             workers=self.workers,
             parallel_executor=self.parallel,
+            compile=prepared.compile,
         )
         mark = self.store.mark()
-        compiler_before: dict[str, int] | None = None
         if query_profile is not None:
             self.store.install_counters(query_profile.counters)
-            from repro.runtime.compiler import STATS as compiler_stats
-
-            compiler_before = compiler_stats.snapshot()
+            compiler_before = COMPILER_STATS.snapshot()
         started = time.perf_counter()
         try:
-            output = self._run_query(ctx, executed.query, initial)
-            if self.dialect is Dialect.CYPHER9:
-                self._check_commit_time_well_formedness()
+            output = run_query(ctx, executed.query, initial, self.dialect)
+            if self.dialect is Dialect.CYPHER9 and not prepared.read_only:
+                self._check_commit_time_well_formedness(mark)
         except Exception:
             self.store.rollback_to(mark)
             raise
@@ -342,12 +422,12 @@ class CypherEngine:
                 query_profile.time_ms = (
                     time.perf_counter() - started
                 ) * 1000
-                from repro.runtime.compiler import STATS as compiler_stats
-
-                query_profile.compiler = {
-                    name: value - compiler_before[name]
-                    for name, value in compiler_stats.snapshot().items()
-                }
+                query_profile.compiler.update(
+                    {
+                        name: value - compiler_before[name]
+                        for name, value in COMPILER_STATS.snapshot().items()
+                    }
+                )
                 self.store.reset_counters()
         counters = self._counters_since(mark)
         # Commit only after the counters were derived: it cuts the
@@ -364,7 +444,7 @@ class CypherEngine:
 
     def profile(
         self,
-        source: str | ast.Statement,
+        source: str | Prepared | ast.Statement,
         parameters: Mapping[str, Any] | None = None,
         table: DrivingTable | None = None,
     ) -> QueryResult:
@@ -372,15 +452,18 @@ class CypherEngine:
         return self.execute(source, parameters, table=table, profile=True)
 
     def _new_profile(
-        self, source: str | ast.Statement, statement: ast.Statement
+        self, statement: ast.Statement | ast.SchemaStatement, cached: bool
     ) -> "QueryProfile":
         from repro.parser.unparse import unparse
         from repro.runtime.profile import QueryProfile
 
-        text = source if isinstance(source, str) else unparse(statement)
-        return QueryProfile(
-            text, self.dialect.value, planner=self.use_planner
+        query_profile = QueryProfile(
+            statement.source or unparse(statement),
+            self.dialect.value,
+            planner=self.use_planner,
         )
+        query_profile.compiler["prepared_hit"] = int(cached)
+        return query_profile
 
     def _execute_schema(
         self,
@@ -419,93 +502,84 @@ class CypherEngine:
             query_profile.result = result
         return result
 
-    def explain(self, source: str | ast.Statement) -> str:
-        """Describe how a statement would execute (no execution)."""
-        from repro.runtime.explain import explain_statement
+    def explain(
+        self,
+        source: str | Prepared | ast.Statement,
+        parameters: Mapping[str, Any] | None = None,
+    ) -> str:
+        """Describe how a statement would execute (no execution).
 
-        statement = (
-            source
-            if isinstance(source, (ast.Statement, ast.SchemaStatement))
-            else self.parse(source)
-        )
-        if isinstance(statement, ast.SchemaStatement):
-            return (
-                f"schema command: {statement.kind} on "
-                f":{statement.label}({statement.key})"
-            )
-        ctx = EvalContext(
-            store=self.store,
-            match_mode=self.match_mode,
-            use_planner=self.use_planner,
-        )
-        return explain_statement(ctx, statement, self.dialect)
+        The statement described is the one :meth:`execute` would run
+        with these *parameters*: same :class:`Prepared`, same scope
+        check (so the same errors), same rewrites.
+        """
+        return self._explain(source, parameters, self.use_planner)
 
-    def plan(self, source: str | ast.Statement) -> str:
+    def plan(
+        self,
+        source: str | Prepared | ast.Statement,
+        parameters: Mapping[str, Any] | None = None,
+    ) -> str:
         """Describe the match planner's choices for a statement.
 
-        Like :meth:`explain` but with the planner forced on, so anchor
-        and ordering decisions are shown even for an engine constructed
-        without ``use_planner=True``.  No execution happens.
+        Like :meth:`explain` but as an engine with ``use_planner=True``
+        would execute it, so anchor and ordering decisions are shown
+        even for an engine constructed without it.  No execution
+        happens.
         """
+        return self._explain(source, parameters, True)
+
+    def _explain(
+        self,
+        source: str | Prepared | ast.Statement,
+        parameters: Mapping[str, Any] | None,
+        use_planner: bool,
+    ) -> str:
         from repro.runtime.explain import explain_statement
 
-        statement = (
-            source
-            if isinstance(source, (ast.Statement, ast.SchemaStatement))
-            else self.parse(source)
-        )
+        prepared = self.prepare(source)
+        statement = prepared.statement
         if isinstance(statement, ast.SchemaStatement):
             return (
                 f"schema command: {statement.kind} on "
                 f":{statement.label}({statement.key})"
             )
+        supplied = dict(parameters or {})
         ctx = EvalContext(
             store=self.store,
+            parameters=supplied,
             match_mode=self.match_mode,
-            use_planner=True,
+            use_planner=use_planner,
+            compile=prepared.compile,
         )
-        return explain_statement(ctx, statement, self.dialect)
+        return explain_statement(
+            ctx, prepared.executable((), supplied, use_planner), self.dialect
+        )
 
     # ------------------------------------------------------------------
 
-    def _run_query(
-        self,
-        ctx: EvalContext,
-        query: ast.Query,
-        initial: DrivingTable,
-    ) -> DrivingTable:
-        if isinstance(query, ast.UnionQuery):
-            left = self._run_query(ctx, query.left, initial.copy())
-            right = self._run_single(ctx, query.right, initial.copy())
-            combined = left.concat(right)
-            return combined if query.all else combined.distinct()
-        return self._run_single(ctx, query, initial)
-
-    def _run_single(
-        self,
-        ctx: EvalContext,
-        query: ast.SingleQuery,
-        initial: DrivingTable,
-    ) -> DrivingTable:
-        final = execute_clauses(ctx, query.clauses, initial, self.dialect)
-        if query.return_clause is None:
-            # Statements without RETURN output the empty table.
-            return DrivingTable()
-        return final
-
-    def _check_commit_time_well_formedness(self) -> None:
+    def _check_commit_time_well_formedness(self, mark: int) -> None:
         """Reject statements that leave dangling relationships behind.
 
         The legacy dialect tolerates dangling relationships *during* a
         statement (Section 4.2) but, like Neo4j, validates the graph at
-        the statement boundary.
+        the statement boundary.  Only deleting a node can leave one, so
+        only the relationships at the nodes deleted since *mark* are
+        inspected.
         """
-        for rel in self.store.relationships():
-            if rel.start.is_deleted or rel.end.is_deleted:
-                raise UpdateError(
-                    f"statement would leave dangling relationship "
-                    f"{rel.id} ({rel.type}); delete it in the same statement"
-                )
+        store = self.store
+        dangling = {
+            rel_id
+            for node_id in store.deleted_node_ids(mark)
+            for rel_id in store.adjacent_rel_ids(node_id)
+        }
+        if dangling:
+            rel_id = min(dangling)
+            raise UpdateError(
+                f"statement would leave dangling relationship "
+                f"{rel_id} ({store.rel_type(rel_id)}); "
+                f"delete it in the same statement"
+            )
 
     def _counters_since(self, mark: int) -> UpdateCounters:
         counts: dict[str, int] = {}

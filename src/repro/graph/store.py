@@ -1116,6 +1116,14 @@ class GraphStore:
             counts[entry[0]] = counts.get(entry[0], 0) + 1
         return counts
 
+    def deleted_node_ids(self, mark: int = 0) -> list[int]:
+        """Ids of the nodes deleted after *mark*, in journal order."""
+        return [
+            entry[1]
+            for entry in self._journal[mark:]
+            if entry[0] == "delete_node"
+        ]
+
     def apply_redo(self, op: tuple) -> None:
         """Re-apply one redo operation with its original ids (recovery).
 

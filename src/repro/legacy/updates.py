@@ -25,14 +25,14 @@ order-dependence experimentally.
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from repro.errors import CypherTypeError
 from repro.graph.model import Node, Path, Relationship
 from repro.graph.values import type_name
 from repro.parser import ast
+from repro.runtime.compiler import Compiler
 from repro.runtime.context import EvalContext
-from repro.runtime.expressions import evaluate
 from repro.runtime.matcher import match_pattern, pattern_variables
 from repro.runtime.table import DrivingTable
 
@@ -44,50 +44,45 @@ def execute_set_legacy(
     ctx: EvalContext, clause: ast.SetClause, table: DrivingTable
 ) -> DrivingTable:
     """Per-record, per-item sequential SET (reads its own writes)."""
+    apply = compile_set_items(ctx.compile, clause.items)
     for record in table:
-        apply_set_items(ctx, clause.items, record)
+        apply(ctx, record)
     return table
 
 
-def apply_set_items(
-    ctx: EvalContext, items: Iterable[ast.SetItem], record: dict
+def compile_set_items(
+    compile: Compiler, items: Iterable[ast.SetItem]
+) -> Callable[[EvalContext, dict], None]:
+    """SET items as one ``(ctx, record)`` step, compiled once per clause.
+
+    The step applies the items immediately, left to right, for one
+    record -- each item evaluates against the graph its predecessors
+    already wrote.
+    """
+    compiled = [
+        (
+            item,
+            compile(
+                item.target.subject
+                if isinstance(item, ast.SetProperty)
+                else item.target
+            ),
+            None if isinstance(item, ast.SetLabels) else compile(item.value),
+        )
+        for item in items
+    ]
+
+    def apply(ctx: EvalContext, record: dict) -> None:
+        for item, target_fn, value_fn in compiled:
+            _apply_set_item(ctx, item, target_fn(ctx, record), value_fn, record)
+
+    return apply
+
+
+def _apply_set_item(
+    ctx: EvalContext, item: ast.SetItem, target: Any, value_fn, record: dict
 ) -> None:
-    """Apply SET items immediately, left to right, for one record."""
-    for item in items:
-        _apply_set_item(ctx, item, record)
-
-
-def _apply_set_item(ctx: EvalContext, item: ast.SetItem, record: dict) -> None:
-    if isinstance(item, ast.SetProperty):
-        target = evaluate(ctx, item.target.subject, record)
-        entity = _live_entity(target)
-        if entity is None:
-            return
-        value = evaluate(ctx, item.value, record)
-        _write_property(ctx, entity, item.target.key, value)
-        return
-    if isinstance(item, ast.SetAllProperties):
-        target = evaluate(ctx, item.target, record)
-        entity = _live_entity(target)
-        if entity is None:
-            return
-        new_map = _as_map(ctx, item.value, record)
-        for key in list(entity.properties):
-            if key not in new_map:
-                _write_property(ctx, entity, key, None)
-        for key, value in new_map.items():
-            _write_property(ctx, entity, key, value)
-        return
-    if isinstance(item, ast.SetAdditiveProperties):
-        target = evaluate(ctx, item.target, record)
-        entity = _live_entity(target)
-        if entity is None:
-            return
-        for key, value in _as_map(ctx, item.value, record).items():
-            _write_property(ctx, entity, key, value)
-        return
     if isinstance(item, ast.SetLabels):
-        target = evaluate(ctx, item.target, record)
         if target is None:
             return
         if not isinstance(target, Node):
@@ -99,7 +94,21 @@ def _apply_set_item(ctx: EvalContext, item: ast.SetItem, record: dict) -> None:
         for label in item.labels:
             ctx.store.add_label(target.id, label)
         return
-    raise AssertionError(f"unknown SET item {type(item).__name__}")
+    entity = _live_entity(target)
+    if entity is None:
+        return
+    if isinstance(item, ast.SetProperty):
+        _write_property(ctx, entity, item.target.key, value_fn(ctx, record))
+        return
+    new_map = _as_map(value_fn(ctx, record))
+    if isinstance(item, ast.SetAllProperties):
+        for key in list(entity.properties):
+            if key not in new_map:
+                _write_property(ctx, entity, key, None)
+    elif not isinstance(item, ast.SetAdditiveProperties):
+        raise AssertionError(f"unknown SET item {type(item).__name__}")
+    for key, value in new_map.items():
+        _write_property(ctx, entity, key, value)
 
 
 def _live_entity(value: Any) -> Node | Relationship | None:
@@ -127,8 +136,7 @@ def _write_property(
         ctx.store.set_rel_property(entity.id, key, value)
 
 
-def _as_map(ctx: EvalContext, expression: ast.Expression, record: dict) -> dict:
-    value = evaluate(ctx, expression, record)
+def _as_map(value: Any) -> dict:
     if isinstance(value, (Node, Relationship)):
         value = dict(value.properties)
     if not isinstance(value, dict):
@@ -152,10 +160,10 @@ def execute_delete_legacy(
     end of the whole statement.  The driving table keeps its references
     to the deleted entities (the "zombie" handles the paper describes).
     """
+    expression_fns = [ctx.compile(e) for e in clause.expressions]
     for record in table:
-        for expression in clause.expressions:
-            value = evaluate(ctx, expression, record)
-            _delete_value(ctx, value, clause.detach)
+        for expression_fn in expression_fns:
+            _delete_value(ctx, expression_fn(ctx, record), clause.detach)
     return table
 
 
@@ -211,12 +219,13 @@ def execute_merge_legacy(
     # left-to-right -- the direction nondeterminism the revised syntax
     # eliminates by requiring directed patterns.
     creation_pattern = _directed(clause.pattern)
+    on_match = compile_set_items(ctx.compile, clause.on_match)
+    on_create = compile_set_items(ctx.compile, clause.on_create)
     for record in table:
         matches = list(match_pattern(ctx, clause.pattern, record))
         if matches:
             for bindings in matches:
-                if clause.on_match:
-                    apply_set_items(ctx, clause.on_match, bindings)
+                on_match(ctx, bindings)
                 output.add(
                     {name: bindings.get(name) for name in output.columns}
                 )
@@ -224,9 +233,7 @@ def execute_merge_legacy(
         instance = instantiate_pattern(ctx, creation_pattern, dict(record))
         extended = dict(record)
         extended.update(instance.bindings)
-        if clause.on_create:
-            scope = dict(extended)
-            apply_set_items(ctx, clause.on_create, scope)
+        on_create(ctx, extended)
         output.add({name: extended.get(name) for name in output.columns})
     return output
 

@@ -27,6 +27,12 @@ class Expression:
 
     __slots__ = ()
 
+    #: ``(closure, is_constant)`` once :mod:`repro.runtime.compiler` has
+    #: compiled the node.  An instance attribute, not a field: equality,
+    #: hashing, ``repr`` and ``dataclasses.replace`` do not see it, and
+    #: the closure lives exactly as long as the node it was compiled from.
+    _compiled = None
+
 
 @dataclass(frozen=True, eq=False)
 class Literal(Expression):
@@ -35,12 +41,8 @@ class Literal(Expression):
     Equality and hashing are *type-aware*: under Python's numeric
     equality ``True == 1 == 1.0``, so the dataclass-generated ``__eq__``
     would conflate ``Literal(True)``, ``Literal(1)`` and
-    ``Literal(1.0)`` -- semantically different constants.  Any cache
-    keyed on AST structure (the expression compiler's closure memo)
-    needs these to be distinct.  A literal wrapping an unhashable
-    runtime value (lists/maps appear through aggregate substitution)
-    simply raises ``TypeError`` from ``hash()``, which caches treat as
-    uncacheable.
+    ``Literal(1.0)`` -- semantically different constants, which
+    anything comparing statements structurally must keep apart.
     """
 
     value: Any
@@ -91,6 +93,11 @@ class MapLiteral(Expression):
     """A map expression ``{k1: e1, ...}`` (also pattern property maps)."""
 
     items: tuple[tuple[str, Expression], ...]
+
+    #: the variables the map's expressions read, once
+    #: :func:`repro.runtime.compiler.compile_map` has collected them
+    #: (cached on the node like :attr:`Expression._compiled`)
+    _variables = None
 
     def keys(self) -> tuple[str, ...]:
         """The map's keys in source order."""

@@ -1,45 +1,40 @@
-"""A caching expression compiler: AST -> nested Python closures.
+"""The expression evaluator: AST -> nested Python closures.
 
-The interpreter in :mod:`repro.runtime.expressions` re-dispatches on
-the AST node type for every row that flows through the clause pipeline.
-This module performs that dispatch **once per distinct expression**:
-:func:`compile_expression` lowers an :class:`~repro.parser.ast.Expression`
-into a tree of closures, each a direct call to its children, so the
-per-row cost is plain Python calls with all compile-time decisions
-(operator lookup, function resolution, arity checks, aggregate
-detection) already taken.
+:func:`compile_expression` lowers an
+:class:`~repro.parser.ast.Expression` into a tree of closures, each a
+direct call to its children, so the per-row cost is plain Python calls
+with every compile-time decision (operator lookup, function resolution,
+arity checks, aggregate detection) already taken.
 
 Guarantees:
 
-* **Identical semantics.**  Compiled closures produce the same values
-  *and raise the same errors* (class and message) as
-  :func:`repro.runtime.expressions.interpret`, including three-valued
-  AND/OR/XOR (both operands are always evaluated, exactly like the
-  interpreter), null propagation, IEEE division edge cases and int64
-  overflow.  ``tests/properties/test_compiler_equivalence.py`` holds
-  this contract over every expression form.
-* **Compile once.**  Closures are memoized per AST node in a bounded
-  LRU (AST nodes are frozen dataclasses, shared via the engine's
-  statement cache, so re-running a query is a pure cache hit).  Nodes
-  with unhashable literal payloads (possible through aggregate
-  substitution) are compiled fresh each time -- correct, just uncached.
+* **One semantics.**  Closures produce the values *and raise the
+  errors* (class and message) of ``[[e]]_{G,u}``: three-valued
+  AND/OR/XOR (both operands are always evaluated), null propagation,
+  IEEE division edge cases and int64 overflow.  The tree-walking
+  reference in :mod:`repro.testing.interpreter` is the oracle;
+  ``tests/properties/test_compiler_equivalence.py`` holds the two
+  together over every expression form.
+* **Compile once, owned by the node.**  A node's closure is kept on the
+  node itself (:attr:`~repro.parser.ast.Expression._compiled`), so it
+  lives exactly as long as the statement it was compiled from -- the
+  engine's statement cache bounds both -- and finding it again is one
+  attribute read: no table, no hashing of AST subtrees, no lock.
 * **Constant folding.**  Operator applications whose operands are
   literal scalars are evaluated at compile time; a folding step that
   *raises* (``1/0``, int64 overflow) compiles to a closure re-raising
   the same error at evaluation time, preserving error semantics.
 
-``compilation_disabled()`` switches :func:`compile_expression` (and the
-map helper) to closures that delegate to the reference interpreter --
-the benchmark harness uses this to measure interpreted-vs-compiled
-speedup over identical workloads.
+Clauses do not call this module directly: they ask ``ctx.compile``, the
+closure-maker of the statement being executed
+(:attr:`repro.engine.Prepared.compile`), which is
+:func:`compile_expression` everywhere outside the test oracles.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Any, Callable, Iterator, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional
 
-from repro.caching import LRUCache
 from repro.errors import (
     CypherError,
     CypherEvaluationError,
@@ -50,20 +45,18 @@ from repro.errors import (
 from repro.graph.model import Node, Relationship
 from repro.graph.values import cypher_eq, type_name
 from repro.parser import ast
+from repro.runtime import expressions as exprs
 from repro.runtime.aggregation import children, is_aggregate_call
-from repro.runtime.context import EvalContext
 from repro.runtime.functions import _ACCEPTS_NULL, FUNCTIONS
 
+if TYPE_CHECKING:  # pragma: no cover - the context imports this module
+    from repro.runtime.context import EvalContext
+
 #: A compiled expression: ``(ctx, record) -> value``.
-Compiled = Callable[[EvalContext, Mapping[str, Any]], Any]
+Compiled = Callable[["EvalContext", Mapping[str, Any]], Any]
 
-#: Compiled closures memoized per AST node; an entry is ``(fn, is_const)``.
-_CACHE = LRUCache(capacity=16384)
-
-#: Compiled pattern property maps, memoized per MapLiteral node.
-_MAP_CACHE = LRUCache(capacity=4096)
-
-_ENABLED = True
+#: A closure-maker: what ``ctx.compile`` is.
+Compiler = Callable[[ast.Expression], Compiled]
 
 #: Scalar types safe to bake into a constant closure (immutable, and
 #: exactly the types a parsed ``ast.Literal`` can carry).
@@ -76,120 +69,52 @@ _EMPTY_RECORD: dict = {}
 
 
 class CompilerStats:
-    """Module-wide compilation counters (snapshot-diffed by PROFILE)."""
+    """Process-wide compilation counters (snapshot-diffed by PROFILE)."""
 
-    __slots__ = ("expressions_compiled", "cache_hits", "constant_folded")
+    __slots__ = ("expressions_compiled", "constant_folded")
 
     def __init__(self) -> None:
         self.expressions_compiled = 0
-        self.cache_hits = 0
         self.constant_folded = 0
 
     def snapshot(self) -> dict[str, int]:
         """Plain-dict copy of the counters."""
         return {
             "expressions_compiled": self.expressions_compiled,
-            "cache_hits": self.cache_hits,
             "constant_folded": self.constant_folded,
         }
-
-    def reset(self) -> None:
-        self.expressions_compiled = 0
-        self.cache_hits = 0
-        self.constant_folded = 0
 
 
 STATS = CompilerStats()
 
 
 def compile_expression(expression: ast.Expression) -> Compiled:
-    """The compiled closure for *expression* (memoized per AST node)."""
+    """The closure for *expression*, compiled on first request."""
     return _compiled(expression)[0]
 
 
-def compilation_enabled() -> bool:
-    """True unless inside a :func:`compilation_disabled` block."""
-    return _ENABLED
-
-
-@contextmanager
-def compilation_disabled() -> Iterator[None]:
-    """Temporarily route all evaluation through the interpreter.
-
-    Used by the benchmark harness (interpreted baseline) and the
-    equivalence tests; nesting is allowed.
-    """
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = False
-    try:
-        yield
-    finally:
-        _ENABLED = previous
-
-
-def cache_info() -> dict[str, int]:
-    """Hit/miss/size counters of the closure cache."""
-    return _CACHE.info()
-
-
-def clear_cache() -> None:
-    """Drop all memoized closures (tests and memory pressure)."""
-    _CACHE.clear()
-    _MAP_CACHE.clear()
-
-
-def compile_map_items(
-    properties: ast.MapLiteral,
-) -> tuple[tuple[str, Compiled], ...]:
-    """Compile a property map to ``((key, fn), ...)`` pairs (memoized).
+def compile_map(
+    compile: Compiler, properties: ast.MapLiteral
+) -> tuple[tuple[tuple[str, Compiled], ...], frozenset[str]]:
+    """A property map as ``((key, fn), ...)`` plus the variables it reads.
 
     Pattern property maps (node/relationship ``{k: e}`` annotations and
-    CREATE/MERGE value maps) are the per-row hottest expressions; this
-    helper lets the matcher and the update clauses evaluate each map
-    expression exactly once per record.
+    CREATE/MERGE value maps) are the per-row hottest expressions; the
+    pairs let the matcher and the update clauses evaluate each map
+    expression exactly once per record.  The variables -- which
+    bindings the map depends on -- are collected once and kept on the
+    node.
     """
-    return compile_map(properties)[0]
-
-
-def compile_map(
-    properties: ast.MapLiteral,
-) -> tuple[tuple[tuple[str, Compiled], ...], frozenset[str]]:
-    """:func:`compile_map_items` plus the variables the map reads.
-
-    The second component names every variable the map's expressions
-    mention, so a caller can tell which bindings the map depends on
-    without walking the AST.  Both are memoized in one entry; with
-    compilation disabled only the variables are (the interpreting
-    closures are rebuilt per call and the entry's items stay None).
-    """
-    entry = _MAP_CACHE.get(properties)
-    if entry is None:
-        entry = (
-            None,
-            frozenset().union(
-                *[_variables_of(value) for __, value in properties.items]
-            ),
+    variables = properties._variables
+    if variables is None:
+        variables = frozenset().union(
+            *[_variables_of(value) for __, value in properties.items]
         )
-        _MAP_CACHE.put(properties, entry)
-    items, variables = entry
-    if not _ENABLED:
-        interpret = _interpreter()
-        items = tuple(
-            [
-                (key, _interpreting(interpret, value))
-                for key, value in properties.items
-            ]
-        )
-    elif items is None:
-        items = tuple(
-            [
-                (key, compile_expression(value))
-                for key, value in properties.items
-            ]
-        )
-        _MAP_CACHE.put(properties, (items, variables))
-    return items, variables
+        object.__setattr__(properties, "_variables", variables)
+    return (
+        tuple([(key, compile(value)) for key, value in properties.items]),
+        variables,
+    )
 
 
 def _variables_of(expression: ast.Expression) -> set[str]:
@@ -207,7 +132,8 @@ def _variables_of(expression: ast.Expression) -> set[str]:
             if element.variable is not None:
                 names.add(element.variable)
             if element.properties is not None:
-                names |= compile_map(element.properties)[1]
+                for __, value in element.properties.items:
+                    names |= _variables_of(value)
     for child in children(expression):
         names |= _variables_of(child)
     return names
@@ -217,47 +143,13 @@ def _variables_of(expression: ast.Expression) -> set[str]:
 # Internal machinery
 # ---------------------------------------------------------------------------
 
-_interpret_fn = None
-_exprs_module = None
-
-
-def _interpreter():
-    """The reference interpreter, bound lazily (import cycle guard)."""
-    global _interpret_fn
-    if _interpret_fn is None:
-        from repro.runtime.expressions import interpret
-
-        _interpret_fn = interpret
-    return _interpret_fn
-
-
-def _exprs():
-    """The expressions module, bound lazily (operator tables, helpers)."""
-    global _exprs_module
-    if _exprs_module is None:
-        from repro.runtime import expressions
-
-        _exprs_module = expressions
-    return _exprs_module
-
-
-def _interpreting(interpret, expression: ast.Expression) -> Compiled:
-    def interpreted(ctx: EvalContext, record: Mapping[str, Any]) -> Any:
-        return interpret(ctx, expression, record)
-
-    return interpreted
-
 
 def _compiled(expression: ast.Expression) -> tuple[Compiled, bool]:
-    """``(closure, is_const)`` for a node, via the memo cache."""
-    if not _ENABLED:
-        return _interpreting(_interpreter(), expression), False
-    entry = _CACHE.get(expression)
-    if entry is not None:
-        STATS.cache_hits += 1
-        return entry
-    entry = _compile(expression)
-    _CACHE.put(expression, entry)
+    """``(closure, is_const)`` for a node, compiled at most once."""
+    entry = expression._compiled
+    if entry is None:
+        entry = _compile(expression)
+        object.__setattr__(expression, "_compiled", entry)
     return entry
 
 
@@ -390,7 +282,7 @@ def _compile(expression: ast.Expression) -> tuple[Compiled, bool]:
         return map_literal, False
 
     if isinstance(expression, ast.Unary):
-        op = _exprs().UNARY_OPS[expression.operator]
+        op = exprs.UNARY_OPS[expression.operator]
         operand_fn, operand_const = _compiled(expression.operand)
 
         def unary(ctx: EvalContext, record: Mapping[str, Any]) -> Any:
@@ -465,7 +357,7 @@ def _compile(expression: ast.Expression) -> tuple[Compiled, bool]:
         return _compile_reduce(expression)
 
     if isinstance(expression, ast.Subscript):
-        subscript_value = _exprs().subscript_value
+        subscript_value = exprs.subscript_value
         subject_fn = _compiled(expression.subject)[0]
         index_fn = _compiled(expression.index)[0]
 
@@ -480,7 +372,7 @@ def _compile(expression: ast.Expression) -> tuple[Compiled, bool]:
         return _compile_slice(expression)
 
     if isinstance(expression, ast.PatternExpression):
-        pattern_predicate = _exprs().pattern_predicate
+        pattern_predicate = exprs.pattern_predicate
         pattern = expression.pattern
 
         def pattern_expression(
@@ -492,7 +384,7 @@ def _compile(expression: ast.Expression) -> tuple[Compiled, bool]:
 
     if isinstance(expression, ast.ExistsExpression):
         if isinstance(expression.argument, ast.PathPattern):
-            pattern_predicate = _exprs().pattern_predicate
+            pattern_predicate = exprs.pattern_predicate
             pattern = expression.argument
 
             def exists_pattern(
@@ -518,7 +410,6 @@ def _compile(expression: ast.Expression) -> tuple[Compiled, bool]:
 
 
 def _compile_binary(expression: ast.Binary) -> tuple[Compiled, bool]:
-    exprs = _exprs()
     operator = expression.operator
     left_fn, left_const = _compiled(expression.left)
     right_fn, right_const = _compiled(expression.right)
@@ -743,7 +634,7 @@ def _compile_reduce(
 def _compile_quantifier(
     expression: ast.Quantifier,
 ) -> tuple[Compiled, bool]:
-    quantifier_outcome = _exprs().quantifier_outcome
+    quantifier_outcome = exprs.quantifier_outcome
     kind = expression.kind
     variable = expression.variable
     source_fn = _compiled(expression.source)[0]
@@ -774,7 +665,7 @@ def _compile_quantifier(
 
 
 def _compile_slice(expression: ast.Slice) -> tuple[Compiled, bool]:
-    slice_value = _exprs().slice_value
+    slice_value = exprs.slice_value
     subject_fn = _compiled(expression.subject)[0]
     start_fn: Optional[Compiled] = (
         _compiled(expression.start)[0]

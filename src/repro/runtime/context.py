@@ -1,9 +1,9 @@
 """Shared evaluation context threaded through the runtime.
 
 A single :class:`EvalContext` carries everything expression evaluation
-and pattern matching need: the graph store, statement parameters, and
-the pattern-matching mode (trail vs homomorphism, Section 6 discussion
-of Example 7).
+and pattern matching need: the graph store, statement parameters, the
+closure-maker and the pattern-matching mode (trail vs homomorphism,
+Section 6 discussion of Example 7).
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping, Optional
 
 from repro.graph.store import GraphStore
+from repro.runtime.compiler import Compiler, compile_expression
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime.profile import QueryProfile
@@ -70,3 +71,8 @@ class EvalContext:
     #: columnar store is read-shared safely) or "process" (fork-based
     #: pool, opt-in for CPU-bound predicates that the GIL serialises).
     parallel_executor: str = "thread"
+
+    #: The closure-maker every clause obtains its ``(ctx, record) ->
+    #: value`` closures from -- that of the statement being executed
+    #: (:attr:`repro.engine.Prepared.compile`).
+    compile: Compiler = compile_expression

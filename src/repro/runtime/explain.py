@@ -142,9 +142,10 @@ def render_profile(profile) -> str:
     compiler = profile.compiler
     if compiler:
         lines.append(
-            f"  compiler: {compiler.get('expressions_compiled', 0)} "
+            f"  compiler: statement cache "
+            f"{'hit' if compiler.get('prepared_hit') else 'miss'}, "
+            f"{compiler.get('expressions_compiled', 0)} "
             f"expressions compiled, "
-            f"{compiler.get('cache_hits', 0)} closure-cache hits, "
             f"{compiler.get('constant_folded', 0)} constants folded"
         )
     return "\n".join(lines)

@@ -1,40 +1,30 @@
-"""Expression evaluation.
+"""The operator kernels of expression evaluation.
 
-:func:`evaluate` implements ``[[e]]_{G,u}`` -- the value of expression
-*e* on graph *G* under assignment *u* (the current record).  Semantics
-follows the paper's companion formalization: SQL-style three-valued
-logic, null propagation through operators and most functions, and
-entity property access via iota (absent keys read as null).
+``[[e]]_{G,u}`` -- the value of expression *e* on graph *G* under
+assignment *u* (the current record) -- follows the paper's companion
+formalization: SQL-style three-valued logic, null propagation through
+operators and most functions, and entity property access via iota
+(absent keys read as null).
 
-Two implementations share this semantics:
+The runtime evaluates expressions through closures
+(:mod:`repro.runtime.compiler`); the tree-walking reference
+(:mod:`repro.testing.interpreter`) is an oracle for tests and the
+fuzzer.  Both apply the operator implementations defined *here*, so
+there is exactly one definition of ``+`` on lists, IEEE zero division,
+int64 overflow checking, subscripts, slices, quantifier verdicts and
+pattern predicates.
 
-* :func:`interpret` -- the original recursive AST walker, kept as the
-  executable reference (``tests/properties`` checks the compiler
-  against it form by form, including error cases);
-* :func:`evaluate` -- a thin wrapper over
-  :func:`repro.runtime.compiler.compile_expression`, which lowers the
-  expression to nested closures once (memoized per AST node) and makes
-  every subsequent evaluation a chain of direct calls.
-
-The scalar operator implementations (:data:`BINARY_OPS`) are shared by
-both, so there is exactly one definition of ``+`` on lists, IEEE zero
-division, int64 overflow checking and friends.
-
-Aggregates are *not* evaluated here: projections (RETURN/WITH) detect
-and compute them; reaching one in this evaluator is an error.
+Aggregates are not evaluated by either: projections (RETURN/WITH)
+detect and compute them.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Mapping
+from dataclasses import replace
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
-from repro.errors import (
-    CypherEvaluationError,
-    CypherTypeError,
-    ParameterMissingError,
-    UnknownVariableError,
-)
+from repro.errors import CypherEvaluationError, CypherTypeError
 from repro.graph.model import Node, Relationship
 from repro.graph.values import (
     check_int64,
@@ -53,135 +43,9 @@ from repro.graph.values import (
     type_name,
 )
 from repro.parser import ast
-from repro.runtime.aggregation import is_aggregate_call
-from repro.runtime.context import EvalContext
-from repro.runtime.functions import call_function
 
-
-def evaluate(
-    ctx: EvalContext, expression: ast.Expression, record: Mapping[str, Any]
-) -> Any:
-    """Evaluate *expression* on the graph under the given record.
-
-    Delegates to the compiled closure for the expression (compiled once
-    per distinct AST node, then cached); with compilation disabled
-    (``compiler.compilation_disabled()``) this falls back to
-    :func:`interpret`.
-    """
-    return compile_expression(expression)(ctx, record)
-
-
-def evaluate_predicate(
-    ctx: EvalContext, expression: ast.Expression, record: Mapping[str, Any]
-) -> bool:
-    """Evaluate a WHERE predicate; null counts as not satisfied."""
-    return evaluate(ctx, expression, record) is True
-
-
-def interpret(
-    ctx: EvalContext, expression: ast.Expression, record: Mapping[str, Any]
-) -> Any:
-    """Reference interpreter: evaluate by walking the AST directly."""
-    if isinstance(expression, ast.HoistedExpression):
-        # The interpreter skips the memoization -- per-row evaluation of
-        # a record-invariant expression is semantically identical.
-        return interpret(ctx, expression.expression, record)
-    if isinstance(expression, ast.Literal):
-        return expression.value
-    if isinstance(expression, ast.Parameter):
-        if expression.name not in ctx.parameters:
-            raise ParameterMissingError(
-                f"missing parameter ${expression.name}"
-            )
-        return ctx.parameters[expression.name]
-    if isinstance(expression, ast.Variable):
-        if expression.name not in record:
-            raise UnknownVariableError(
-                f"variable '{expression.name}' is not defined"
-            )
-        return record[expression.name]
-    if isinstance(expression, ast.Property):
-        return _property(ctx, expression, record)
-    if isinstance(expression, ast.ListLiteral):
-        return [interpret(ctx, item, record) for item in expression.items]
-    if isinstance(expression, ast.MapLiteral):
-        return {
-            key: interpret(ctx, value, record)
-            for key, value in expression.items
-        }
-    if isinstance(expression, ast.Unary):
-        return _unary(ctx, expression, record)
-    if isinstance(expression, ast.Binary):
-        return _binary(ctx, expression, record)
-    if isinstance(expression, ast.IsNull):
-        value = interpret(ctx, expression.operand, record)
-        return (value is not None) if expression.negated else (value is None)
-    if isinstance(expression, ast.HasLabels):
-        subject = interpret(ctx, expression.subject, record)
-        if subject is None:
-            return None
-        if not isinstance(subject, Node):
-            raise CypherTypeError(
-                f"label predicate expects a Node, got {type_name(subject)}"
-            )
-        return all(subject.has_label(label) for label in expression.labels)
-    if isinstance(expression, ast.FunctionCall):
-        if is_aggregate_call(expression):
-            raise CypherEvaluationError(
-                f"aggregate {expression.name}() is only allowed in "
-                f"RETURN and WITH projections"
-            )
-        args = [interpret(ctx, arg, record) for arg in expression.args]
-        return call_function(ctx, expression.name, args)
-    if isinstance(expression, ast.CountStar):
-        raise CypherEvaluationError(
-            "count(*) is only allowed in RETURN and WITH projections"
-        )
-    if isinstance(expression, ast.CaseExpression):
-        return _case(ctx, expression, record)
-    if isinstance(expression, ast.ListComprehension):
-        return _list_comprehension(ctx, expression, record)
-    if isinstance(expression, ast.Quantifier):
-        return _quantifier(ctx, expression, record)
-    if isinstance(expression, ast.Reduce):
-        return _reduce(ctx, expression, record)
-    if isinstance(expression, ast.Subscript):
-        return _subscript(ctx, expression, record)
-    if isinstance(expression, ast.Slice):
-        return _slice(ctx, expression, record)
-    if isinstance(expression, ast.PatternExpression):
-        return pattern_predicate(ctx, expression.pattern, record)
-    if isinstance(expression, ast.ExistsExpression):
-        if isinstance(expression.argument, ast.PathPattern):
-            return pattern_predicate(ctx, expression.argument, record)
-        return interpret(ctx, expression.argument, record) is not None
-    raise CypherEvaluationError(
-        f"cannot evaluate expression {type(expression).__name__}"
-    )
-
-
-# ---------------------------------------------------------------------------
-
-def _property(
-    ctx: EvalContext, expression: ast.Property, record: Mapping[str, Any]
-) -> Any:
-    subject = interpret(ctx, expression.subject, record)
-    if subject is None:
-        return None
-    if isinstance(subject, (Node, Relationship)):
-        return subject.get(expression.key)
-    if isinstance(subject, dict):
-        return subject.get(expression.key)
-    raise CypherTypeError(
-        f"cannot read property '{expression.key}' of {type_name(subject)}"
-    )
-
-
-def _unary(
-    ctx: EvalContext, expression: ast.Unary, record: Mapping[str, Any]
-) -> Any:
-    value = interpret(ctx, expression.operand, record)
-    return UNARY_OPS[expression.operator](value)
+if TYPE_CHECKING:  # pragma: no cover - the context imports the compiler
+    from repro.runtime.context import EvalContext
 
 
 def unary_not(value: Any) -> Any:
@@ -219,28 +83,6 @@ UNARY_OPS: dict[str, Callable[[Any], Any]] = {
     "-": unary_minus,
     "+": unary_plus,
 }
-
-
-def _binary(
-    ctx: EvalContext, expression: ast.Binary, record: Mapping[str, Any]
-) -> Any:
-    operator = expression.operator
-    # Boolean connectives do not short-circuit on nulls, but we can
-    # still evaluate lazily on definite outcomes.
-    if operator in ("AND", "OR", "XOR"):
-        left = interpret(ctx, expression.left, record)
-        right = interpret(ctx, expression.right, record)
-        if operator == "AND":
-            return tri_and(left, right)
-        if operator == "OR":
-            return tri_or(left, right)
-        return tri_xor(left, right)
-    left = interpret(ctx, expression.left, record)
-    right = interpret(ctx, expression.right, record)
-    op = BINARY_OPS.get(operator)
-    if op is None:
-        raise CypherEvaluationError(f"unknown operator {operator}")
-    return op(left, right)
 
 
 def _string_op(operator: str, impl: Callable[[str, str], bool]):
@@ -431,68 +273,6 @@ def _concat(left: Any, right: Any) -> str:
     return text(left) + text(right)
 
 
-def _case(
-    ctx: EvalContext, expression: ast.CaseExpression, record: Mapping[str, Any]
-) -> Any:
-    if expression.operand is not None:
-        operand = interpret(ctx, expression.operand, record)
-        for condition, result in expression.alternatives:
-            if cypher_eq(operand, interpret(ctx, condition, record)) is True:
-                return interpret(ctx, result, record)
-    else:
-        for condition, result in expression.alternatives:
-            if interpret(ctx, condition, record) is True:
-                return interpret(ctx, result, record)
-    if expression.default is not None:
-        return interpret(ctx, expression.default, record)
-    return None
-
-
-def _list_comprehension(
-    ctx: EvalContext,
-    expression: ast.ListComprehension,
-    record: Mapping[str, Any],
-) -> Any:
-    source = interpret(ctx, expression.source, record)
-    if source is None:
-        return None
-    if not isinstance(source, list):
-        raise CypherTypeError(
-            f"list comprehension expects a List, got {type_name(source)}"
-        )
-    result = []
-    inner = dict(record)
-    for element in source:
-        inner[expression.variable] = element
-        if expression.predicate is not None:
-            if interpret(ctx, expression.predicate, inner) is not True:
-                continue
-        if expression.projection is not None:
-            result.append(interpret(ctx, expression.projection, inner))
-        else:
-            result.append(element)
-    return result
-
-
-def _reduce(
-    ctx: EvalContext, expression: ast.Reduce, record: Mapping[str, Any]
-) -> Any:
-    source = interpret(ctx, expression.source, record)
-    if source is None:
-        return None
-    if not isinstance(source, list):
-        raise CypherTypeError(
-            f"reduce() expects a List, got {type_name(source)}"
-        )
-    accumulator = interpret(ctx, expression.init, record)
-    inner = dict(record)
-    for element in source:
-        inner[expression.accumulator] = accumulator
-        inner[expression.variable] = element
-        accumulator = interpret(ctx, expression.expression, inner)
-    return accumulator
-
-
 def quantifier_outcome(
     kind: str, true_count: int, null_count: int, false_count: int
 ) -> Any:
@@ -518,32 +298,6 @@ def quantifier_outcome(
     raise AssertionError(kind)
 
 
-def _quantifier(
-    ctx: EvalContext, expression: ast.Quantifier, record: Mapping[str, Any]
-) -> Any:
-    source = interpret(ctx, expression.source, record)
-    if source is None:
-        return None
-    if not isinstance(source, list):
-        raise CypherTypeError(
-            f"{expression.kind}() expects a List, got {type_name(source)}"
-        )
-    true_count = 0
-    null_count = 0
-    inner = dict(record)
-    for element in source:
-        inner[expression.variable] = element
-        outcome = interpret(ctx, expression.predicate, inner)
-        if outcome is True:
-            true_count += 1
-        elif outcome is None:
-            null_count += 1
-    false_count = len(source) - true_count - null_count
-    return quantifier_outcome(
-        expression.kind, true_count, null_count, false_count
-    )
-
-
 def subscript_value(subject: Any, index: Any) -> Any:
     """``subject[index]`` on lists, maps and entities."""
     if subject is None or index is None:
@@ -565,14 +319,6 @@ def subscript_value(subject: Any, index: Any) -> Any:
     raise CypherTypeError(f"cannot index into {type_name(subject)}")
 
 
-def _subscript(
-    ctx: EvalContext, expression: ast.Subscript, record: Mapping[str, Any]
-) -> Any:
-    subject = interpret(ctx, expression.subject, record)
-    index = interpret(ctx, expression.index, record)
-    return subscript_value(subject, index)
-
-
 def slice_value(subject: Any, start: Any, end: Any) -> Any:
     """``subject[start..end]`` on lists (bounds already evaluated)."""
     if start is None or end is None:
@@ -581,27 +327,6 @@ def slice_value(subject: Any, start: Any, end: Any) -> Any:
         if not isinstance(bound, int) or isinstance(bound, bool):
             raise CypherTypeError("slice bounds must be Integers")
     return subject[start:end]
-
-
-def _slice(
-    ctx: EvalContext, expression: ast.Slice, record: Mapping[str, Any]
-) -> Any:
-    subject = interpret(ctx, expression.subject, record)
-    if subject is None:
-        return None
-    if not isinstance(subject, list):
-        raise CypherTypeError(f"cannot slice {type_name(subject)}")
-    start = (
-        interpret(ctx, expression.start, record)
-        if expression.start is not None
-        else 0
-    )
-    end = (
-        interpret(ctx, expression.end, record)
-        if expression.end is not None
-        else len(subject)
-    )
-    return slice_value(subject, start, end)
 
 
 def pattern_predicate(
@@ -628,18 +353,6 @@ def _strip_unbound_variables(
     for element in pattern.elements:
         variable = element.variable
         if variable is not None and variable not in record:
-            element = dataclasses_replace(element, variable=None)
+            element = replace(element, variable=None)
         elements.append(element)
     return ast.PathPattern(variable=None, elements=tuple(elements))
-
-
-def dataclasses_replace(node, **changes):
-    """dataclasses.replace, renamed to avoid shadowing the module."""
-    import dataclasses
-
-    return dataclasses.replace(node, **changes)
-
-
-# The compiler imports the operator tables above; importing it last
-# keeps the dependency acyclic regardless of which module loads first.
-from repro.runtime.compiler import compile_expression  # noqa: E402

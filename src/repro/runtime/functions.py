@@ -11,13 +11,15 @@ null argument yields null.  Functions that deliberately accept nulls
 from __future__ import annotations
 
 import math
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import CypherEvaluationError, CypherTypeError
 from repro.graph.model import Node, Path, Relationship
 from repro.graph.values import check_int64, is_number, type_name
-from repro.runtime.context import EvalContext
 from repro.runtime.limits import check_list_length
+
+if TYPE_CHECKING:  # pragma: no cover - the context imports the compiler
+    from repro.runtime.context import EvalContext
 
 Implementation = Callable[..., Any]
 

@@ -159,7 +159,9 @@ class PreparedPattern:
             for position, element in enumerate(path.elements):
                 items, refs = None, _NO_REFS
                 if element.properties is not None:
-                    items, variables = compile_map(element.properties)
+                    items, variables = compile_map(
+                        ctx.compile, element.properties
+                    )
                     refs = variables & provided
                 if position % 2 == 0:
                     step = NodeStep(

@@ -224,13 +224,13 @@ def _warm_compile(
     columns: tuple[str, ...],
     dialect: Dialect,
 ) -> None:
-    """Populate the compiler caches before dispatching workers.
+    """Compile the segment's expressions before dispatching workers.
 
     Running the clauses over an empty table compiles every expression
     (compilation happens before the row loops) without touching a
-    record or the store, so workers start with warm shared caches --
-    and, in process mode, inherit them through the fork.  Errors are
-    swallowed: this is purely a cache warmer, and letting a
+    record or the store, so workers find the closures on the nodes
+    they share -- and, in process mode, inherit them through the fork.
+    Errors are swallowed: this only warms up, and letting a
     table-independent error from a *later* clause surface here would
     pre-empt an earlier clause's data-dependent error, diverging from
     serial error order.

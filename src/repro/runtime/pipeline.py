@@ -201,13 +201,11 @@ def _execute_foreach(
     atomic over all iterations, while the legacy dialect stays
     per-record.  FOREACH passes its own input table through unchanged.
     """
-    from repro.runtime.compiler import compile_expression  # cycle guard
-
     if clause.variable in table.columns:
         raise CypherSemanticError(
             f"variable '{clause.variable}' is already bound"
         )
-    source_fn = compile_expression(clause.source)
+    source_fn = ctx.compile(clause.source)
     expanded = DrivingTable(tuple(table.columns) + (clause.variable,))
     for record in table:
         value = source_fn(ctx, record)

@@ -174,9 +174,10 @@ class QueryProfile:
         self.counters = HitCounters()
         self.clauses: list[ClauseProfile] = []
         self.time_ms = 0.0
-        #: expression-compiler activity during this statement
-        #: (expressions_compiled, cache_hits, constant_folded);
-        #: filled in by the engine from the compiler's counter deltas
+        #: statement preparation during this statement, filled in by
+        #: the engine: whether the statement cache held the text
+        #: (``prepared_hit``) and the compiler's counter deltas
+        #: (``expressions_compiled``, ``constant_folded``)
         self.compiler: dict[str, int] = {}
         #: the QueryResult this profile belongs to (set by the engine)
         self.result = None

@@ -21,9 +21,8 @@ from repro.runtime.aggregation import (
     contains_aggregate,
     is_aggregate_call,
 )
-from repro.runtime.compiler import compile_expression
+from repro.runtime.compiler import Compiled, Compiler
 from repro.runtime.context import EvalContext
-from repro.runtime.expressions import evaluate
 from repro.runtime.table import DrivingTable
 
 
@@ -52,7 +51,7 @@ def filter_where(
     """The records of a projected table that pass a WITH's WHERE."""
     if where is None:
         return table
-    where_fn = compile_expression(where)
+    where_fn = ctx.compile(where)
     return table.filter(lambda record: where_fn(ctx, record) is True)
 
 
@@ -102,7 +101,9 @@ def _project(
     *,
     require_aliases: bool,
 ) -> DrivingTable:
-    projection = Projection(body, table.columns, require_aliases)
+    projection = Projection(
+        ctx.compile, body, table.columns, require_aliases
+    )
     aggregation = projection.aggregation
     if aggregation is not None:
         groups: dict[tuple, Group] = {}
@@ -134,6 +135,7 @@ class Projection:
 
     def __init__(
         self,
+        compile: Compiler,
         body: ast.ProjectionBody,
         input_columns: tuple[str, ...],
         require_aliases: bool,
@@ -143,10 +145,10 @@ class Projection:
         self.output_columns = tuple(name for name, __ in columns)
         self.aggregation: Aggregation | None = None
         if any(contains_aggregate(expr) for __, expr in columns):
-            self.aggregation = Aggregation(columns)
+            self.aggregation = Aggregation(compile, columns)
         else:
             self.column_fns = [
-                (name, compile_expression(expr)) for name, expr in columns
+                (name, compile(expr)) for name, expr in columns
             ]
 
     @property
@@ -206,27 +208,49 @@ class Aggregation:
     not.
     """
 
-    def __init__(self, columns: list[tuple[str, ast.Expression]]):
+    def __init__(
+        self, compile: Compiler, columns: list[tuple[str, ast.Expression]]
+    ):
         self.grouping_items = [
             (name, expr)
             for name, expr in columns
             if not contains_aggregate(expr)
         ]
-        self.aggregate_items = [
-            (name, expr) for name, expr in columns if contains_aggregate(expr)
-        ]
         self._grouping_fns = [
-            (name, compile_expression(expr))
-            for name, expr in self.grouping_items
+            (name, compile(expr)) for name, expr in self.grouping_items
         ]
         # Aggregate calls are discovered and their argument expressions
         # compiled once per clause; each record pays only the feeds.
-        self.calls = [
-            node
-            for __, expr in self.aggregate_items
-            for node in _aggregate_nodes(expr)
+        self.calls: list[ast.Expression] = []
+        #: the name each call's result is bound to for the items below:
+        #: not an identifier, so no variable of a statement can collide
+        self._result_slots: list[str] = []
+        #: per aggregating item ``(name, index of its first call, fn)``:
+        #: *fn* is the item with every aggregate call replaced by the
+        #: variable of its result slot, compiled; :meth:`emit` evaluates
+        #: it in a scope binding the slots to the group's results.
+        #: ``None`` where the item *is* one call, whose result then is
+        #: the value.
+        self._aggregate_fns: list[tuple[str, int, Compiled | None]] = []
+        for name, expr in columns:
+            if not contains_aggregate(expr):
+                continue
+            first = len(self.calls)
+            slots: dict[int, ast.Expression] = {}
+            for node in _aggregate_nodes(expr):
+                slot = f" aggregate {len(self.calls)}"
+                slots[id(node)] = ast.Variable(slot)
+                self._result_slots.append(slot)
+                self.calls.append(node)
+            item_fn = (
+                None
+                if is_aggregate_call(expr)
+                else compile(_substitute(expr, slots))
+            )
+            self._aggregate_fns.append((name, first, item_fn))
+        self._argument_fns = [
+            _compile_argument(compile, node) for node in self.calls
         ]
-        self._argument_fns = [_compile_argument(node) for node in self.calls]
 
     def key_of(
         self, ctx: EvalContext, record: Mapping[str, Any]
@@ -263,14 +287,16 @@ class Aggregation:
     def emit(self, ctx: EvalContext, group: Group) -> dict:
         """The group's output record."""
         output = dict(group.values)
-        substitutions = {
-            id(node): accumulator.result()
-            for node, accumulator in zip(self.calls, group.accumulators)
-        }
-        for name, expr in self.aggregate_items:
-            output[name] = _evaluate_substituted(
-                ctx, expr, group.record, substitutions
-            )
+        results = [accumulator.result() for accumulator in group.accumulators]
+        scope = None
+        for name, first, item_fn in self._aggregate_fns:
+            if item_fn is None:
+                output[name] = results[first]
+                continue
+            if scope is None:
+                scope = dict(group.record)
+                scope.update(zip(self._result_slots, results))
+            output[name] = item_fn(ctx, scope)
         return output
 
     def rows(
@@ -305,12 +331,12 @@ def _make_accumulator(node: ast.Expression) -> AggregateAccumulator:
     return AggregateAccumulator(node.name, distinct=node.distinct)
 
 
-def _compile_argument(node: ast.Expression):
+def _compile_argument(compile: Compiler, node: ast.Expression):
     """``(ctx, record) -> value`` for what one aggregate call is fed.
 
     Argument expressions are compiled once here; arity problems still
     surface only when a record is actually fed (an aggregation over an
-    empty ungrouped table never feeds), matching interpreter behaviour.
+    empty ungrouped table never feeds).
     """
     if isinstance(node, ast.CountStar):
         return lambda ctx, record: None
@@ -322,7 +348,7 @@ def _compile_argument(node: ast.Expression):
             raise CypherEvaluationError(message)
 
         return missing_argument
-    value_fn = compile_expression(node.args[0])
+    value_fn = compile(node.args[0])
     if node.name not in PERCENTILE_NAMES:
         return value_fn
     if len(node.args) != 2:
@@ -333,35 +359,21 @@ def _compile_argument(node: ast.Expression):
             raise CypherEvaluationError(message)
 
         return wrong_arity
-    percentile_fn = compile_expression(node.args[1])
+    percentile_fn = compile(node.args[1])
     return lambda ctx, record: (
         value_fn(ctx, record),
         percentile_fn(ctx, record),
     )
 
 
-def _evaluate_substituted(
-    ctx: EvalContext,
-    expression: ast.Expression,
-    record: Mapping[str, Any],
-    substitutions: Mapping[int, Any],
-) -> Any:
-    """Evaluate an expression with aggregate sub-results plugged in."""
-    if id(expression) in substitutions:
-        return substitutions[id(expression)]
-    if is_aggregate_call(expression):  # pragma: no cover - defensive
-        raise CypherEvaluationError("unaccumulated aggregate")
-    rebuilt = _substitute(expression, substitutions)
-    return evaluate(ctx, rebuilt, record)
-
-
 def _substitute(
-    expression: ast.Expression, substitutions: Mapping[int, Any]
+    expression: ast.Expression, substitutions: Mapping[int, ast.Expression]
 ) -> ast.Expression:
+    """*expression* with the nodes in *substitutions* (by ``id``) replaced."""
     import dataclasses
 
     if id(expression) in substitutions:
-        return ast.Literal(substitutions[id(expression)])
+        return substitutions[id(expression)]
     if not dataclasses.is_dataclass(expression):
         return expression
     changes = {}
@@ -402,8 +414,7 @@ def _order_rows(
     rows: list[tuple[dict, dict]],
 ) -> list[tuple[dict, dict]]:
     item_fns = [
-        (compile_expression(item.expression), item.ascending)
-        for item in order_by
+        (ctx.compile(item.expression), item.ascending) for item in order_by
     ]
 
     def key(row: tuple[dict, dict]) -> tuple:
@@ -441,12 +452,12 @@ def _skip_limit(
     rows: list[tuple[dict, dict]],
 ) -> list[tuple[dict, dict]]:
     if body.skip is not None:
-        skip = evaluate(ctx, body.skip, {})
+        skip = ctx.compile(body.skip)(ctx, {})
         if not isinstance(skip, int) or isinstance(skip, bool) or skip < 0:
             raise CypherEvaluationError("SKIP expects a non-negative integer")
         rows = rows[skip:]
     if body.limit is not None:
-        limit = evaluate(ctx, body.limit, {})
+        limit = ctx.compile(body.limit)(ctx, {})
         if not isinstance(limit, int) or isinstance(limit, bool) or limit < 0:
             raise CypherEvaluationError("LIMIT expects a non-negative integer")
         rows = rows[:limit]

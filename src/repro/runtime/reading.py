@@ -10,7 +10,6 @@ from __future__ import annotations
 from repro.errors import CypherSemanticError, CypherTypeError
 from repro.graph.values import type_name
 from repro.parser import ast
-from repro.runtime.compiler import compile_expression
 from repro.runtime.context import EvalContext
 from repro.runtime.match_planner import PreparedPattern
 from repro.runtime.matcher import match_prepared, pattern_variables
@@ -31,7 +30,7 @@ def execute_match(
     # actual bindings) -- see repro.runtime.match_planner.
     prepared = PreparedPattern(ctx, clause.pattern.paths)
     where_fn = (
-        compile_expression(clause.where) if clause.where is not None else None
+        ctx.compile(clause.where) if clause.where is not None else None
     )
     columns = tuple(table.columns) + tuple(new_variables)
     rows: list[dict] = []
@@ -60,7 +59,7 @@ def execute_unwind(
         raise CypherSemanticError(
             f"variable '{clause.variable}' is already bound"
         )
-    expression_fn = compile_expression(clause.expression)
+    expression_fn = ctx.compile(clause.expression)
     columns = tuple(table.columns) + (clause.variable,)
     variable = clause.variable
     rows: list[dict] = []
@@ -87,7 +86,7 @@ def execute_load_csv(
         raise CypherSemanticError(
             f"variable '{clause.variable}' is already bound"
         )
-    source_fn = compile_expression(clause.source)
+    source_fn = ctx.compile(clause.source)
     columns = tuple(table.columns) + (clause.variable,)
     out_rows: list[dict] = []
     for record in table:

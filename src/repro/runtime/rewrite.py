@@ -34,41 +34,20 @@ semantics (zero records => no evaluation), and the function library is
 deterministic and graph-independent, so one evaluation stands for all.
 
 Rewrites never change result rows, row order, graph effects, or error
-behaviour; statements are rewritten after semantic checking, keyed by
-``(statement, initial columns, supplied parameter names)`` in a small
-LRU.
+behaviour.  They run after scope checking (they assume a valid
+statement) from exactly one place, :meth:`repro.engine.Prepared.executable`,
+which keeps the result with the statement it was derived from -- this
+module is a pure function of ``(statement, initial columns, supplied
+parameter names)`` and holds no state.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import replace
-from typing import Iterator, Optional
+from typing import Optional
 
-from repro.caching import LRUCache
 from repro.parser import ast
 from repro.runtime.aggregation import children, contains_aggregate, is_aggregate_call
-
-_REWRITE_CACHE = LRUCache(capacity=512)
-
-_ENABLED = True
-
-
-def clear_cache() -> None:
-    """Drop memoized rewrites (tests, cache-sensitive benchmarks)."""
-    _REWRITE_CACHE.clear()
-
-
-@contextmanager
-def rewrites_disabled() -> Iterator[None]:
-    """Scoped kill switch: statements pass through unrewritten."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = False
-    try:
-        yield
-    finally:
-        _ENABLED = previous
 
 
 def rewrite_statement(
@@ -77,21 +56,13 @@ def rewrite_statement(
     initial_columns: tuple[str, ...] = (),
     parameters: frozenset[str] = frozenset(),
 ) -> ast.Statement:
-    """The statement with pushdown + hoisting applied (memoized)."""
-    if not _ENABLED:
-        return statement
-    key = (statement, tuple(initial_columns), frozenset(parameters))
-    cached = _REWRITE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    query = _rewrite_query(statement.query, frozenset(initial_columns), parameters)
-    rewritten = (
-        statement
-        if query is statement.query
-        else replace(statement, query=query)
+    """The statement with pushdown + hoisting applied."""
+    query = _rewrite_query(
+        statement.query, frozenset(initial_columns), frozenset(parameters)
     )
-    _REWRITE_CACHE.put(key, rewritten)
-    return rewritten
+    if query is statement.query:
+        return statement
+    return replace(statement, query=query)
 
 
 def _rewrite_query(query, bound: frozenset[str], parameters: frozenset[str]):

@@ -172,6 +172,9 @@ class GraphService:
             "errors": self.errors,
             "sessions": self.sessions.session_count(),
             "statements": self.sessions.statements_executed,
+            # hits / misses / evictions / size / capacity of the engine's
+            # statement cache: one lookup per statement request
+            "statement_cache": self.graph.engine.ast_cache_info(),
             "snapshot_reads": self.sessions.snapshot_reads,
             "write_waits": self.sessions.write_waits,
             "nodes": store.node_count(),

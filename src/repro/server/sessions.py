@@ -42,13 +42,12 @@ import secrets
 import time
 from typing import Any, Mapping
 
-from repro.engine import QueryResult, statement_is_read_only
+from repro.engine import Prepared, QueryResult
 from repro.errors import (
     CypherError,
     ResourceLimitError,
     TransactionError,
 )
-from repro.parser import ast
 from repro.runtime.limits import list_length_limit
 from repro.runtime.parallel import worker_limit
 from repro.server.limits import RequestLimits
@@ -61,23 +60,6 @@ class UnknownSessionError(CypherError):
 
 class WriteBusyError(CypherError):
     """The write lock was not acquired within the configured timeout."""
-
-
-def _contains_load_csv(
-    statement: ast.Statement | ast.SchemaStatement,
-) -> bool:
-    if isinstance(statement, ast.SchemaStatement):
-        return False
-
-    def query_has(query: ast.Query) -> bool:
-        if isinstance(query, ast.UnionQuery):
-            return query_has(query.left) or query_has(query.right)
-        return any(
-            isinstance(clause, ast.LoadCsvClause)
-            for clause in query.clauses
-        )
-
-    return query_has(statement.query)
 
 
 class Session:
@@ -220,10 +202,8 @@ class SessionManager:
         open transaction -- their durability point is the COMMIT).
         """
         self.limits.check_statement_length(source)
-        statement = self.graph.engine.parse(source)
-        if not self.limits.allow_load_csv and _contains_load_csv(
-            statement
-        ):
+        prepared = self.graph.engine.prepare(source)
+        if prepared.uses_load_csv and not self.limits.allow_load_csv:
             raise ResourceLimitError(
                 "LOAD CSV is disabled on this server"
             )
@@ -231,14 +211,14 @@ class SessionManager:
             session.statements += 1
         self.statements_executed += 1
 
-        if statement_is_read_only(statement):
-            return self._execute_read(session, statement, parameters), None
-        return await self._execute_write(session, statement, parameters)
+        if prepared.read_only:
+            return self._execute_read(session, prepared, parameters), None
+        return await self._execute_write(session, prepared, parameters)
 
     def _execute_read(
         self,
         session: Session | None,
-        statement: ast.Statement,
+        statement: Prepared,
         parameters: Mapping[str, Any] | None,
     ) -> QueryResult:
         writer = self._writer
@@ -260,7 +240,7 @@ class SessionManager:
     async def _execute_write(
         self,
         session: Session | None,
-        statement: ast.Statement | ast.SchemaStatement,
+        statement: Prepared,
         parameters: Mapping[str, Any] | None,
     ) -> tuple[QueryResult, int | None]:
         if session is not None and self._writer is session:
@@ -296,7 +276,7 @@ class SessionManager:
 
     def _run(
         self,
-        statement: ast.Statement | ast.SchemaStatement,
+        statement: Prepared,
         parameters: Mapping[str, Any] | None,
     ) -> QueryResult:
         with list_length_limit(self.limits.max_list_length), worker_limit(

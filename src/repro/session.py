@@ -105,7 +105,6 @@ class Graph:
         use_planner: bool = False,
         workers: int = 1,
         parallel: str = "thread",
-        use_rewrites: bool | None = None,
         store: GraphStore | None = None,
         path: str | Path | None = None,
         fsync: str = "batch",
@@ -148,7 +147,6 @@ class Graph:
             use_planner=use_planner,
             workers=workers,
             parallel=parallel,
-            use_rewrites=use_rewrites,
         )
 
     @classmethod
@@ -204,18 +202,27 @@ class Graph:
         )
         return result.profile
 
-    def explain(self, statement: str) -> str:
-        """Describe how *statement* would execute, without running it."""
-        return self.engine.explain(statement)
+    def explain(
+        self, statement: str, parameters: Mapping[str, Any] | None = None
+    ) -> str:
+        """Describe how *statement* would execute, without running it.
 
-    def plan(self, statement: str) -> str:
+        What is described is what :meth:`run` would execute with the
+        same *parameters* (which decide, for one, whether ``WHERE n.k =
+        $p`` becomes an index probe); what it would reject is rejected.
+        """
+        return self.engine.explain(statement, parameters)
+
+    def plan(
+        self, statement: str, parameters: Mapping[str, Any] | None = None
+    ) -> str:
         """Show the match planner's anchor and ordering choices.
 
-        Like :meth:`explain` but with the planner forced on, so the
-        plan is visible even on a graph constructed without
-        ``use_planner=True``.  Nothing is executed.
+        Like :meth:`explain` but as a graph constructed with
+        ``use_planner=True`` would execute the statement.  Nothing is
+        executed.
         """
-        return self.engine.plan(statement)
+        return self.engine.plan(statement, parameters)
 
     def transaction(self) -> Transaction:
         """Open a multi-statement rollback scope."""
@@ -235,6 +242,7 @@ class Graph:
                 self.store,
                 match_mode=self.engine.match_mode,
                 extended_merge=self.engine.extended_merge,
+                engine=self.engine,
             )
         return self._views
 
@@ -331,7 +339,6 @@ class Graph:
             use_planner=self.engine.use_planner,
             workers=self.engine.workers,
             parallel=self.engine.parallel,
-            use_rewrites=self.engine.use_rewrites,
             store=self.store,
         )
 
@@ -410,7 +417,6 @@ class Graph:
             use_planner=self.engine.use_planner,
             workers=self.engine.workers,
             parallel=self.engine.parallel,
-            use_rewrites=self.engine.use_rewrites,
             store=self.store.copy(),
         )
 

@@ -48,8 +48,9 @@ from repro.errors import CypherError
 from repro.graph.comparison import isomorphic
 from repro.graph.model import Node, Path, Relationship
 from repro.io.graph_json import graph_to_dict
-from repro.runtime import compiler, parallel, rewrite
+from repro.runtime import parallel
 from repro.testing.generator import FuzzCase, build_store
+from repro.testing.interpreter import interpreted
 from repro.testing.invariants import (
     InvariantViolation,
     canonical_graph_json,
@@ -180,9 +181,14 @@ def _run_variant(
     parameters: dict | None = None,
     failures: list[str] | None = None,
     workers: int = 1,
-    use_rewrites: bool | None = None,
+    rewrites_alone: bool = False,
 ) -> VariantOutcome:
     """Execute the case's statements under one toggle combination.
+
+    ``compiled=False`` hands each prepared statement the reference
+    interpreter as its closure-maker; ``rewrites_alone`` has a
+    planner-off engine run what a planner-on engine would have
+    rewritten the statement to.
 
     The store-invariant oracle and the journal-restore check run here,
     appending to *failures*; differential comparisons happen later in
@@ -203,10 +209,7 @@ def _run_variant(
         extended_merge=True,
         use_planner=use_planner,
         workers=workers,
-        use_rewrites=use_rewrites,
     )
-    compiler.clear_cache()
-    rewrite.clear_cache()
     outcome = VariantOutcome(name=name, status="ok")
     todo = statements if statements is not None else case.statements
     morsels = (
@@ -216,15 +219,14 @@ def _run_variant(
     )
     try:
         with morsels:
-            if compiled:
-                result_rows = _execute_all(
-                    engine, todo, parameters, outcome
-                )
-            else:
-                with compiler.compilation_disabled():
-                    result_rows = _execute_all(
-                        engine, todo, parameters, outcome
-                    )
+            result_rows = _execute_all(
+                engine,
+                todo,
+                parameters,
+                outcome,
+                compiled=compiled,
+                rewrites_alone=rewrites_alone,
+            )
     except CypherError as error:
         outcome.status = "error"
         outcome.error_type = type(error).__name__
@@ -257,11 +259,20 @@ def _run_variant(
     return outcome
 
 
-def _execute_all(engine, statements, parameters, outcome) -> list[dict]:
+def _execute_all(
+    engine, statements, parameters, outcome, *, compiled, rewrites_alone
+) -> list[dict]:
     rows: list[dict] = []
     for index, statement in enumerate(statements):
         outcome.error_statement = index
-        result = engine.execute(statement, parameters)
+        prepared = engine.prepare(statement)
+        if rewrites_alone:
+            prepared = engine.prepare(
+                prepared.executable((), parameters or {}, True)
+            )
+        if not compiled:
+            prepared = interpreted(prepared)
+        result = engine.execute(prepared, parameters)
         rows = result.records
     outcome.error_statement = None
     return rows
@@ -369,7 +380,7 @@ def _run_pipeline_case(case: FuzzCase, *, workers: int = 0) -> CaseResult:
         "rewrites=on,planner=off,compiled",
         use_planner=False,
         compiled=True,
-        use_rewrites=True,
+        rewrites_alone=True,
         failures=failures,
     )
     extra = [rewritten]
@@ -463,8 +474,6 @@ def run_views_case(case: FuzzCase, *, workers: int = 0) -> CaseResult:
         extended_merge=True,
         use_planner=False,
     )
-    compiler.clear_cache()
-    rewrite.clear_cache()
     surfaces: list[tuple[str, bool, bool, int]] = [
         ("planner=off,compiled", True, False, 1),
         ("planner=off,interpreted", False, False, 1),
@@ -537,16 +546,11 @@ def _check_views(
                 use_planner=use_planner,
                 workers=n_workers,
             )
-            evaluation = (
-                contextlib.nullcontext()
-                if compiled
-                else compiler.compilation_disabled()
-            )
+            prepared = fresh_engine.prepare(view.prepared.statement)
+            if not compiled:
+                prepared = interpreted(prepared)
             try:
-                with evaluation:
-                    reexec = fresh_engine.execute(
-                        view.statement, view.parameters
-                    )
+                reexec = fresh_engine.execute(prepared, view.parameters)
             except Exception as error:  # noqa: BLE001 -- findings
                 failures.append(
                     f"[views:{view.id}:{name}] re-execution raised after "

@@ -46,10 +46,26 @@ class InvariantViolation(AssertionError):
 
 
 def canonical_graph_json(store: GraphStore) -> str:
-    """Deterministic JSON rendering of the live graph (byte-comparable)."""
-    from repro.io.graph_json import graph_to_dict
+    """Deterministic JSON rendering of the live graph (byte-comparable).
 
-    return json.dumps(graph_to_dict(store), sort_keys=True)
+    The bytes of ``json.dumps(graph_to_dict(store), sort_keys=True)``,
+    emitted entity by entity from the store's column walks: no
+    snapshot and no list of per-entity dicts is built on the way, so
+    rendering a large graph costs its output, not a second copy of the
+    graph.
+    """
+
+    def render(keys: tuple[str, ...], records) -> str:
+        return ", ".join(
+            json.dumps(dict(zip(keys, record)), sort_keys=True)
+            for record in records
+        )
+
+    nodes = render(("id", "labels", "properties"), store.iter_node_records())
+    relationships = render(
+        ("id", "type", "start", "end", "properties"), store.iter_rel_records()
+    )
+    return f'{{"nodes": [{nodes}], "relationships": [{relationships}]}}'
 
 
 def _check_adjacency_structure(

@@ -275,18 +275,17 @@ class Shell:
         elif command == ":cache":
             from repro.runtime import compiler
 
-            ast_info = self.graph.engine.ast_cache_info()
-            closure_info = compiler.cache_info()
+            info = self.graph.engine.ast_cache_info()
+            compiled = compiler.STATS.snapshot()
             self._print(
-                f"statements: {ast_info['size']} cached, "
-                f"{ast_info['hits']} hits / {ast_info['misses']} misses, "
-                f"{ast_info['evictions']} evicted"
+                f"statements: {info['size']} of {info['capacity']} "
+                f"prepared, {info['hits']} hits / {info['misses']} misses, "
+                f"{info['evictions']} evicted"
             )
             self._print(
-                f"closures:   {closure_info['size']} cached, "
-                f"{closure_info['hits']} hits / "
-                f"{closure_info['misses']} misses, "
-                f"{closure_info['evictions']} evicted"
+                f"closures:   {compiled['expressions_compiled']} compiled, "
+                f"{compiled['constant_folded']} constants folded "
+                f"(kept on their statements)"
             )
         elif command == ":schema":
             if self._remote is not None:

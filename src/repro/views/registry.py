@@ -54,7 +54,7 @@ from threading import RLock
 from typing import Any, Callable, Iterable, Mapping, Optional
 
 from repro.dialect import Dialect
-from repro.engine import CypherEngine, statement_is_read_only
+from repro.engine import CypherEngine, Prepared, run_query
 from repro.errors import CypherError, TransactionError
 from repro.graph.store import GraphStore
 from repro.parser import ast
@@ -265,36 +265,30 @@ class View:
     def __init__(
         self,
         view_id: str,
-        source: str,
-        statement: ast.Statement,
-        dialect: Dialect,
+        prepared: Prepared,
         parameters: Mapping[str, Any],
         store: GraphStore,
         match_mode: MatchMode,
-        extended_merge: bool = False,
     ):
         self.id = view_id
-        self.source = source
-        self.statement = statement
-        self.dialect = dialect
+        self.source = source = prepared.statement.source
+        #: the registered statement -- the very object an ad-hoc run of
+        #: the same text on the owning graph executes
+        self.prepared = prepared
+        self.dialect = dialect = prepared.dialect
         self.parameters = dict(parameters)
+        # Scope-checked like any run of it (a typo fails here, not at
+        # the first commit that makes a row); planner, and so rewrites,
+        # off: the order-defining naive reference surface of both
+        # dialects.
+        self.statement = prepared.executable((), self.parameters, False)
         self._store = store
         self._match_mode = match_mode
-        analysis = analyse(statement)
+        analysis = analyse(self.statement)
         self.plan: Optional[ViewPlan] = (
             analysis if isinstance(analysis, ViewPlan) else None
         )
         self.footprint = analysis.footprint
-        #: fallback executor; planner off = the order-defining naive
-        #: reference surface in both dialects
-        self._engine = CypherEngine(
-            store,
-            dialect,
-            extended_merge=extended_merge,
-            match_mode=match_mode,
-            use_planner=False,
-            workers=1,
-        )
         #: the publishing clause compiled (delta plans, on first build)
         self._projection: Optional[Projection] = None
         #: maintained state of a delta plan; ``_rows is None`` = none
@@ -407,8 +401,13 @@ class View:
 
     def _reexecute(self, covered: int) -> None:
         started = time.perf_counter()
-        result = self._engine.execute(self.statement, self.parameters)
-        self._set_result(result.columns, tuple(result.records), covered)
+        table = run_query(
+            self._eval_context(),
+            self.statement.query,
+            DrivingTable.unit(),
+            self.dialect,
+        )
+        self._set_result(table.columns, tuple(table.to_dicts()), covered)
         self._count_full_refresh(started)
 
     def _count_full_refresh(self, started: float) -> None:
@@ -436,6 +435,7 @@ class View:
                 self.dialect,
             ).columns
             self._projection = Projection(
+                ctx.compile,
                 plan.publish.body,
                 columns,
                 isinstance(plan.publish, ast.WithClause),
@@ -719,6 +719,7 @@ class View:
             use_planner=False,
             preserve_match_order=self.dialect is Dialect.CYPHER9,
             workers=1,
+            compile=self.prepared.compile,
         )
 
 
@@ -731,7 +732,11 @@ class ViewRegistry:
         *,
         match_mode: MatchMode | str = MatchMode.TRAIL,
         extended_merge: bool = False,
+        engine: CypherEngine | None = None,
     ):
+        """*engine*, when given, is the owning graph's: statements of its
+        dialect are prepared in its statement cache, so a view and an
+        ad-hoc run of one text share one :class:`Prepared`."""
         self._store = store
         self._match_mode = (
             match_mode
@@ -739,6 +744,10 @@ class ViewRegistry:
             else MatchMode(match_mode)
         )
         self._extended_merge = extended_merge
+        #: where statements are prepared, one engine per dialect
+        self._engines: dict[Dialect, CypherEngine] = (
+            {} if engine is None else {engine.dialect: engine}
+        )
         self._views: dict[str, View] = {}
         #: semantic cache: identical (source, dialect, params) share
         #: one maintained materialization
@@ -777,16 +786,16 @@ class ViewRegistry:
             existing = self._by_query.get(key)
             if existing is not None and existing in self._views:
                 return self._views[existing]
-            engine = CypherEngine(
-                self._store,
-                dialect,
-                extended_merge=self._extended_merge,
-                match_mode=self._match_mode,
-            )
-            statement = engine.parse(source)
-            if isinstance(
-                statement, ast.SchemaStatement
-            ) or not statement_is_read_only(statement):
+            engine = self._engines.get(dialect)
+            if engine is None:
+                engine = self._engines[dialect] = CypherEngine(
+                    self._store,
+                    dialect,
+                    extended_merge=self._extended_merge,
+                    match_mode=self._match_mode,
+                )
+            prepared = engine.prepare(source)
+            if not prepared.read_only:
                 raise CypherError(
                     "only read-only queries can be registered as views"
                 )
@@ -794,13 +803,10 @@ class ViewRegistry:
             view_id = f"v{self._counter}"
             view = View(
                 view_id,
-                source,
-                statement,
-                dialect,
+                prepared,
                 parameters,
                 self._store,
                 self._match_mode,
-                self._extended_merge,
             )
             self._views[view_id] = view
             self._by_query[key] = view_id

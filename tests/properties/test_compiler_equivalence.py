@@ -1,14 +1,20 @@
 """Interpreter/compiler equivalence.
 
-The expression compiler must be observationally identical to the
-reference interpreter: same values *and* same errors (class and
-message) for every expression form, including null propagation,
-division by zero, int64 overflow, unknown variables and missing
-parameters.  Checked two ways:
+The expression compiler -- the runtime's only evaluator -- must be
+observationally identical to the reference interpreter
+(``repro.testing.interpreter``, an oracle the runtime never imports):
+same values *and* same errors (class and message) for every expression
+form, including null propagation, division by zero, int64 overflow,
+unknown variables and missing parameters.  Checked four ways:
 
 * a hand-written corpus covering every ``ast.Expression`` node type
   and every documented error condition;
-* hypothesis-generated random operator trees over a mixed-type record.
+* hypothesis-generated random operator trees over a mixed-type record;
+* every expression (and sub-expression) of the statements the fuzzer's
+  generator emits, evaluated on the records that really reach its
+  clause;
+* whole statements executed through the seam the fuzzer uses: a
+  prepared statement whose closure-maker is the interpreter.
 """
 
 import math
@@ -17,13 +23,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import dataclasses
+
+from repro import Graph
+from repro.dialect import Dialect
 from repro.errors import CypherError
 from repro.graph.model import Node, Path, Relationship
 from repro.graph.store import GraphStore
-from repro.parser import parse_expression
+from repro.parser import ast, parse_expression
 from repro.runtime import compiler
+from repro.runtime.aggregation import children
 from repro.runtime.context import EvalContext
-from repro.runtime.expressions import interpret
+from repro.runtime.pipeline import execute_clause
+from repro.runtime.table import DrivingTable
+from repro.testing.generator import build_store, case_for
+from repro.testing.interpreter import interpret, interpreted, interpreting
 from repro.testing.invariants import check_invariants
 
 
@@ -381,16 +395,104 @@ def test_random_trees_equivalent(source):
 
 
 @given(_EXPRESSIONS)
-def test_interpreted_mode_matches_compiled(source):
-    """compilation_disabled() routes evaluate() through the interpreter
-    with, by construction, the same observable behaviour."""
-    ctx, record = _make_context()
-    expression = parse_expression(source)
-    compiled = outcome(
-        lambda: compiler.compile_expression(expression)(ctx, record)
+def test_interpreted_statement_matches_compiled(source):
+    """The seam the fuzzer uses: the same prepared statement, once with
+    the compiler and once with the interpreter as its closure-maker,
+    through the engine and a projection."""
+    __, record = _make_context()
+    graph = Graph()
+    prepared = graph.engine.prepare(f"RETURN {source} AS v")
+    assert interpreted(prepared).compile is interpreting
+    assert interpreted(prepared).statement is prepared.statement
+
+    def run(statement):
+        table = DrivingTable(tuple(record), [record])
+        return graph.engine.execute(statement, table=table).single()["v"]
+
+    assert outcome(lambda: run(interpreted(prepared))) == outcome(
+        lambda: run(prepared)
     )
-    with compiler.compilation_disabled():
-        fallback = outcome(
-            lambda: compiler.compile_expression(expression)(ctx, record)
-        )
-    assert fallback == compiled
+
+
+# -- every expression the statement generator emits -------------------------
+
+
+def _top_level_expressions(node):
+    """The expressions a clause evaluates, found by walking its fields."""
+    if isinstance(node, ast.Expression):
+        yield node
+        return
+    if dataclasses.is_dataclass(node):
+        for field in dataclasses.fields(node):
+            yield from _top_level_expressions(getattr(node, field.name))
+    elif isinstance(node, tuple):
+        for item in node:
+            yield from _top_level_expressions(item)
+
+
+def _subtrees(expression):
+    yield expression
+    for child in children(expression):
+        yield from _subtrees(child)
+
+
+#: generated cases harvested (every third is a merge case, skipped)
+GENERATED_CASES = 300
+#: records of the table reaching a clause its expressions are evaluated on
+RECORDS_PER_CLAUSE = 4
+
+
+def test_generated_expressions_equivalent():
+    """Each clause of each generated statement runs for real; every
+    expression and sub-expression of the *next* clause is evaluated by
+    both evaluators on the records that reach it."""
+    forms: set[str] = set()
+    compared = bound = 0
+    for index in range(GENERATED_CASES):
+        case = case_for(7, index)
+        if case.kind == "merge":
+            continue
+        dialect = Dialect.parse(case.dialect)
+        for statement in case.statements:
+            store = build_store(case)
+            ctx = EvalContext(
+                store=store,
+                preserve_match_order=dialect is Dialect.CYPHER9,
+            )
+            for branch in statement.branches():
+                table = DrivingTable.unit()
+                for clause in branch.clauses:
+                    records = table.records[:RECORDS_PER_CLAUSE] or [{}]
+                    for top in _top_level_expressions(clause):
+                        for expression in _subtrees(top):
+                            forms.add(type(expression).__name__)
+                            for record in records:
+                                compared += 1
+                                bound += bool(record)
+                                assert outcome(
+                                    lambda: interpret(ctx, expression, record)
+                                ) == outcome(
+                                    lambda: compiler.compile_expression(
+                                        expression
+                                    )(ctx, record)
+                                ), (case.seed_key, expression)
+                    try:
+                        table = execute_clause(ctx, clause, table, dialect)
+                    except CypherError:
+                        break
+            check_invariants(store)
+    assert compared > 5000 and bound > compared // 2
+    # The generator's whole expression vocabulary was reached.
+    assert forms >= {
+        "Literal",
+        "Variable",
+        "Property",
+        "Binary",
+        "FunctionCall",
+        "IsNull",
+        "HasLabels",
+        "ListLiteral",
+        "MapLiteral",
+        "CaseExpression",
+        "Reduce",
+    }, forms

@@ -1,5 +1,9 @@
 """Unit tests for the expression compiler and the shared LRU cache."""
 
+import dataclasses
+import gc
+import weakref
+
 import pytest
 
 from repro import Graph
@@ -9,6 +13,7 @@ from repro.graph.store import GraphStore
 from repro.parser import ast, parse_expression
 from repro.runtime import compiler
 from repro.runtime.context import EvalContext
+from repro.testing.interpreter import interpreting
 
 
 @pytest.fixture
@@ -31,10 +36,11 @@ class TestLRUCache:
         cache.put("b", 2)
         cache.get("a")  # refresh: "b" is now the stalest
         cache.put("c", 3)
-        assert "a" in cache
-        assert "b" not in cache
-        assert "c" in cache
+        assert cache.get("a") == 1
+        assert cache.get("b") is None
+        assert cache.get("c") == 3
         assert cache.info()["evictions"] == 1
+        assert cache.info()["size"] == 2
 
     def test_put_refreshes_recency(self):
         cache = LRUCache(capacity=2)
@@ -43,21 +49,12 @@ class TestLRUCache:
         cache.put("a", 10)  # refresh via put
         cache.put("c", 3)
         assert cache.get("a") == 10
-        assert "b" not in cache
+        assert cache.get("b") is None
 
-    def test_unhashable_keys_are_uncacheable(self):
+    def test_a_cached_none_is_a_hit(self):
         cache = LRUCache(capacity=2)
-        cache.put(["list"], 1)  # silently not stored
-        assert len(cache) == 0
-        assert cache.get(["list"], "fallback") == "fallback"
-        assert ["list"] not in cache
-
-    def test_clear_preserves_counters(self):
-        cache = LRUCache(capacity=2)
-        cache.put("a", 1)
-        cache.get("a")
-        cache.clear()
-        assert len(cache) == 0
+        cache.put("a", None)
+        assert cache.get("a", "fallback") is None
         assert cache.info()["hits"] == 1
 
     def test_capacity_must_be_positive(self):
@@ -71,19 +68,35 @@ class TestMemoization:
         first = compiler.compile_expression(expression)
         before = compiler.STATS.snapshot()
         second = compiler.compile_expression(expression)
-        after = compiler.STATS.snapshot()
         assert second is first
-        assert after["expressions_compiled"] == before["expressions_compiled"]
-        assert after["cache_hits"] == before["cache_hits"] + 1
+        assert compiler.STATS.snapshot() == before
 
-    def test_structurally_equal_nodes_share_closures(self, ctx):
-        first = compiler.compile_expression(parse_expression("x + 1"))
-        second = compiler.compile_expression(parse_expression("x + 1"))
-        assert second is first
+    def test_the_closure_belongs_to_the_node(self, ctx):
+        """No table holds closures: a node's closure is on the node,
+        found without hashing it, and structurally equal nodes of two
+        statements do not share (or pin) each other's."""
+        first_node = parse_expression("x + 1")
+        second_node = parse_expression("x + 1")
+        assert first_node == second_node
+        first = compiler.compile_expression(first_node)
+        assert first_node._compiled[0] is first
+        assert second_node._compiled is None
+        assert compiler.compile_expression(second_node) is not first
+        # Not a field: equality, hashing and copies do not see it.
+        assert first_node == parse_expression("x + 1")
+        assert hash(first_node) == hash(parse_expression("x + 1"))
+        assert dataclasses.replace(first_node)._compiled is None
+
+    def test_closures_die_with_their_node(self, ctx):
+        node = parse_expression("x + 1")
+        closure = weakref.ref(compiler.compile_expression(node))
+        del node
+        gc.collect()
+        assert closure() is None
 
     def test_numeric_literal_types_stay_distinct(self, ctx):
-        """True, 1 and 1.0 are equal under Python ``==`` but must not
-        share a compiled closure (the AST hashes them apart)."""
+        """True, 1 and 1.0 are equal under Python ``==`` but are
+        different constants (the AST keeps them apart)."""
         assert ast.Literal(1) != ast.Literal(True)
         assert ast.Literal(1) != ast.Literal(1.0)
         assert ast.Literal(1) == ast.Literal(1)
@@ -94,10 +107,23 @@ class TestMemoization:
         assert true is True
         assert isinstance(lifted, float)
 
-    def test_unhashable_literal_compiles_fresh(self, ctx):
-        expression = ast.Literal([1, 2])  # aggregate substitution shape
-        fn = compiler.compile_expression(expression)
-        assert fn(ctx, {}) == [1, 2]
+    def test_map_variables_are_collected_once(self, ctx, monkeypatch):
+        properties = parse_expression("{k: a.k + b, j: 1}")
+        walks = []
+        variables_of = compiler._variables_of
+        monkeypatch.setattr(
+            compiler,
+            "_variables_of",
+            lambda e: walks.append(e) or variables_of(e),
+        )
+        items, variables = compiler.compile_map(ctx.compile, properties)
+        walked = len(walks)
+        assert walked and variables == {"a", "b"}
+        assert items[1][1](ctx, {}) == 1
+        # Whoever makes the closures, the variables are the node's.
+        again = compiler.compile_map(interpreting, properties)
+        assert again[1] is variables and len(walks) == walked
+        assert again[0][1][1](ctx, {}) == 1
 
 
 class TestConstantFolding:
@@ -123,52 +149,6 @@ class TestConstantFolding:
         assert first is not second
 
 
-class TestCompilationDisabled:
-    def test_disabled_mode_interprets(self, ctx):
-        expression = parse_expression("1 + 2")
-        with compiler.compilation_disabled():
-            assert not compiler.compilation_enabled()
-            assert compiler.compile_expression(expression)(ctx, {}) == 3
-        assert compiler.compilation_enabled()
-
-    def test_disabled_mode_nests(self, ctx):
-        with compiler.compilation_disabled():
-            with compiler.compilation_disabled():
-                pass
-            assert not compiler.compilation_enabled()
-        assert compiler.compilation_enabled()
-
-    def test_disabled_queries_still_work(self):
-        graph = Graph()
-        graph.run("CREATE (:T {v: 1}), (:T {v: 2})")
-        with compiler.compilation_disabled():
-            result = graph.run(
-                "MATCH (t:T) WHERE t.v > 1 RETURN count(*) AS n"
-            )
-        assert result.single()["n"] == 1
-
-    def test_map_variables_are_memoized_in_both_modes(self, ctx, monkeypatch):
-        properties = parse_expression("{k: a.k + b, j: 1}")
-        walks = []
-        variables_of = compiler._variables_of
-        monkeypatch.setattr(
-            compiler,
-            "_variables_of",
-            lambda e: walks.append(e) or variables_of(e),
-        )
-        with compiler.compilation_disabled():
-            items, variables = compiler.compile_map(properties)
-            walked = len(walks)
-            assert walked and variables == {"a", "b"}
-            assert compiler.compile_map(properties)[1] is variables
-            assert items[1][1](ctx, {}) == 1
-        # Compiling later fills the same entry in; no second analysis.
-        compiled, again = compiler.compile_map(properties)
-        assert again is variables
-        assert compiler.compile_map(properties)[0] is compiled
-        assert len(walks) == walked
-
-
 class TestEngineStatementCache:
     def test_parse_cache_hits(self):
         graph = Graph()
@@ -186,11 +166,19 @@ class TestEngineStatementCache:
         profile = graph.profile("MATCH (t:T) RETURN t.v + 1 AS w")
         metrics = profile.to_dict()["compiler"]
         assert set(metrics) == {
+            "prepared_hit",
             "expressions_compiled",
-            "cache_hits",
             "constant_folded",
         }
-        # Re-profiling the same statement reuses every closure.
+        assert metrics["prepared_hit"] == 0
+        assert metrics["expressions_compiled"] > 0
+        assert "compiler: statement cache miss" in profile.render()
+        # Re-profiling the same statement reuses the prepared statement
+        # and with it every closure.
         again = graph.profile("MATCH (t:T) RETURN t.v + 1 AS w")
-        assert again.to_dict()["compiler"]["expressions_compiled"] == 0
-        assert "compiler:" in again.render()
+        assert again.to_dict()["compiler"] == {
+            "prepared_hit": 1,
+            "expressions_compiled": 0,
+            "constant_folded": 0,
+        }
+        assert "compiler: statement cache hit, 0 expressions" in again.render()

@@ -131,8 +131,8 @@ class TestEngineConfig:
 
     def test_ast_cache_reuse(self, revised_graph):
         engine = revised_graph.engine
-        one = engine.parse("RETURN 1 AS x")
-        two = engine.parse("RETURN 1 AS x")
+        one = engine.prepare("RETURN 1 AS x")
+        two = engine.prepare("RETURN 1 AS x")
         assert one is two
 
     def test_shared_store_across_dialects(self):

@@ -15,7 +15,6 @@ from repro.errors import (
 from repro.graph.store import GraphStore
 from repro.parser import parse_expression
 from repro.runtime.context import EvalContext
-from repro.runtime.expressions import evaluate
 
 
 @pytest.fixture
@@ -26,7 +25,7 @@ def ctx():
 def ev(ctx, source, record=None, parameters=None):
     if parameters:
         ctx = EvalContext(store=ctx.store, parameters=parameters)
-    return evaluate(ctx, parse_expression(source), record or {})
+    return ctx.compile(parse_expression(source))(ctx, record or {})
 
 
 class TestLiteralsAndVariables:

@@ -9,7 +9,6 @@ from repro.graph.model import Path
 from repro.graph.store import GraphStore
 from repro.parser import parse_expression
 from repro.runtime.context import EvalContext
-from repro.runtime.expressions import evaluate
 
 
 @pytest.fixture
@@ -18,7 +17,7 @@ def ctx():
 
 
 def ev(ctx, source, record=None):
-    return evaluate(ctx, parse_expression(source), record or {})
+    return ctx.compile(parse_expression(source))(ctx, record or {})
 
 
 class TestGraphFunctions:

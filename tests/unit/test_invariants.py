@@ -11,6 +11,7 @@ import pytest
 from repro.graph.store import GraphStore
 from repro.testing.invariants import (
     InvariantViolation,
+    canonical_graph_json,
     check_invariants,
     journal_roundtrip,
 )
@@ -193,3 +194,74 @@ def test_journal_roundtrip_detects_unrestored_state():
 
     with pytest.raises(InvariantViolation):
         journal_roundtrip(store, sneaky)
+
+
+# -- canonical_graph_json: streamed, byte-equal to the dict rendering --------
+
+
+def _dict_rendering(store):
+    import json
+
+    from repro.io.graph_json import graph_to_dict
+
+    return json.dumps(graph_to_dict(store), sort_keys=True)
+
+
+def test_canonical_json_of_every_corpus_and_generated_graph():
+    from repro.testing.corpus import iter_bundles, load_bundle
+    from repro.testing.generator import build_store, case_for
+
+    cases = [load_bundle(path)[0] for path in iter_bundles()]
+    assert cases, "the checked-in fuzz corpus is empty"
+    cases += [case_for(3, index) for index in range(60)]
+    for case in cases:
+        store = build_store(case)
+        assert canonical_graph_json(store) == _dict_rendering(store)
+
+
+def test_canonical_json_with_id_gaps_and_dangling_relationships():
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(0, 11), max_size=8),
+        st.lists(st.integers(0, 11), max_size=8),
+        st.lists(st.integers(0, 11), max_size=4),
+    )
+    def check(dangling, deleted, dropped_rels):
+        store = GraphStore()
+        nodes = [
+            store.create_node(
+                ("A", "B")[: index % 3],
+                {"i": index, "s": "é\"", "l": [index, 1.5, "x"]}
+                if index % 2
+                else {},
+            )
+            for index in range(12)
+        ]
+        rels = [
+            store.create_relationship(
+                "T" if index % 2 else "U",
+                nodes[index],
+                nodes[(index * 5 + 1) % 12],
+                {"w": index} if index % 3 else {},
+            )
+            for index in range(12)
+        ]
+        for index in dropped_rels:
+            store.delete_relationship(rels[index])
+        for index in dangling:  # the node goes, its relationships stay
+            store.delete_node(nodes[index], allow_dangling=True)
+        for index in deleted:
+            if not store.node_is_deleted(nodes[index]):
+                for rel_id in store.adjacent_rel_ids(nodes[index]):
+                    store.delete_relationship(rel_id)
+                store.delete_node(nodes[index])
+        mark = store.mark()
+        store.create_node(("Z",), {})  # rolled back: an id gap at the end
+        store.rollback_to(mark)
+        assert canonical_graph_json(store) == _dict_rendering(store)
+
+    check()
+    assert canonical_graph_json(GraphStore()) == _dict_rendering(GraphStore())

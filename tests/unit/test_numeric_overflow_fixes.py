@@ -18,26 +18,30 @@ from repro.graph.store import GraphStore
 from repro.parser import parse_expression
 from repro.runtime import compiler
 from repro.runtime.context import EvalContext
-from repro.runtime.expressions import evaluate
+from repro.testing.interpreter import interpreting
+
+
+#: the two closure-makers a statement can be prepared with
+EVALUATORS = {
+    "compiled": compiler.compile_expression,
+    "interpreted": interpreting,
+}
+
+
+@pytest.fixture(params=list(EVALUATORS))
+def ctx(request):
+    return EvalContext(
+        store=GraphStore(), compile=EVALUATORS[request.param]
+    )
 
 
 @pytest.fixture
-def ctx():
-    return EvalContext(store=GraphStore())
-
-
-@pytest.fixture(params=["compiled", "interpreted"])
-def ev(ctx, request):
-    """Evaluate one expression in the mode the param names."""
+def ev(ctx):
+    """Evaluate one expression with the context's evaluator -- the seam
+    clauses use (``ctx.compile``)."""
 
     def run(source, record=None):
-        expression = parse_expression(source)
-        if request.param == "compiled":
-            return compiler.compile_expression(expression)(
-                ctx, record or {}
-            )
-        with compiler.compilation_disabled():
-            return evaluate(ctx, expression, record or {})
+        return ctx.compile(parse_expression(source))(ctx, record or {})
 
     return run
 

@@ -7,14 +7,17 @@ tests pin the *shapes*: which WHERE conjuncts move into pattern maps,
 which stay, and which subtrees get hoisted.
 """
 
+import re
+
 import pytest
 
 from repro.dialect import Dialect
+from repro.errors import CypherError, UnknownVariableError
 from repro.parser import ast
 from repro.parser.parser import parse
 from repro.parser.unparse import unparse
 from repro.runtime.aggregation import children
-from repro.runtime.rewrite import rewrite_statement, rewrites_disabled
+from repro.runtime.rewrite import rewrite_statement
 from repro.session import Graph
 
 
@@ -142,7 +145,7 @@ class TestPredicatePushdown:
         assert second.where is not None
 
     def test_pushdown_result_still_executes(self):
-        graph = Graph(Dialect.REVISED, use_rewrites=True)
+        graph = Graph(Dialect.REVISED, use_planner=True)
         for index in range(6):
             graph.run("CREATE (:P {id: $i, v: $i})", i=index)
         rows = graph.run(
@@ -217,7 +220,7 @@ class TestHoisting:
         assert isinstance(unwind.expression, ast.HoistedExpression)
 
     def test_hoisted_expression_evaluates_lazily_per_statement(self):
-        graph = Graph(Dialect.REVISED, use_rewrites=True)
+        graph = Graph(Dialect.REVISED, use_planner=True)
         graph.run("CREATE (:A {i: 1}), (:A {i: 2})")
         rows = graph.run(
             "MATCH (a:A) RETURN a.i + size([0, 0]) AS v ORDER BY v"
@@ -234,26 +237,21 @@ class TestHoisting:
 
 
 class TestWiring:
-    def test_rewrites_disabled_passes_statements_through(self):
-        statement = parse(
-            "MATCH (p:P) WHERE p.id = 3 RETURN p", Dialect.REVISED
-        )
-        with rewrites_disabled():
-            assert rewrite_statement(statement) is statement
-
-    def test_use_rewrites_defaults_follow_use_planner(self):
-        from repro.engine import CypherEngine
-        from repro.graph.store import GraphStore
-
-        store = GraphStore()
-        assert CypherEngine(store, use_planner=True).use_rewrites
-        assert not CypherEngine(store, use_planner=False).use_rewrites
-        assert CypherEngine(
-            store, use_planner=True, use_rewrites=False
-        ).use_rewrites is False
-        assert CypherEngine(
-            store, use_planner=False, use_rewrites=True
-        ).use_rewrites is True
+    def test_rewrites_follow_the_planner(self):
+        """One switch: a planner-on engine executes the rewritten
+        statement, a planner-off engine the written one -- both kept by
+        the same prepared statement."""
+        source = "MATCH (p:P) WHERE p.id = 3 RETURN p"
+        on = Graph(Dialect.REVISED, use_planner=True)
+        prepared = on.engine.prepare(source)
+        written = prepared.executable((), {}, False)
+        rewritten = prepared.executable((), {}, True)
+        assert written is prepared.statement
+        assert first_match(rewritten.branches()[0].clauses).where is None
+        assert prepared.executable((), {}, True) is rewritten
+        assert "{id: 3}" in on.profile(source).render()
+        off = Graph(Dialect.REVISED, use_planner=False)
+        assert "{id: 3}" not in off.profile(source).render()
 
     def test_unknown_scope_stops_rewriting_downstream(self):
         # FOREACH does not change scope but a clause the rewriter does
@@ -273,3 +271,117 @@ class TestWiring:
     def test_invalid_parallel_mode_is_rejected(self):
         with pytest.raises(ValueError):
             Graph(Dialect.REVISED, parallel="rocket")
+
+
+#: The statements whose rewritten shapes the classes above pin, with
+#: the parameters they are run with.
+CORPUS = [
+    ("MATCH (p:P) WHERE p.id = 3 RETURN p", {}),
+    ("MATCH (p:P) WHERE 3 = p.id RETURN p", {}),
+    (
+        "MATCH (a:A)-[r:T]->(b) "
+        "WHERE a.x = 1 AND b.y = 2 AND r.z = 3 RETURN a",
+        {},
+    ),
+    ("MATCH (p:P) WHERE p.id = $v RETURN p", {"v": 3}),
+    ("MATCH (p:P) WHERE p.id = $v RETURN p", {}),
+    ("WITH 3 AS x MATCH (p:P) WHERE p.id = x RETURN p", {}),
+    ("MATCH (a:A), (b:B) WHERE a.x = b.y RETURN a", {}),
+    ("MATCH (p:P) WHERE p.id = 3 AND p.name < 'z' RETURN p", {}),
+    ("MATCH (a)-[rs:T*1..2]->(b) WHERE rs.k = 1 RETURN a", {}),
+    ("MATCH (p:P {id: 1}) WHERE p.id = 2 RETURN p", {}),
+    ("MATCH (a:A) MATCH (a)-[r:T]->(b) WHERE a.x = 1 RETURN b", {}),
+    ("MATCH (p:P) WHERE p.id = 4 RETURN p.v AS v", {}),
+    ("MATCH (a) WHERE a.i < size([1, 2, 3]) RETURN a", {}),
+    ("MATCH (a) RETURN a.i + abs(-2) AS v", {}),
+    ("MATCH (a) WHERE a.i + 1 > 2 RETURN a", {}),
+    ("UNWIND [1] AS k RETURN [x IN [1, 2] | x * 10] AS l", {}),
+    ("MATCH (a) RETURN [x IN [1, 2] | x * a.i] AS l", {}),
+    ("MATCH (a) RETURN count(a) + size([1]) AS c", {}),
+    ("MATCH (a) WHERE exists((a)-[:T]->()) RETURN a", {}),
+    ("UNWIND range(1, 3) AS k RETURN k", {}),
+    ("MATCH (a:A) RETURN a.i + size([0, 0]) AS v ORDER BY v", {}),
+    ("MATCH (z:Missing) RETURN z.i / 0 + 1 AS v", {}),
+    (
+        "MATCH (a:A) SET a.x = 1 WITH a "
+        "MATCH (b:B) WHERE b.id = 3 RETURN b",
+        {},
+    ),
+]
+
+
+def _explained_anchors(text):
+    """Per Match block of an EXPLAIN text, its anchors in plan order."""
+    blocks = re.split(r"\n  (?=Match|OptionalMatch)", text)[1:]
+    return [
+        ", ".join(re.findall(r"\[anchor: (.*?), est\.", block))
+        for block in blocks
+    ]
+
+
+class TestExplainDescribesWhatRuns:
+    """EXPLAIN, PLAN and PROFILE prepare a statement the way ``run``
+    does: one scope check, one rewrite pass, one prepared statement."""
+
+    @pytest.fixture
+    def graph(self):
+        graph = Graph(Dialect.REVISED, use_planner=True)
+        graph.run("CREATE INDEX ON :P(id)")
+        graph.run("CREATE INDEX ON :A(x)")
+        graph.run(
+            "UNWIND range(0, 30) AS i "
+            "CREATE (:P {id: i, name: 'n' + toString(i), v: i})"
+        )
+        graph.run(
+            "UNWIND range(0, 20) AS i "
+            "CREATE (:A {x: i % 3, i: i})-[:T {z: 3}]->(:B {y: 2, id: 3})"
+        )
+        return graph
+
+    def test_the_reproduction_of_the_issue(self):
+        graph = Graph(Dialect.REVISED, use_planner=True)
+        graph.run("CREATE INDEX ON :A(x)")
+        graph.run("UNWIND range(1, 100) AS i CREATE (:A {x: i})")
+        source = "MATCH (n:A) WHERE n.x = 1 RETURN n.x AS x"
+        explained = graph.explain(source)
+        assert "anchor: n via index :A(x)" in explained
+        assert "filter" not in explained
+        assert graph.profile(source).clauses[0].anchor == "n via index :A(x)"
+
+    @pytest.mark.parametrize("source, parameters", CORPUS)
+    def test_explain_names_the_anchor_profile_records(
+        self, graph, source, parameters
+    ):
+        explained = _explained_anchors(graph.explain(source, parameters))
+        if "exists((" in source:
+            # A pattern predicate plans its own pattern per record and
+            # PROFILE keeps a clause's *last* annotation: the predicate's.
+            return
+        try:
+            profile = graph.profile(source, parameters)
+        except CypherError:
+            return  # fails on this data; nothing ran to compare with
+        recorded = [
+            clause.anchor
+            for clause in profile.clauses
+            if clause.label.startswith(("Match", "OptionalMatch"))
+        ]
+        # The statement's first MATCH: EXPLAIN plans each MATCH from an
+        # empty record, so for a later one it cannot know (as the run
+        # does) which of its variables earlier clauses bound.
+        assert explained[:1] == recorded[:1]
+
+    def test_explain_raises_what_run_raises(self, graph):
+        for source in (
+            "MATCH (n:A) RETURN m.x",
+            "MATCH (n:A) WHERE q.x = 1 RETURN n",
+            "UNWIND [1] AS n UNWIND [2] AS n RETURN n",
+        ):
+            with pytest.raises(CypherError) as ran:
+                graph.run(source)
+            for describe in (graph.explain, graph.plan, graph.profile):
+                with pytest.raises(type(ran.value)) as described:
+                    describe(source)
+                assert str(described.value) == str(ran.value)
+        with pytest.raises(UnknownVariableError):
+            graph.explain("MATCH (n:A) RETURN m.x")

@@ -117,6 +117,8 @@ class TestLegitimatePatternsStillPass:
         g = Graph(Dialect.CYPHER9)
         g.run("MERGE (n:User {id: 1}) ON CREATE SET n.new = true")
 
-    def test_explain_does_not_scope_check(self, g):
-        # explain() describes rather than validates; it must not raise.
-        g.explain("MATCH (n) RETURN typo_var")
+    def test_explain_rejects_what_run_rejects(self, g):
+        # explain() describes the statement run() would execute, so it
+        # goes through the same scope check.
+        with pytest.raises(UnknownVariableError, match="typo_var"):
+            g.explain("MATCH (n) RETURN typo_var")
