@@ -222,6 +222,6 @@ def _merge_group_key(
             variable = step.variable
             if variable is not None and variable in record:
                 parts.append(grouping_key(record[variable]))
-            for __, fn in step.items or ():
+            for __, __, fn in step.items or ():
                 parts.append(grouping_key(fn(ctx, record)))
     return tuple(parts)

@@ -246,7 +246,15 @@ class Path:
 
 
 def _frozen_value(value: Any) -> Any:
-    """A hashable stand-in for a property value (lists/maps nest)."""
+    """A hashable stand-in for a property value (lists/maps nest).
+
+    Equal for equal content: NaN gets a stand-in (``nan != nan``), and
+    a boolean is tagged (``True == 1`` in Python, not in Cypher).
+    """
+    if isinstance(value, bool):
+        return ("__bool__", value)
+    if isinstance(value, float) and value != value:
+        return ("__nan__",)
     if isinstance(value, list):
         return ("__list__",) + tuple(_frozen_value(item) for item in value)
     if isinstance(value, dict):

@@ -72,7 +72,6 @@ from repro.graph.indexes import UNKNOWN, LabelIndex, PropertyIndex
 from repro.graph.model import GraphSnapshot, Node, Relationship
 from repro.graph.strings import StringPool
 from repro.graph.values import (
-    cypher_eq,
     grouping_key,
     is_storable,
     require_storable,
@@ -82,20 +81,23 @@ from repro.graph.values import (
 _HOLE = -1
 
 
-def _equal_prefix(
-    properties: dict[str, Any] | None, items: Sequence[tuple[str, Any]]
+def _check_properties(
+    properties: dict[str, Any] | None, items: Sequence[tuple[str, Any, Any]]
 ) -> int:
-    """Compare a record's property map with evaluated pattern *items*.
+    """Check a record's property map against evaluated pattern *items*.
 
-    Returns the number of keys read -- negated when the last one read is
-    not Cypher-equal (``cypher_eq`` is not True; an absent key is
-    null), which ends the comparison.
+    *items* are ``(key, compare, value)`` entries: *compare* is the one
+    body of a comparison operator in :mod:`repro.graph.values` (``=``
+    for a pattern map's entries), and an entry holds when
+    ``compare(stored, value)`` is True -- an absent key is null, so it
+    never holds.  Returns the number of keys read, negated when the
+    last one read fails, which ends the check.
     """
     reads = 0
-    for key, value in items:
+    for key, compare, value in items:
         reads += 1
         stored = properties.get(key) if properties else None
-        if cypher_eq(stored, value) is not True:
+        if compare(stored, value) is not True:
             return -reads
     return reads
 
@@ -595,11 +597,15 @@ class GraphStore:
         later source, an index before a label -- falling back to all
         nodes, and returns ``(size, description, ids)``.
 
-        *items* are ``(key, value)`` pairs.  *resolve*, when given,
-        supplies the values instead: it is called (once, without
-        arguments) only if some pair has a usable index and returns the
-        pairs position by position; a value may be :data:`UNKNOWN` (not
-        known yet), which is sized as the index's average bucket.
+        *items* are the pattern's equality entries only, each a
+        ``(key, value)`` pair or a ``(key, compare, value)`` entry of
+        :meth:`node_matches` (the key first, the value last): a range
+        comparison filters candidates (:meth:`match_nodes`) but never
+        chooses a bucket.  *resolve*, when given, supplies the values
+        instead: it is called (once, without arguments) only if some
+        entry has a usable index and returns entries position by
+        position; a value may be :data:`UNKNOWN` (not known yet), which
+        is sized as the index's average bucket.
         Sizing reads statistics only: no db-hit.
 
         With *fetch* (all values known), ``ids`` is a fresh ascending
@@ -621,14 +627,17 @@ class GraphStore:
         resolved = None
         if items and self._property_indexes:
             for label in labels:
-                for position, (key, value) in enumerate(items):
+                for position, entry in enumerate(items):
+                    key = entry[0]
                     index = self._property_indexes.get((label, key))
                     if index is None:
                         continue
-                    if resolve is not None:
+                    if resolve is None:
+                        value = entry[-1]
+                    else:
                         if resolved is None:
                             resolved = resolve()
-                        value = resolved[position][1]
+                        value = resolved[position][-1]
                     if value is UNKNOWN:
                         estimate = max(1.0, index.average_bucket_size())
                     else:
@@ -721,16 +730,17 @@ class GraphStore:
         self,
         node_id: int,
         mask: int,
-        items: Sequence[tuple[str, Any]] | None,
+        items: Sequence[tuple[str, Any, Any]] | None,
     ) -> bool:
-        """Does node *node_id* carry the labels in *mask* and the *items*?
+        """Does node *node_id* carry the labels in *mask* and pass *items*?
 
         *mask* comes from :meth:`label_mask`, *items* are evaluated
-        ``(key, value)`` pairs compared with Cypher ``=``.  The node
-        must exist; a tombstone has no labels and no properties, as
-        :meth:`node_labels` / :meth:`node_properties` report.  Db-hits:
-        one node read for the label set (if any label is asked for) and
-        one property read per key compared.
+        ``(key, compare, value)`` entries (:func:`_check_properties`).
+        The node must exist; a tombstone has no labels and no
+        properties, as :meth:`node_labels` / :meth:`node_properties`
+        report.  Db-hits: one node read for the label set (if any label
+        is asked for) and one property read per key compared, up to the
+        first that fails.
         """
         deleted = self._node_deleted[node_id]
         if mask:
@@ -739,7 +749,7 @@ class GraphStore:
             if self._labelset_masks[labelset] & mask != mask:
                 return False
         if items:
-            reads = _equal_prefix(
+            reads = _check_properties(
                 None if deleted else self._node_props[node_id], items
             )
             self.counters.property_read(reads if reads > 0 else -reads)
@@ -750,7 +760,7 @@ class GraphStore:
         self,
         ids: Iterable[int] | None,
         mask: int,
-        items: Sequence[tuple[str, Any]] | None,
+        items: Sequence[tuple[str, Any, Any]] | None,
     ) -> Iterator[int]:
         """The nodes among *ids* that pass :meth:`node_matches`, lazily.
 
@@ -780,13 +790,13 @@ class GraphStore:
         outgoing: bool,
         incoming: bool,
         type_ids: Sequence[int] | None,
-        items: Sequence[tuple[str, Any]] | None,
+        items: Sequence[tuple[str, Any, Any]] | None,
         used: Container[int],
         *,
         rel_ids: Iterable[int] | None = None,
         end: int | None = None,
         end_mask: int = 0,
-        end_items: Sequence[tuple[str, Any]] | None = None,
+        end_items: Sequence[tuple[str, Any, Any]] | None = None,
     ) -> Iterator[tuple[int, int]]:
         """One relationship step from *node_id*: ``(rel id, other end)``.
 
@@ -794,12 +804,12 @@ class GraphStore:
         resolved *type_ids*, ascending, a self-loop once) -- or the
         given *rel_ids*, which are then also checked for type and for
         being attached to *node_id* in the requested direction -- and
-        lazily yields the relationships that are not in *used*, carry
-        the evaluated *items*, and lead to a node that is *end* (if
-        given) and passes :meth:`node_matches` on *end_mask* /
-        *end_items*.  Db-hits: one relationship read per candidate not
-        in *used*, one property read per key compared, plus the node
-        check's own.
+        lazily yields the relationships that are not in *used*, pass
+        the evaluated *items* (:func:`_check_properties`), and lead to
+        a node that is *end* (if given) and passes :meth:`node_matches`
+        on *end_mask* / *end_items*.  Db-hits: one relationship read per
+        candidate not in *used*, one property read per key compared,
+        plus the node check's own.
         """
         given = rel_ids is not None
         if given:
@@ -827,7 +837,7 @@ class GraphStore:
             else:
                 continue
             if items:
-                reads = _equal_prefix(
+                reads = _check_properties(
                     None
                     if self._rel_deleted[rel_id]
                     else self._rel_props[rel_id],

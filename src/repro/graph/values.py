@@ -179,6 +179,13 @@ def _require_boolean(value: Any, operator: str) -> None:
 # ---------------------------------------------------------------------------
 # Ternary equality and comparison (the `=`, `<`, ... operators)
 # ---------------------------------------------------------------------------
+#
+# One body per operator, shared by every expression, every pattern map
+# and the store's property-check kernel.  Each of `=`, `<`
+# and `<=` opens with an exact-type fast path: two ints or two strings
+# compare natively.  ``type(x) is`` keeps bools (an ``int`` subclass,
+# a distinct Cypher type) out of it, and floats take the general branch
+# with its NaN rule.
 
 def cypher_eq(left: Any, right: Any) -> Any:
     """The Cypher ``=`` operator: True, False, or None (unknown).
@@ -189,6 +196,9 @@ def cypher_eq(left: Any, right: Any) -> Any:
     * entities compare by identity (their graph-assigned id);
     * values of genuinely different types compare False.
     """
+    kind = type(left)
+    if (kind is int or kind is str) and type(right) is kind:
+        return left == right
     if left is None or right is None:
         return None
     if isinstance(left, bool) or isinstance(right, bool):
@@ -249,6 +259,9 @@ def cypher_neq(left: Any, right: Any) -> Any:
 
 def cypher_lt(left: Any, right: Any) -> Any:
     """The Cypher ``<`` operator; None when incomparable or null."""
+    kind = type(left)
+    if (kind is int or kind is str) and type(right) is kind:
+        return left < right
     if left is None or right is None:
         return None
     if is_number(left) and is_number(right):
@@ -267,6 +280,9 @@ def cypher_lt(left: Any, right: Any) -> Any:
 
 def cypher_lte(left: Any, right: Any) -> Any:
     """The Cypher ``<=`` operator."""
+    kind = type(left)
+    if (kind is int or kind is str) and type(right) is kind:
+        return left <= right
     less = cypher_lt(left, right)
     if less is True:
         return True

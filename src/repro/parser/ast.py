@@ -248,12 +248,37 @@ class HoistedExpression(Expression):
 
 
 @dataclass(frozen=True)
+class PushedComparison:
+    """A rewrite marker: ``variable.key <operator> value`` on an element.
+
+    Never produced by the parser -- only by predicate pushdown in
+    :mod:`repro.runtime.rewrite`, which moves a WHERE range conjunct
+    (``<``, ``<=``, ``>``, ``>=``, the property always on the left) onto
+    the pattern element it filters, so the store checks it against the
+    property column before the candidate is bound.  Equalities move into
+    the element's property map instead.  Unparsing renders the
+    comparisons back as WHERE conjuncts.
+    """
+
+    key: str
+    operator: str
+    value: Expression
+
+
+@dataclass(frozen=True)
 class NodePattern:
     """``( name? :Label* {map}? )``."""
 
     variable: Optional[str] = None
     labels: tuple[str, ...] = ()
     properties: Optional[MapLiteral] = None
+    #: rewrite-only (see :class:`PushedComparison`)
+    comparisons: tuple[PushedComparison, ...] = ()
+
+    #: the compiled property checks, once
+    #: :func:`repro.runtime.match_planner.compile_checks` has built them
+    #: (cached on the node like :attr:`Expression._compiled`)
+    _checks = None
 
 
 #: Direction of a relationship pattern.  ``BOTH`` (undirected) is legal
@@ -273,6 +298,11 @@ class RelationshipPattern:
     properties: Optional[MapLiteral] = None
     direction: str = BOTH
     var_length: Optional[tuple[Optional[int], Optional[int]]] = None
+    #: rewrite-only (see :class:`PushedComparison`)
+    comparisons: tuple[PushedComparison, ...] = ()
+
+    #: see :attr:`NodePattern._checks`
+    _checks = None
 
     @property
     def is_var_length(self) -> bool:

@@ -83,8 +83,15 @@ def _unparse_clause(clause: ast.Clause) -> str:
     if isinstance(clause, ast.MatchClause):
         text = "OPTIONAL MATCH " if clause.optional else "MATCH "
         text += unparse(clause.pattern)
+        # Pushed comparisons are WHERE conjuncts the rewriter moved.
+        conjuncts = pushed_conjuncts(clause.pattern)
         if clause.where is not None:
-            text += f" WHERE {_expr(clause.where)}"
+            conjuncts.append(clause.where)
+        if conjuncts:
+            where = conjuncts[0]
+            for conjunct in conjuncts[1:]:
+                where = ast.Binary("AND", where, conjunct)
+            text += f" WHERE {_expr(where)}"
         return text
     if isinstance(clause, ast.UnwindClause):
         return f"UNWIND {_expr(clause.expression)} AS {_ident(clause.variable)}"
@@ -186,6 +193,20 @@ def _remove_item(item: ast.RemoveItem) -> str:
 # ---------------------------------------------------------------------------
 # Patterns
 # ---------------------------------------------------------------------------
+
+def pushed_conjuncts(pattern: ast.Pattern) -> list[ast.Binary]:
+    """The pattern's pushed comparisons as ``variable.key op value``."""
+    return [
+        ast.Binary(
+            comparison.operator,
+            ast.Property(ast.Variable(element.variable), comparison.key),
+            comparison.value,
+        )
+        for path in pattern.paths
+        for element in path.elements
+        for comparison in element.comparisons
+    ]
+
 
 def _unparse_path(path: ast.PathPattern) -> str:
     text = ""

@@ -3,7 +3,9 @@
 :func:`explain_statement` renders how the engine will execute a parsed
 statement: the clause pipeline, which dialect executor handles each
 update clause, and the plan of each MATCH pattern: path order, anchors
-and the access path the store chose for each anchor.
+and the access path the store chose for each anchor (planned from the
+variables the clauses before it bind), and the pushed comparisons the
+store checks at the columns.
 
 :func:`render_profile` is its runtime counterpart: it renders a
 :class:`~repro.runtime.profile.QueryProfile` recorded while actually
@@ -12,11 +14,15 @@ executing, with per-clause rows, wall time and db-hits.
 
 from __future__ import annotations
 
+from typing import Collection
+
 from repro.dialect import Dialect
+from repro.graph.indexes import UNKNOWN
 from repro.parser import ast
-from repro.parser.unparse import unparse
+from repro.parser.unparse import pushed_conjuncts, unparse
 from repro.runtime.context import EvalContext
 from repro.runtime.match_planner import plan_paths
+from repro.runtime.scoping import check_clause
 
 _MERGE_EXECUTORS = {
     ast.MERGE_LEGACY: "LegacyMerge(per-record match-or-create, reads own writes)",
@@ -31,33 +37,52 @@ _MERGE_EXECUTORS = {
 def explain_statement(
     ctx: EvalContext, statement: ast.Statement, dialect: Dialect
 ) -> str:
-    """A multi-line, human-readable execution plan."""
+    """A multi-line, human-readable execution plan.
+
+    Each MATCH is planned from the scope the clauses before it leave: a
+    variable they bind counts as bound (its value unknown), as it is
+    in every record the run matches.
+    """
     lines = [f"dialect: {dialect.value}; planner: {'on' if ctx.use_planner else 'off'}"]
     branches = statement.branches()
     for index, branch in enumerate(branches):
         if len(branches) > 1:
             lines.append(f"union branch {index + 1}:")
+        scope: set[str] = set()
         for clause in branch.clauses:
-            lines.extend(_explain_clause(ctx, clause, dialect))
+            lines.extend(_explain_clause(ctx, clause, dialect, scope))
+            scope = check_clause(clause, scope)
     return "\n".join(lines)
 
 
 def _explain_clause(
-    ctx: EvalContext, clause: ast.Clause, dialect: Dialect
+    ctx: EvalContext,
+    clause: ast.Clause,
+    dialect: Dialect,
+    scope: Collection[str] = (),
 ) -> list[str]:
     prefix = "  "
     if isinstance(clause, ast.MatchClause):
         keyword = "OptionalMatch" if clause.optional else "Match"
         lines = [f"{prefix}{keyword}"]
         # Paths are listed in execution order (planner off: as
-        # written), each with its anchor's access path and estimate.
-        plan = plan_paths(ctx, clause.pattern.paths, {})
+        # written), each with its anchor's access path and estimate,
+        # then the comparisons the store checks at each step.
+        plan = plan_paths(
+            ctx, clause.pattern.paths, dict.fromkeys(scope, UNKNOWN)
+        )
         for path_plan in plan.ordered:
             lines.append(
                 f"{prefix}  path {unparse(path_plan.path)}"
                 f"  [anchor: {path_plan.describe()}, "
                 f"est. {path_plan.cost:.0f} candidates]"
             )
+            checks = pushed_conjuncts(ast.Pattern((path_plan.path,)))
+            if checks:
+                lines.append(
+                    f"{prefix}    column check "
+                    + " AND ".join(unparse(check) for check in checks)
+                )
         moved = plan.moved_count()
         if moved:
             lines.append(

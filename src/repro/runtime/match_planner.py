@@ -51,9 +51,11 @@ from typing import Any, Mapping, NamedTuple
 
 from repro.errors import CypherError
 from repro.graph.indexes import UNKNOWN
+from repro.graph.values import cypher_eq
 from repro.parser import ast
 from repro.runtime.compiler import compile_map
 from repro.runtime.context import EvalContext
+from repro.runtime.expressions import BINARY_OPS
 
 # ---------------------------------------------------------------------------
 # The static half of a plan: one preparation per clause execution
@@ -67,13 +69,18 @@ class NodeStep:
     labels: tuple[str, ...]
     #: ``GraphStore.label_mask(labels)``
     mask: int
-    #: compiled property map, ``((key, fn), ...)``, or None
+    #: compiled property checks, ``((key, compare, fn), ...)``, or None:
+    #: the property map's entries (``compare`` is ``cypher_eq``) and
+    #: then the pushed comparisons (:func:`compile_checks`)
     items: tuple | None
-    #: variables of the enclosing pattern that the property map reads
+    #: variables of the enclosing pattern that the checks read
     refs: frozenset[str]
-    #: position of this step's evaluated property map in a record's
-    #: value memo (see :func:`evaluate_step`)
+    #: position of this step's evaluated checks in a record's value
+    #: memo (see :func:`evaluate_step`)
     slot: int
+    #: how many entries of *items* lead with ``=`` (the property map's):
+    #: the only ones an index may serve
+    equalities: int = 0
 
 
 @dataclasses.dataclass(slots=True)
@@ -136,11 +143,12 @@ class PreparedPath:
 class PreparedPattern:
     """A path list prepared for one clause execution over one store.
 
-    Compiled property maps, label masks, type ids, provided and
-    referenced variables, sort specs and (on first use) mirrored step
-    lists are resolved here, once, and shared by the planner and the
-    matcher for every record of the clause.  Nothing outlives the
-    clause.
+    Label masks, type ids, provided and referenced variables, sort
+    specs and (on first use) mirrored step lists are resolved here,
+    once, and shared by the planner and the matcher for every record of
+    the clause; none of it outlives the clause.  The compiled property
+    checks depend on the pattern alone and live on its elements
+    (:func:`compile_checks`), like every closure on its AST node.
     """
 
     __slots__ = ("paths", "written", "slots", "per_visit")
@@ -157,10 +165,10 @@ class PreparedPattern:
         for path in paths:
             steps = []
             for position, element in enumerate(path.elements):
-                items, refs = None, _NO_REFS
-                if element.properties is not None:
-                    items, variables = compile_map(
-                        ctx.compile, element.properties
+                items, refs, equalities = None, _NO_REFS, 0
+                if element.properties is not None or element.comparisons:
+                    items, equalities, variables = compile_checks(
+                        ctx, element
                     )
                     refs = variables & provided
                 if position % 2 == 0:
@@ -171,6 +179,7 @@ class PreparedPattern:
                         items,
                         refs,
                         slot,
+                        equalities,
                     )
                 else:
                     step = RelStep(
@@ -212,13 +221,48 @@ _NO_REFS: frozenset[str] = frozenset()
 PER_VISIT = object()
 
 
+def compile_checks(
+    ctx: EvalContext, element: ast.NodePattern | ast.RelationshipPattern
+) -> tuple[tuple, int, frozenset[str]]:
+    """An element's property checks, compiled.
+
+    Returns ``(items, equalities, variables)``: *items* are
+    ``(key, compare, fn)`` entries -- the property map's first, each
+    compared by ``cypher_eq``, then the pushed comparisons, each by its
+    operator's body -- *equalities* is the number of map entries, and
+    *variables* are the names the values read.  Built once per element
+    and closure-maker, and kept on the element.
+    """
+    cached = element._checks
+    if cached is not None and cached[0] is ctx.compile:
+        return cached[1]
+    items: list = []
+    variables: frozenset[str] = _NO_REFS
+    if element.properties is not None:
+        pairs, variables = compile_map(ctx.compile, element.properties)
+        items = [(key, cypher_eq, fn) for key, fn in pairs]
+    equalities = len(items)
+    for comparison in element.comparisons:
+        value = comparison.value
+        items.append(
+            (comparison.key, BINARY_OPS[comparison.operator],
+             ctx.compile(value))
+        )
+        # A pushed value is a literal, a parameter or a variable.
+        if isinstance(value, ast.Variable):
+            variables = variables | {value.name}
+    checks = (tuple(items), equalities, variables)
+    object.__setattr__(element, "_checks", (ctx.compile, checks))
+    return checks
+
+
 def evaluate_step(
     ctx: EvalContext, step: NodeStep | RelStep, bindings: Mapping[str, Any],
     values: list,
-) -> tuple[tuple[str, Any], ...] | None:
-    """The step's property map as evaluated ``(key, value)`` pairs.
+) -> tuple[tuple[str, Any, Any], ...] | None:
+    """The step's checks as evaluated ``(key, compare, value)`` entries.
 
-    Each map is evaluated at most once per record and kept in *values*
+    Each step is evaluated at most once per record and kept in *values*
     (one slot per step), so the planner's estimate, the probe and every
     candidate it is compared with see the same values and its
     expressions cost one evaluation (and its db-hits) per record.  A
@@ -228,7 +272,8 @@ def evaluate_step(
     known = values[step.slot]
     if (known is None or known is PER_VISIT) and step.items is not None:
         evaluated = tuple(
-            [(key, fn(ctx, bindings)) for key, fn in step.items]
+            [(key, compare, fn(ctx, bindings))
+             for key, compare, fn in step.items]
         )
         if known is None:
             values[step.slot] = evaluated
@@ -339,16 +384,18 @@ def estimate_step(
     (:meth:`~repro.graph.store.GraphStore.node_access`, the same call
     the matcher enumerates from); planning adds only what the store
     cannot know: a bound variable costs nothing, a property map that
-    cannot be evaluated yet is :data:`UNKNOWN`, and an un-indexed
-    property map still filters.  Sizes are statistics and charge no
-    db-hits.  If the store asks for the map's values (some key has a
-    usable index) they are evaluated through :func:`evaluate_step` --
-    the one evaluation of this record, charged to the expressions like
-    any other and reused by the probe.
+    cannot be evaluated yet is :data:`UNKNOWN`, and property checks no
+    index serves (a pushed range never is) still filter.  Sizes are
+    statistics and charge no db-hits.  If the store asks for the map's
+    values (some key has a usable index) they are evaluated through
+    :func:`evaluate_step` -- the one evaluation of this record, charged
+    to the expressions like any other and reused by the probe.
     """
     if step.variable is not None and step.variable in bound:
         return 0.0, f"bound({step.variable})"
-    items = step.items or ()
+    # Only the equalities may choose a bucket: a range filters the
+    # candidates of whatever source the equalities and labels pick.
+    probes = step.items[: step.equalities] if step.equalities else ()
 
     def resolve() -> tuple:
         # A map that fails to evaluate is sized as unknown here and
@@ -359,12 +406,12 @@ def estimate_step(
                 return evaluate_step(ctx, step, record, values)
             except CypherError:
                 pass
-        return tuple((key, UNKNOWN) for key, __ in items)
+        return tuple([(key, UNKNOWN) for key, __, __ in probes])
 
     cost, access, __ = ctx.store.node_access(
-        step.labels, items, resolve=resolve
+        step.labels, probes, resolve=resolve
     )
-    if items and not access.startswith("index "):
+    if step.items and not access.startswith("index "):
         # Discount mildly so a property-carrying end beats a bare one
         # with the same label.
         cost *= 0.9

@@ -533,12 +533,16 @@ def _node_candidates(
             if not store.node_matches(value.id, step.mask, items):
                 return ()
         return (value,)
+    probes = ()
     if step.items is not None:
         items = evaluate_step(ctx, step, bindings, values)
+        if step.equalities:
+            probes = items[: step.equalities]
     # The store picks the one source to enumerate (a superset of the
-    # matches) and filters it against the other labels and properties;
-    # what passes is bound, so it becomes a handle.
-    __, __, ids = store.node_access(step.labels, items or (), fetch=True)
+    # matches) from the labels and equalities, and filters it against
+    # the other labels and every property check; what passes is bound,
+    # so it becomes a handle.
+    __, __, ids = store.node_access(step.labels, probes, fetch=True)
     return map(
         partial(Node, store), store.match_nodes(ids, step.mask, items)
     )

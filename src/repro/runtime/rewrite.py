@@ -5,18 +5,28 @@ against the serial executor by the differential fuzzer (in the spirit
 of *Proving Cypher Query Equivalence*: a candidate rule ships only with
 a fuzzer-backed equivalence check):
 
-**Predicate pushdown.**  ``MATCH (n:L) WHERE n.k = v`` becomes
-``MATCH (n:L {k: v})``: the matcher and planner check pattern property
-maps during candidate enumeration (and can serve them from property
-indexes), so pushing a WHERE conjunct into the map filters before
-binding instead of after.  Equivalence rests on three guarantees:
+**Predicate pushdown.**  A WHERE conjunct comparing a fresh pattern
+variable's property with a value by ``=``, ``<``, ``<=``, ``>`` or
+``>=`` moves onto the pattern element: ``MATCH (n:L) WHERE n.k = v``
+becomes ``MATCH (n:L {k: v})``, and ``WHERE $lo <= n.k AND n.k < $hi``
+becomes two :class:`~repro.parser.ast.PushedComparison` entries on
+``n`` (``k >= $lo``, ``k < $hi``; a swapped side is normalised so the
+property is on the left).  The store checks both kinds against its
+property columns while it enumerates candidates
+(``GraphStore.node_matches`` / ``match_nodes`` / ``expand``), so a
+rejected candidate is never bound; only equalities may choose an
+index bucket.  ``<>``, ``IN``, ``STARTS WITH`` and computed operands
+stay in the WHERE.  Equivalence rests on three guarantees:
 
-* the matcher's map check (``cypher_eq(entity.get(k), v) is not True``)
-  is exactly the WHERE filter's acceptance test, including null rules;
+* the store's check (``compare(stored, v) is True`` with ``compare``
+  the operator's one body in :mod:`repro.graph.values`, an absent key
+  read as null) is exactly the WHERE filter's acceptance test: a null
+  or incomparable comparison is null, never an error, and WHERE keeps
+  only true;
 * pushed value expressions can never raise -- a literal, a variable
   bound by an *earlier* clause (always present in the record), or a
   parameter present in the statement's actual parameters -- because
-  property maps evaluate once per record *before* enumeration while
+  pushed values evaluate once per record *before* enumeration while
   WHERE evaluates only on actual matches;
 * the rewrite is all-or-nothing per MATCH: a WHERE is removed only if
   *every* AND-conjunct is pushable.  Removing some conjuncts would
@@ -203,18 +213,19 @@ def _pushdown_match(
     elements = _pushable_elements(clause.pattern, fresh)
     if not elements:
         return clause
-    pushes: list[tuple[str, str, ast.Expression]] = []
-    pushed_keys: dict[str, set[str]] = {}
+    pushes: list[tuple[str, str, str, ast.Expression]] = []
+    equal_keys: dict[str, set[str]] = {}
     for conjunct in _split_and(clause.where):
         target = _pushdown_target(
-            conjunct, elements, pushed_keys, bound, parameters
+            conjunct, elements, equal_keys, bound, parameters
         )
         if target is None:
             # All-or-nothing: partial pushdown would change how often
             # the remaining (possibly raising) conjuncts evaluate.
             return clause
-        variable, key, value = target
-        pushed_keys.setdefault(variable, set()).add(key)
+        variable, key, operator, __ = target
+        if operator == "=":
+            equal_keys.setdefault(variable, set()).add(key)
         pushes.append(target)
     pattern = _apply_pushes(clause.pattern, pushes)
     return replace(clause, pattern=pattern, where=None)
@@ -254,19 +265,36 @@ def _pushable_elements(
     return elements
 
 
+#: the pushable comparison operators, each with the operator that says
+#: the same thing with its operands swapped (``$lo <= a.id`` is
+#: ``a.id >= $lo``)
+_SWAPPED = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
 def _pushdown_target(
     conjunct: ast.Expression,
     elements: dict[str, object],
-    pushed_keys: dict[str, set[str]],
+    equal_keys: dict[str, set[str]],
     bound: frozenset[str],
     parameters: frozenset[str],
-) -> Optional[tuple[str, str, ast.Expression]]:
-    """``(variable, key, value)`` if *conjunct* is a pushable equality."""
-    if not isinstance(conjunct, ast.Binary) or conjunct.operator != "=":
+) -> Optional[tuple[str, str, str, ast.Expression]]:
+    """``(variable, key, operator, value)`` if *conjunct* is pushable.
+
+    A pushable conjunct compares a fresh variable's property with a
+    never-raising value (:func:`_safe_value`) by ``=``, ``<``, ``<=``,
+    ``>`` or ``>=``; the result reads ``variable.key operator value``,
+    whichever side the property was written on.  An equality moves into
+    the element's property map, so its key must not be there already;
+    a key may carry any number of range bounds.
+    """
+    if not isinstance(conjunct, ast.Binary):
         return None
-    for prop_side, value_side in (
-        (conjunct.left, conjunct.right),
-        (conjunct.right, conjunct.left),
+    swapped = _SWAPPED.get(conjunct.operator)
+    if swapped is None:
+        return None
+    for prop_side, operator, value_side in (
+        (conjunct.left, conjunct.operator, conjunct.right),
+        (conjunct.right, swapped, conjunct.left),
     ):
         if not isinstance(prop_side, ast.Property):
             continue
@@ -277,12 +305,13 @@ def _pushdown_target(
         if element is None:
             continue
         key = prop_side.key
-        existing = element.properties.keys() if element.properties else ()
-        if key in existing or key in pushed_keys.get(variable, ()):
-            continue
+        if operator == "=":
+            existing = element.properties.keys() if element.properties else ()
+            if key in existing or key in equal_keys.get(variable, ()):
+                continue
         if not _safe_value(value_side, bound, parameters):
             continue
-        return (variable, key, value_side)
+        return (variable, key, operator, value_side)
     return None
 
 
@@ -308,26 +337,37 @@ def _safe_value(
 
 
 def _apply_pushes(
-    pattern: ast.Pattern, pushes: list[tuple[str, str, ast.Expression]]
+    pattern: ast.Pattern, pushes: list[tuple[str, str, str, ast.Expression]]
 ) -> ast.Pattern:
-    extra: dict[str, list[tuple[str, ast.Expression]]] = {}
-    for variable, key, value in pushes:
-        extra.setdefault(variable, []).append((key, value))
+    """Equalities into the property maps, ranges into ``comparisons``."""
+    equal: dict[str, list[tuple[str, ast.Expression]]] = {}
+    ranges: dict[str, list[ast.PushedComparison]] = {}
+    for variable, key, operator, value in pushes:
+        if operator == "=":
+            equal.setdefault(variable, []).append((key, value))
+        else:
+            ranges.setdefault(variable, []).append(
+                ast.PushedComparison(key, operator, value)
+            )
     paths = []
     for path in pattern.paths:
         elements = []
         for element in path.elements:
-            additions = (
-                extra.pop(element.variable, None)
-                if element.variable is not None
-                else None
-            )
+            # A variable's pushes land on its first occurrence only.
+            variable = element.variable
+            additions = equal.pop(variable, None)
             if additions:
                 items = (
                     element.properties.items if element.properties else ()
                 ) + tuple(additions)
                 element = replace(
                     element, properties=ast.MapLiteral(items=items)
+                )
+            comparisons = ranges.pop(variable, None)
+            if comparisons:
+                element = replace(
+                    element,
+                    comparisons=element.comparisons + tuple(comparisons),
                 )
             elements.append(element)
         paths.append(replace(path, elements=tuple(elements)))

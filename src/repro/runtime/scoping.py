@@ -41,10 +41,11 @@ def check_statement(
 
 def _check_clauses(clauses: tuple[ast.Clause, ...], scope: set[str]) -> None:
     for clause in clauses:
-        scope = _check_clause(clause, scope)
+        scope = check_clause(clause, scope)
 
 
-def _check_clause(clause: ast.Clause, scope: set[str]) -> set[str]:
+def check_clause(clause: ast.Clause, scope: set[str]) -> set[str]:
+    """Validate one clause against *scope*; the scope it leaves."""
     if isinstance(clause, ast.MatchClause):
         scope = _check_pattern(clause.pattern, scope, allow_new=True)
         if clause.where is not None:
@@ -113,7 +114,7 @@ def _check_clause(clause: ast.Clause, scope: set[str]) -> set[str]:
             )
         inner = scope | {clause.variable}
         for update in clause.updates:
-            inner = _check_clause(update, inner)
+            inner = check_clause(update, inner)
         return scope
     return scope
 

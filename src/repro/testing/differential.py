@@ -49,7 +49,7 @@ from repro.graph.comparison import isomorphic
 from repro.graph.model import Node, Path, Relationship
 from repro.io.graph_json import graph_to_dict
 from repro.runtime import parallel
-from repro.testing.generator import FuzzCase, build_store
+from repro.testing.generator import PARAMETERS, FuzzCase, build_store
 from repro.testing.interpreter import interpreted
 from repro.testing.invariants import (
     InvariantViolation,
@@ -370,6 +370,7 @@ def _run_pipeline_case(case: FuzzCase, *, workers: int = 0) -> CaseResult:
             name,
             use_planner=use_planner,
             compiled=compiled,
+            parameters=PARAMETERS,
             failures=failures,
         )
     # The rewrite pass alone (planner off, so enumeration order is the
@@ -381,6 +382,7 @@ def _run_pipeline_case(case: FuzzCase, *, workers: int = 0) -> CaseResult:
         use_planner=False,
         compiled=True,
         rewrites_alone=True,
+        parameters=PARAMETERS,
         failures=failures,
     )
     extra = [rewritten]
@@ -397,6 +399,7 @@ def _run_pipeline_case(case: FuzzCase, *, workers: int = 0) -> CaseResult:
                 use_planner=use_planner,
                 compiled=True,
                 workers=workers,
+                parameters=PARAMETERS,
                 failures=failures,
             )
             extra.append(outcome)
@@ -457,7 +460,11 @@ def run_views_case(case: FuzzCase, *, workers: int = 0) -> CaseResult:
     views = []
     for source, view_dialect in case.views:
         try:
-            views.append(registry.register(source, dialect=view_dialect))
+            views.append(
+                registry.register(
+                    source, dialect=view_dialect, parameters=PARAMETERS
+                )
+            )
         except CypherError:
             continue  # unregisterable query -- not a finding
     if case.kind == "merge":
@@ -467,7 +474,7 @@ def run_views_case(case: FuzzCase, *, workers: int = 0) -> CaseResult:
     else:
         todo = case.statements
         dialect = Dialect.parse(case.dialect)
-        parameters = None
+        parameters = PARAMETERS
     engine = CypherEngine(
         store,
         dialect=dialect,

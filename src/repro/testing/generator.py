@@ -31,6 +31,7 @@ filters on it, so round-trip bugs surface instead of hiding.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field, replace
 
@@ -44,6 +45,32 @@ REL_TYPES = ("T", "S")
 INT_KEYS = ("i", "k")
 STRING_KEY = "name"
 STRINGS = ("ann", "bob", "cat")
+#: the relationship key
+REL_KEY = "w"
+#: a node key that only comparisons and projections read: its stored
+#: values (and those of a fifth of the relationships' ``w``) cover every
+#: branch of the comparison operators -- integers, floats, NaN, ``-0.0``,
+#: strings, booleans -- and an absent key reads as null.  Arithmetic
+#: never reads it, so no run can mint a NaN of its own (two NaNs are
+#: equal in the oracle's row comparison only as the same object).
+MIXED_KEY = "v"
+MIXED_VALUES = (0, 1, 2, 3, 1.5, 2.0, -0.0, math.nan, "ann", "bob", True, False)
+#: literal comparison operands beyond the small integers
+MIXED_LITERALS = (1.5, "bob", True, None)
+COMPARISONS = ("=", "<>", "<", "<=", ">", ">=")
+
+#: The parameters every generated statement runs with.  A statement may
+#: also name ``$absent``, which is never supplied (and raises when
+#: evaluated); registered view queries never do.
+PARAMETERS = {
+    "lo": 1,
+    "hi": 3,
+    "x": 1.5,
+    "s": "bob",
+    "t": True,
+    "nan": math.nan,
+    "nil": None,
+}
 
 #: How many differential case kinds exist, in generation rotation order.
 KINDS = ("revised", "legacy", "merge")
@@ -90,7 +117,7 @@ def case_for(seed: int, index: int) -> FuzzCase:
     seed_key = f"{seed}:{index}"
     rng = random.Random(seed_key)
     kind = KINDS[index % len(KINDS)]
-    graph, indexes = _random_graph(rng)
+    graph, indexes = _random_graph(rng, random.Random(f"{seed_key}:values"))
     if kind == "merge":
         pattern, table = _merge_payload(rng)
         return FuzzCase(
@@ -155,7 +182,14 @@ def view_queries_for(
 # ---------------------------------------------------------------------------
 
 
-def _random_graph(rng: random.Random) -> tuple[dict, tuple]:
+def _random_graph(
+    rng: random.Random, mixed: random.Random
+) -> tuple[dict, tuple]:
+    """A graph over the fixed schema, plus the indexes to create.
+
+    The :data:`MIXED_KEY` values come from their own stream *mixed*, so
+    they do not move what *rng* goes on to generate.
+    """
     node_count = rng.randint(0, 8)
     nodes = []
     for node_id in range(node_count):
@@ -168,6 +202,8 @@ def _random_graph(rng: random.Random) -> tuple[dict, tuple]:
                 properties[key] = rng.randint(0, 4)
         if rng.random() < 0.3:
             properties[STRING_KEY] = rng.choice(STRINGS)
+        if mixed.random() < 0.5:
+            properties[MIXED_KEY] = mixed.choice(MIXED_VALUES)
         nodes.append(
             {"id": node_id, "labels": labels, "properties": properties}
         )
@@ -175,8 +211,10 @@ def _random_graph(rng: random.Random) -> tuple[dict, tuple]:
     if node_count:
         for rel_id in range(rng.randint(0, min(12, 2 * node_count))):
             properties = (
-                {"w": rng.randint(0, 3)} if rng.random() < 0.4 else {}
+                {REL_KEY: rng.randint(0, 3)} if rng.random() < 0.4 else {}
             )
+            if mixed.random() < 0.2:
+                properties[REL_KEY] = mixed.choice(MIXED_VALUES)
             relationships.append(
                 {
                     "id": rel_id,
@@ -560,13 +598,15 @@ class _Builder:
     def predicate(self) -> ast.Expression:
         rng = self.rng
         roll = rng.random()
-        if roll < 0.5:
+        if roll < 0.35:
             return ast.Binary(
-                rng.choice(["=", "<>", "<", "<=", ">", ">="]),
+                rng.choice(COMPARISONS),
                 self.int_expr(1),
                 self.int_expr(1),
             )
-        if roll < 0.7 and self.env.nodes:
+        if roll < 0.6 and (self.env.nodes or self.env.rels):
+            return self.comparisons(tame=False)
+        if roll < 0.75 and self.env.nodes:
             return ast.IsNull(
                 ast.Property(
                     ast.Variable(rng.choice(self.env.nodes)),
@@ -574,7 +614,7 @@ class _Builder:
                 ),
                 negated=rng.random() < 0.5,
             )
-        if roll < 0.85 and self.env.nodes:
+        if roll < 0.88 and self.env.nodes:
             return ast.HasLabels(
                 ast.Variable(rng.choice(self.env.nodes)),
                 (rng.choice(LABELS),),
@@ -584,6 +624,64 @@ class _Builder:
             ast.Binary(">=", self.int_expr(1), ast.Literal(0)),
             ast.Binary("<", self.int_expr(1), ast.Literal(9)),
         )
+
+    def comparisons(self, *, tame: bool) -> ast.Expression:
+        """1-3 property comparisons joined by AND: the shape predicate
+        pushdown moves onto pattern elements when every conjunct
+        compares a variable the MATCH binds with a never-raising value.
+
+        Subjects are node keys (the integer ones and the mixed one) and
+        fixed relationship variables' ``w``; operands are literals,
+        supplied parameters and earlier-bound variables, and -- unless
+        *tame* -- now and then ``$absent``, which must raise exactly
+        when the unrewritten WHERE would.  A third of the pairs are two
+        bounds on one key.
+        """
+        rng = self.rng
+        count = rng.randint(1, 3)
+        terms: list[ast.Expression] = []
+        while len(terms) < count:
+            subject = self._compared_property()
+            if count - len(terms) >= 2 and rng.random() < 0.35:
+                terms.append(ast.Binary(">=", subject, self._operand(tame)))
+                terms.append(ast.Binary("<", subject, self._operand(tame)))
+                continue
+            operator = rng.choice(COMPARISONS)
+            operand = self._operand(tame)
+            if rng.random() < 0.25:
+                terms.append(ast.Binary(operator, operand, subject))
+            else:
+                terms.append(ast.Binary(operator, subject, operand))
+        conjunction = terms[0]
+        for term in terms[1:]:
+            conjunction = ast.Binary("AND", conjunction, term)
+        return conjunction
+
+    def _compared_property(self) -> ast.Property:
+        rng = self.rng
+        if self.env.rels and (not self.env.nodes or rng.random() < 0.3):
+            return ast.Property(
+                ast.Variable(rng.choice(self.env.rels)), REL_KEY
+            )
+        return ast.Property(
+            ast.Variable(rng.choice(self.env.nodes)),
+            rng.choice(INT_KEYS + (MIXED_KEY,)),
+        )
+
+    def _operand(self, tame: bool) -> ast.Expression:
+        rng = self.rng
+        roll = rng.random()
+        if roll < 0.35:
+            return ast.Literal(rng.randint(0, 4))
+        if roll < 0.5:
+            return ast.Literal(rng.choice(MIXED_LITERALS))
+        if roll < 0.85:
+            if not tame and rng.random() < 0.1:
+                return ast.Parameter("absent")
+            return ast.Parameter(rng.choice(sorted(PARAMETERS)))
+        if self.env.values:
+            return ast.Variable(rng.choice(self.env.values))
+        return ast.Literal(rng.randint(0, 4))
 
     def property_map(
         self, *, with_expressions: bool
@@ -1166,16 +1264,9 @@ class _Builder:
     def _tame_predicate(self) -> ast.Expression:
         rng = self.rng
         roll = rng.random()
-        if self.env.nodes and roll < 0.5:
-            return ast.Binary(
-                rng.choice(["=", "<>", "<", "<=", ">", ">="]),
-                ast.Property(
-                    ast.Variable(rng.choice(self.env.nodes)),
-                    rng.choice(INT_KEYS),
-                ),
-                ast.Literal(rng.randint(0, 4)),
-            )
-        if self.env.nodes and roll < 0.75:
+        if (self.env.nodes or self.env.rels) and roll < 0.55:
+            return self.comparisons(tame=True)
+        if self.env.nodes and roll < 0.78:
             return ast.IsNull(
                 ast.Property(
                     ast.Variable(rng.choice(self.env.nodes)),

@@ -36,7 +36,7 @@ from repro.runtime.aggregation import children
 from repro.runtime.context import EvalContext
 from repro.runtime.pipeline import execute_clause
 from repro.runtime.table import DrivingTable
-from repro.testing.generator import build_store, case_for
+from repro.testing.generator import PARAMETERS, build_store, case_for
 from repro.testing.interpreter import interpret, interpreted, interpreting
 from repro.testing.invariants import check_invariants
 
@@ -457,6 +457,7 @@ def test_generated_expressions_equivalent():
             store = build_store(case)
             ctx = EvalContext(
                 store=store,
+                parameters=dict(PARAMETERS),
                 preserve_match_order=dialect is Dialect.CYPHER9,
             )
             for branch in statement.branches():

@@ -1,4 +1,10 @@
-"""Unit tests for isomorphism-up-to-id-renaming."""
+"""Unit tests for isomorphism-up-to-id-renaming and the comparison
+operators' one bodies."""
+
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph.comparison import (
     assert_isomorphic,
@@ -8,6 +14,13 @@ from repro.graph.comparison import (
     signature_counts,
 )
 from repro.graph.store import GraphStore
+from repro.graph.values import (
+    cypher_eq,
+    cypher_gt,
+    cypher_gte,
+    cypher_lt,
+    cypher_lte,
+)
 
 import pytest
 
@@ -218,3 +231,132 @@ class TestBacktrackingFallback:
                 assert isomorphic(left, right) == _isomorphic_backtracking(
                     left, right
                 )
+
+
+# ---------------------------------------------------------------------------
+# The comparison operators against a table written from the semantics
+# ---------------------------------------------------------------------------
+#
+# Francis et al., *Formal Semantics of the Language Cypher*: a
+# comparison involving null is null; values of different types are
+# unequal, and ordering them is undefined (null); numbers compare
+# numerically across Integer and Float, and NaN is neither equal to nor
+# ordered with any number.  Booleans are their own type (false < true),
+# strings order lexicographically, lists are equal element-wise under
+# ternary logic and are not ordered by ``<`` (null).  The table below
+# restates that by hand -- it calls nothing in ``repro.graph.values`` --
+# so it judges the exact-type fast paths and the general branches alike.
+
+
+def _kind(value):
+    if value is None:
+        return "null"
+    if type(value) is bool:
+        return "boolean"
+    if type(value) in (int, float):
+        return "number"
+    if type(value) is str:
+        return "string"
+    return "list"
+
+
+#: kinds ``<`` orders, when both operands have the same one
+ORDERED_KINDS = {"number", "string", "boolean"}
+
+
+def _is_nan(value):
+    return type(value) is float and math.isnan(value)
+
+
+def expected_eq(left, right):
+    kinds = (_kind(left), _kind(right))
+    if "null" in kinds:
+        return None
+    if kinds[0] != kinds[1]:
+        return False
+    if kinds[0] == "list":
+        if len(left) != len(right):
+            return False
+        outcomes = [expected_eq(a, b) for a, b in zip(left, right)]
+        if False in outcomes:
+            return False
+        return None if None in outcomes else True
+    if _is_nan(left) or _is_nan(right):
+        return False
+    return left == right
+
+
+def expected_lt(left, right):
+    kinds = (_kind(left), _kind(right))
+    if "null" in kinds or kinds[0] != kinds[1]:
+        return None
+    if kinds[0] not in ORDERED_KINDS:
+        return None
+    if _is_nan(left) or _is_nan(right):
+        return False
+    return left < right
+
+
+def expected_lte(left, right):
+    less = expected_lt(left, right)
+    if less is True:
+        return True
+    equal = expected_eq(left, right)
+    if less is None or equal is None:
+        return None
+    return equal
+
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 1.0, 2.5, math.inf, -math.inf, math.nan]),
+    st.text(alphabet="ab", max_size=2),
+)
+VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3))
+
+
+class TestComparisonOperators:
+    @settings(max_examples=600, deadline=None)
+    @given(VALUES, VALUES)
+    def test_operators_follow_the_table(self, left, right):
+        assert cypher_eq(left, right) is expected_eq(left, right)
+        assert cypher_lt(left, right) is expected_lt(left, right)
+        assert cypher_lte(left, right) is expected_lte(left, right)
+        assert cypher_gt(left, right) is expected_lt(right, left)
+        assert cypher_gte(left, right) is expected_lte(right, left)
+
+    @pytest.mark.parametrize(
+        "left, right, eq, lt, lte",
+        [
+            (1, 1, True, False, True),
+            (1, 1.0, True, False, True),
+            (True, 1, False, None, None),
+            (1, True, False, None, None),
+            (False, True, False, True, True),
+            ("a", "b", False, True, True),
+            ("a", 1, False, None, None),
+            (math.nan, math.nan, False, False, False),
+            (math.nan, 1, False, False, False),
+            (-math.inf, 2**63, False, True, True),
+            (None, None, None, None, None),
+            (1, None, None, None, None),
+            ([1, None], [1, 2], None, None, None),
+            ([1, 2], [1, 3], False, None, None),
+            ([1], [1.0], True, None, None),
+        ],
+    )
+    def test_named_corners(self, left, right, eq, lt, lte):
+        assert (
+            cypher_eq(left, right),
+            cypher_lt(left, right),
+            cypher_lte(left, right),
+        ) == (eq, lt, lte)
+        assert (eq, lt, lte) == (
+            expected_eq(left, right),
+            expected_lt(left, right),
+            expected_lte(left, right),
+        )

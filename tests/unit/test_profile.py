@@ -15,6 +15,7 @@ from repro import Graph, NO_COUNTERS, QueryProfile
 from repro.errors import CypherEvaluationError
 from repro.graph.counters import DbHits, HitCounters
 from repro.graph.store import GraphStore
+from repro.graph.values import cypher_eq
 
 
 @pytest.fixture
@@ -320,12 +321,16 @@ class TestPlannerChargesNothing:
             )
             assert (size, description, len(ids)) == (1, "index :B(k)", 1)
             mask = store.label_mask(("B",))
-            assert list(store.match_nodes(ids, mask, (("k", 3),))) == ids
+            assert list(
+                store.match_nodes(ids, mask, (("k", cypher_eq, 3),))
+            ) == ids
             # one probe; the candidate's fetch and its label set; one key
             assert counters.snapshot() == DbHits(
                 node_reads=2, property_reads=1, index_lookups=1
             )
-            assert not store.node_matches(ids[0], mask, (("k", 4), ("j", 1)))
+            assert not store.node_matches(
+                ids[0], mask, (("k", cypher_eq, 4), ("j", cypher_eq, 1))
+            )
             # the label set again, and only the key that differed
             assert counters.snapshot() == DbHits(
                 node_reads=3, property_reads=2, index_lookups=1

@@ -3,8 +3,9 @@
 Equivalence with the serial executor is enforced end-to-end by the
 differential fuzzer (a ``rewrites=on`` variant compared exactly) and
 the planner suites (rewrites ride along with ``use_planner``); these
-tests pin the *shapes*: which WHERE conjuncts move into pattern maps,
-which stay, and which subtrees get hoisted.
+tests pin the *shapes*: which WHERE conjuncts move into pattern maps or
+onto pattern elements as pushed comparisons, which stay, and which
+subtrees get hoisted.
 """
 
 import re
@@ -112,7 +113,7 @@ class TestPredicatePushdown:
     def test_partial_conjunction_stays_whole(self):
         match = first_match(
             rewritten_clauses(
-                "MATCH (p:P) WHERE p.id = 3 AND p.name < 'z' RETURN p"
+                "MATCH (p:P) WHERE p.id = 3 AND p.id % 2 = 0 RETURN p"
             )
         )
         assert match.where is not None
@@ -152,6 +153,182 @@ class TestPredicatePushdown:
             "MATCH (p:P) WHERE p.id = 4 RETURN p.v AS v"
         ).records
         assert rows == [{"v": 4}]
+
+
+#: Range statements whose rewrite moves comparisons onto the pattern,
+#: run over a graph with every comparable and incomparable value kind.
+RANGE_CORPUS = [
+    ("MATCH (p:P) WHERE p.id < 3 RETURN p.id AS id ORDER BY id", {}),
+    ("MATCH (p:P) WHERE 3 <= p.id RETURN p.id AS id ORDER BY id", {}),
+    (
+        "MATCH (p:P) WHERE p.id >= $lo AND p.id < $hi "
+        "RETURN p.id AS id ORDER BY id",
+        {"lo": 2, "hi": 6.5},
+    ),
+    (
+        "MATCH (p:P) WHERE p.id > $lo RETURN count(p) AS c",
+        {"lo": None},
+    ),
+    (
+        "MATCH (p:P)-[k:T]->(q) WHERE k.w >= $w AND p.v < 3 "
+        "RETURN p.id AS a, q.id AS b ORDER BY a",
+        {"w": 4},
+    ),
+    (
+        "WITH 5 AS x MATCH (p:P) WHERE p.id <= x AND p.v = 1 "
+        "RETURN p.id AS id ORDER BY id",
+        {},
+    ),
+    (
+        "MATCH (p:P) WHERE p.id < 3 WITH p "
+        "OPTIONAL MATCH (p)-[k:T]->(q) WHERE k.w > 9 "
+        "RETURN p.id AS a, q.id AS b ORDER BY a",
+        {},
+    ),
+]
+
+
+def comparisons(element):
+    return [
+        (c.key, c.operator, unparse(c.value)) for c in element.comparisons
+    ]
+
+
+class TestComparisonPushdown:
+    @pytest.mark.parametrize("operator", ["<", "<=", ">", ">="])
+    def test_range_conjunct_moves_onto_the_element(self, operator):
+        match = first_match(
+            rewritten_clauses(f"MATCH (p:P) WHERE p.id {operator} 3 RETURN p")
+        )
+        assert match.where is None
+        node = match.pattern.paths[0].elements[0]
+        assert comparisons(node) == [("id", operator, "3")]
+        assert map_keys(node) == ()
+
+    @pytest.mark.parametrize(
+        "written, normalised",
+        [("<", ">"), ("<=", ">="), (">", "<"), (">=", "<="), ("=", "=")],
+    )
+    def test_swapped_side_moves_normalised(self, written, normalised):
+        match = first_match(
+            rewritten_clauses(
+                f"MATCH (p:P) WHERE $lo {written} p.id RETURN p",
+                parameters=("lo",),
+            )
+        )
+        assert match.where is None
+        node = match.pattern.paths[0].elements[0]
+        if normalised == "=":
+            assert map_keys(node) == ("id",)
+        else:
+            assert comparisons(node) == [("id", normalised, "$lo")]
+
+    def test_two_bounds_on_one_key_move_whole(self):
+        match = first_match(
+            rewritten_clauses(
+                "MATCH (a:Admin) WHERE a.id >= $lo AND a.id < $hi RETURN a",
+                parameters=("lo", "hi"),
+            )
+        )
+        assert match.where is None
+        assert comparisons(match.pattern.paths[0].elements[0]) == [
+            ("id", ">=", "$lo"),
+            ("id", "<", "$hi"),
+        ]
+
+    def test_relationship_comparison_moves(self):
+        match = first_match(
+            rewritten_clauses(
+                "MATCH (a)-[k:KNOWS]->(f) WHERE k.w >= $w RETURN f",
+                parameters=("w",),
+            )
+        )
+        assert match.where is None
+        assert comparisons(match.pattern.paths[0].elements[1]) == [
+            ("w", ">=", "$w")
+        ]
+
+    def test_equality_and_range_on_one_key_both_move(self):
+        match = first_match(
+            rewritten_clauses(
+                "MATCH (p:P) WHERE p.id = 3 AND p.id < 9 RETURN p"
+            )
+        )
+        node = match.pattern.paths[0].elements[0]
+        assert map_keys(node) == ("id",)
+        assert comparisons(node) == [("id", "<", "9")]
+
+    @pytest.mark.parametrize(
+        "where",
+        [
+            "p.id <> 3",
+            "p.id IN [1, 2]",
+            "p.name STARTS WITH 'n'",
+            "p.id < $missing",
+            "p.id < q.id",
+            "p.id + 1 < 3",
+            "p.id < 3 + 1",
+            "p.id < 3 AND p.id <> 1",
+        ],
+    )
+    def test_unpushable_comparisons_stay(self, where):
+        match = first_match(
+            rewritten_clauses(f"MATCH (p:P), (q:P) WHERE {where} RETURN p")
+        )
+        assert match.where is not None
+        for element in match.pattern.paths[0].elements:
+            assert element.comparisons == ()
+            assert map_keys(element) == ()
+
+    def test_range_on_an_indexed_key_stays_a_label_scan(self):
+        graph = Graph(Dialect.REVISED, use_planner=True)
+        graph.run("CREATE INDEX ON :P(id)")
+        graph.run("UNWIND range(0, 30) AS i CREATE (:P {id: i})")
+        source = "MATCH (p:P) WHERE p.id >= 3 AND p.id < 5 RETURN p.id AS id"
+        explained = graph.explain(source)
+        assert "anchor: p via label scan :P" in explained
+        assert "column check p.id >= 3 AND p.id < 5" in explained
+        assert "filter" not in explained
+        profile = graph.profile(source)
+        assert profile.clauses[0].anchor == "p via label scan :P"
+        assert [row["id"] for row in profile.result.records] == [3, 4]
+
+    def test_kernel_stops_at_the_first_failing_bound(self):
+        graph = Graph(Dialect.REVISED, use_planner=True)
+        graph.run("UNWIND range(0, 9) AS i CREATE (:P {id: i})")
+        source = "MATCH (p:P) WHERE p.id >= 8 AND p.id < 9 RETURN p.id AS id"
+        pushed = graph.profile(source)
+        written = Graph(store=graph.store).profile(source)
+        assert (
+            pushed.result.records == written.result.records == [{"id": 8}]
+        )
+        # WHERE reads both keys of every candidate; the kernel stops at
+        # the first bound that fails (eight candidates fail the first).
+        assert written.clauses[0].hits.property_reads == 20
+        assert pushed.clauses[0].hits.property_reads == 12
+
+    @pytest.mark.parametrize("source, parameters", RANGE_CORPUS)
+    def test_unparsed_rewrite_reparses_to_the_same_results(
+        self, source, parameters
+    ):
+        graph = Graph(Dialect.REVISED, use_planner=True)
+        graph.run(
+            "UNWIND range(0, 11) AS i "
+            "CREATE (:P {id: i, v: i % 4})-[:T {w: 10 - i}]->(:P {id: 100 + i})"
+        )
+        graph.run(
+            "CREATE (:P {id: 2.5, v: 'two'}), (:P {id: 0.0 / 0.0}), "
+            "(:P {id: 'x'}), (:P {id: true}), (:P {v: 1}), (:P {id: [1]})"
+        )
+        rewritten = graph.engine.prepare(source).executable(
+            (), parameters, True
+        )
+        assert rewritten != graph.engine.prepare(source).statement
+        text = unparse(rewritten)
+        naive = Graph(store=graph.store)
+        expected = naive.run(source, parameters).records
+        assert graph.run(source, parameters).records == expected
+        assert naive.run(text, parameters).records == expected
 
 
 class TestHoisting:
@@ -287,7 +464,7 @@ CORPUS = [
     ("MATCH (p:P) WHERE p.id = $v RETURN p", {}),
     ("WITH 3 AS x MATCH (p:P) WHERE p.id = x RETURN p", {}),
     ("MATCH (a:A), (b:B) WHERE a.x = b.y RETURN a", {}),
-    ("MATCH (p:P) WHERE p.id = 3 AND p.name < 'z' RETURN p", {}),
+    ("MATCH (p:P) WHERE p.id = 3 AND p.id % 2 = 0 RETURN p", {}),
     ("MATCH (a)-[rs:T*1..2]->(b) WHERE rs.k = 1 RETURN a", {}),
     ("MATCH (p:P {id: 1}) WHERE p.id = 2 RETURN p", {}),
     ("MATCH (a:A) MATCH (a)-[r:T]->(b) WHERE a.x = 1 RETURN b", {}),
@@ -306,6 +483,36 @@ CORPUS = [
         "MATCH (a:A) SET a.x = 1 WITH a "
         "MATCH (b:B) WHERE b.id = 3 RETURN b",
         {},
+    ),
+]
+
+#: The analytic benchmark's statement shapes: a range-filtered label
+#: scan, then a MATCH that expands from the variable it bound.
+SCAN_CORPUS = [
+    (
+        "MATCH (a:Admin) WHERE a.id < $hi WITH a "
+        "MATCH (a)-[k:KNOWS]->(f:Person) WHERE k.w >= $w "
+        "RETURN count(*) AS c, avg(k.w) AS m",
+        {"hi": 30, "w": 10},
+    ),
+    (
+        "MATCH (a:Admin) WHERE a.id >= $lo AND a.id < $hi WITH a "
+        "MATCH (a)-[:KNOWS]->(:Person)-[k:KNOWS]->(h:Person) "
+        "WHERE k.w >= $w "
+        "RETURN count(DISTINCT h) AS c",
+        {"lo": 4, "hi": 30, "w": 6},
+    ),
+    (
+        "MATCH (a:Admin) WHERE a.id >= $lo AND a.id < $hi WITH a "
+        "MATCH (a)-[k:KNOWS]->(f:Person) "
+        "RETURN k.w % 10 AS bucket, count(*) AS c, avg(f.id) AS m "
+        "ORDER BY bucket",
+        {"lo": 4, "hi": 30},
+    ),
+    (
+        "MATCH (p:Admin) WHERE p.id % $m = $r "
+        "RETURN count(p) AS c, min(p.id) AS lo, max(p.id) AS hi",
+        {"m": 3, "r": 1},
     ),
 ]
 
@@ -336,6 +543,12 @@ class TestExplainDescribesWhatRuns:
             "UNWIND range(0, 20) AS i "
             "CREATE (:A {x: i % 3, i: i})-[:T {z: 3}]->(:B {y: 2, id: 3})"
         )
+        graph.run(
+            "UNWIND range(0, 39) AS i "
+            "CREATE (:Person:Admin {id: i})-[:KNOWS {w: i % 20}]->"
+            "(:Person {id: 100 + i})-[:KNOWS {w: i % 10}]->"
+            "(:Person {id: 200 + i})"
+        )
         return graph
 
     def test_the_reproduction_of_the_issue(self):
@@ -348,7 +561,7 @@ class TestExplainDescribesWhatRuns:
         assert "filter" not in explained
         assert graph.profile(source).clauses[0].anchor == "n via index :A(x)"
 
-    @pytest.mark.parametrize("source, parameters", CORPUS)
+    @pytest.mark.parametrize("source, parameters", CORPUS + SCAN_CORPUS)
     def test_explain_names_the_anchor_profile_records(
         self, graph, source, parameters
     ):
@@ -366,10 +579,12 @@ class TestExplainDescribesWhatRuns:
             for clause in profile.clauses
             if clause.label.startswith(("Match", "OptionalMatch"))
         ]
-        # The statement's first MATCH: EXPLAIN plans each MATCH from an
-        # empty record, so for a later one it cannot know (as the run
-        # does) which of its variables earlier clauses bound.
-        assert explained[:1] == recorded[:1]
+        # Every MATCH: EXPLAIN plans each from the scope the clauses
+        # before it leave, so a variable they bound is bound there too.
+        assert len(explained) == len(recorded)
+        for described, anchor in zip(explained, recorded):
+            if anchor is not None:  # None: the clause matched no record
+                assert described == anchor
 
     def test_explain_raises_what_run_raises(self, graph):
         for source in (
