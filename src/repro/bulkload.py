@@ -39,7 +39,7 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from repro.errors import LoadError, PersistenceError
-from repro.graph.store import GraphStore
+from repro.graph.store import GraphStore, collector_paused
 from repro.io.csv_io import write_csv
 from repro.persistence.checkpoint import WAL_NAME, write_checkpoint
 
@@ -556,25 +556,17 @@ def load_store(
 ) -> GraphStore:
     """Stream rows into a fresh columnar store; build indexes after.
 
-    The cyclic garbage collector is paused for the duration: a bulk
-    load allocates millions of dicts and never creates cycles, and
-    letting every generation-0 sweep rescan the growing columns costs
-    ~10-15% of the load at the million-node scale.
+    The cyclic garbage collector is paused for the duration
+    (:func:`~repro.graph.store.collector_paused`): at the million-node
+    scale its sweeps cost ~10-15% of the load.
     """
-    import gc
-
     store = GraphStore()
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with collector_paused():
         store.bulk_load(nodes or iter(()), relationships or iter(()))
         for label, key in indexes:
             store.create_index(label, key)
         for label, key in constraints:
             store.create_unique_constraint(label, key)
-    finally:
-        if was_enabled:
-            gc.enable()
     return store
 
 

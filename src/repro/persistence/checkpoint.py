@@ -21,8 +21,9 @@ end      ``{"kind": "end", "nodes": N, "rels": M}`` -- row totals, so
 The writer streams rows straight out of the store's column iterators
 (:meth:`~repro.graph.store.GraphStore.iter_node_records` /
 ``iter_rel_records``) so peak memory is one batch, not the graph; the
-reader feeds :meth:`~repro.graph.store.GraphStore.apply_redo` row by
-row with the same O(1) bound.  The file is written to a temporary name
+reader hands the decoded frames, one at a time, to
+:meth:`~repro.graph.store.GraphStore.bulk_load` with the same O(1)
+bound.  The file is written to a temporary name
 in the same directory, fsynced, atomically renamed over the previous
 checkpoint, and the directory fsynced -- a crash leaves either the old
 or the new checkpoint, never a torn one.
@@ -32,11 +33,11 @@ shape plus allocators, indexes and constraints) is no longer written,
 but directories produced by older builds are outside input and stay
 readable: the first byte tells the formats apart (``{`` = blob, magic =
 stream) and :func:`read_checkpoint_records` re-expresses a blob as the
-record sequence above, so both formats restore through one row applier.
+record sequence above, so both formats restore through one batch path.
 
-Restoring uses ``apply_redo`` so the original entity ids survive;
-``dict_to_store`` would remap them, which would break WAL replay
-(records reference ids).
+Restoring keeps the original entity ids (``bulk_load`` takes them from
+the rows); ``dict_to_store`` would remap them, which would break WAL
+replay (records reference ids).
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ import os
 from pathlib import Path
 from typing import Iterator
 
-from repro.errors import PersistenceError
-from repro.graph.store import GraphStore
+from repro.errors import CypherError, PersistenceError
+from repro.graph.store import GraphStore, collector_paused
 from repro.persistence.frames import encode_frame, iter_frames
 
 #: file names inside a persistence directory
@@ -241,62 +242,97 @@ def _legacy_records(path: Path) -> Iterator[dict]:
 
 
 def restore_checkpoint_file(store: GraphStore, path: Path | str) -> dict:
-    """Rebuild *store* from the checkpoint at *path*, ids preserved.
+    """Rebuild the empty *store* from the checkpoint at *path*, ids kept.
 
-    Rows go straight into
-    :meth:`~repro.graph.store.GraphStore.apply_redo`, so a streaming
-    file is never materialised.  Returns ``{"lsn": ..., "format": ...}``
-    reporting what was read.
+    Rows go through :meth:`~repro.graph.store.GraphStore.bulk_load`,
+    the store's one batch path for writing rows into an empty store:
+    node records first, then relationship records, decoded one frame at
+    a time as the loader pulls them, so a streaming file is never
+    materialised.  A row the loader rejects (negative or duplicate id,
+    missing type, unstorable value, endpoint absent from the file)
+    makes the checkpoint corrupt.  Returns ``{"lsn": ..., "format":
+    ...}`` reporting what was read.
     """
-    apply_redo = store.apply_redo
     header: dict | None = None
     counts = {"nodes": 0, "rels": 0}
-    for record in read_checkpoint_records(path):
-        kind = record.get("kind")
-        if kind == "header":
-            if record.get("format") not in (
-                CHECKPOINT_FORMAT,
-                LEGACY_CHECKPOINT_FORMAT,
-            ):
+
+    def row_records() -> Iterator[dict]:
+        # Validates and consumes header / end, yields the row records.
+        nonlocal header
+        for record in read_checkpoint_records(path):
+            kind = record.get("kind")
+            if kind == "header":
+                if record.get("format") not in (
+                    CHECKPOINT_FORMAT,
+                    LEGACY_CHECKPOINT_FORMAT,
+                ):
+                    raise PersistenceError(
+                        f"unsupported checkpoint format "
+                        f"{record.get('format')!r} in {path}"
+                    )
+                if "lsn" not in record:
+                    raise PersistenceError(
+                        f"corrupt checkpoint {path}: header carries no lsn"
+                    )
+                header = record
+            elif kind == "nodes" or kind == "rels":
+                yield record
+            elif kind == "end":
+                if header is None:
+                    raise PersistenceError(
+                        f"corrupt checkpoint {path}: missing header record"
+                    )
+                if (record.get("nodes"), record.get("rels")) != (
+                    counts["nodes"],
+                    counts["rels"],
+                ):
+                    raise PersistenceError(
+                        f"corrupt checkpoint {path}: end record expects "
+                        f"{record.get('nodes')} nodes / "
+                        f"{record.get('rels')} relationships, stream "
+                        f"carried {counts['nodes']} / {counts['rels']}"
+                    )
+            else:
                 raise PersistenceError(
-                    f"unsupported checkpoint format "
-                    f"{record.get('format')!r} in {path}"
+                    f"corrupt checkpoint {path}: unknown record kind "
+                    f"{kind!r}"
                 )
-            if "lsn" not in record:
-                raise PersistenceError(
-                    f"corrupt checkpoint {path}: header carries no lsn"
-                )
-            header = record
-        elif kind == "nodes" or kind == "rels":
-            op = "create_node" if kind == "nodes" else "create_rel"
-            for row in record["rows"]:
-                apply_redo((op, *row))
-            counts[kind] += len(record["rows"])
-        elif kind == "end":
-            if header is None:
-                raise PersistenceError(
-                    f"corrupt checkpoint {path}: missing header record"
-                )
-            if (record.get("nodes"), record.get("rels")) != (
-                counts["nodes"],
-                counts["rels"],
-            ):
-                raise PersistenceError(
-                    f"corrupt checkpoint {path}: end record expects "
-                    f"{record.get('nodes')} nodes / {record.get('rels')} "
-                    f"relationships, stream carried {counts['nodes']} / "
-                    f"{counts['rels']}"
-                )
-        else:
+
+    records = row_records()
+    current = next(records, None)
+
+    def rows(kind: str) -> Iterator[list]:
+        # The rows of the run of *kind* records at the stream position.
+        nonlocal current
+        while current is not None and current["kind"] == kind:
+            batch = current["rows"]
+            yield from batch
+            counts[kind] += len(batch)
+            current = next(records, None)
+
+    with collector_paused():
+        try:
+            store.bulk_load(rows("nodes"), rows("rels"))
+        except PersistenceError:
+            raise
+        except (
+            CypherError, AttributeError, LookupError, TypeError, ValueError
+        ) as error:
+            # A malformed row: bad id, type or value, wrong shape.
             raise PersistenceError(
-                f"corrupt checkpoint {path}: unknown record kind {kind!r}"
+                f"corrupt checkpoint {path}: {error}"
+            ) from error
+        if current is not None:
+            raise PersistenceError(
+                f"corrupt checkpoint {path}: {current['kind']} record "
+                f"after the relationship records"
             )
-    # Schema, allocators and LSN last: indexes backfill in one pass,
-    # and constraints validate against the complete data.
-    for label, key in header.get("indexes", ()):
-        apply_redo(("create_index", label, key))
-    for label, key in header.get("constraints", ()):
-        apply_redo(("create_constraint", label, key))
+        # Schema, allocators and LSN last: indexes backfill in one
+        # pass, and constraints validate against the complete data.
+        for label, key in header.get("indexes", ()):
+            store.apply_redo(("create_index", label, key))
+        for label, key in header.get("constraints", ()):
+            store.apply_redo(("create_constraint", label, key))
     store.reserve_ids(
         header.get("next_node_id", 0), header.get("next_rel_id", 0)
     )

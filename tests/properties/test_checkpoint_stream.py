@@ -9,6 +9,10 @@ checks the record stream's shape and integrity failures, plus the
 crash-injection scenario at every streaming-record boundary.  (The
 format-1 blob reader is pinned by the checked-in fixture in
 ``tests/unit/test_persistence.py``.)
+
+Restoring goes through the store's batch loader; ``TestBatchRestore``
+holds it to the row-by-row replay of the same records through
+``apply_redo``, over stores carrying every storable value kind.
 """
 
 from __future__ import annotations
@@ -214,3 +218,139 @@ class TestCheckpointCrashScenario:
         )
         assert report.ok, report.failures
         assert report.kill_points > 5
+
+
+# -- the batch restore path against a row-by-row replay ----------------
+
+#: every storable value kind, the awkward floats and unicode included
+VALUES = st.one_of(
+    st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([float("nan"), -0.0, 0.0]),
+    st.booleans(),
+    st.text(max_size=6),
+    st.lists(st.integers(min_value=-5, max_value=5), max_size=3),
+    st.lists(st.floats(allow_nan=True), max_size=3),
+    st.lists(st.booleans(), max_size=3),
+    st.lists(st.text(max_size=3), max_size=3),
+)
+
+RICH_LABELS = ("Person", "Item", "Étiquette")
+RICH_TYPES = ("KNOWS", "OWNS", "ÄHNELT")
+
+rich_scripts = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ("create_node", "create_rel", "delete_rel", "delete_node",
+             "gap", "set_prop", "schema")
+        ),
+        st.integers(min_value=0, max_value=11),
+        st.integers(min_value=0, max_value=11),
+        VALUES,
+    ),
+    max_size=40,
+)
+
+
+def build_rich_store(script, constrained: bool) -> GraphStore:
+    """Id gaps, tombstones, indexes, a constraint and every value kind."""
+    store = GraphStore()
+    nodes: list[int] = []
+    rels: list[int] = []
+    for uid, (op, a, b, value) in enumerate(script):
+        if op == "create_node":
+            nodes.append(
+                store.create_node(
+                    labels=RICH_LABELS[: a % 4],
+                    properties={"uid": uid, "v": value} if b % 3 else {},
+                )
+            )
+        elif op == "create_rel" and nodes:
+            rels.append(
+                store.create_relationship(
+                    RICH_TYPES[(a + b) % len(RICH_TYPES)],
+                    nodes[a % len(nodes)],
+                    nodes[b % len(nodes)],
+                    {"v": value} if b % 2 else {},
+                )
+            )
+        elif op == "delete_rel" and rels:
+            store.delete_relationship(rels.pop(a % len(rels)))
+        elif op == "delete_node" and nodes:
+            node_id = nodes.pop(a % len(nodes))
+            for rel_id in store.adjacent_rel_ids(node_id):
+                store.delete_relationship(rel_id)
+                rels.remove(rel_id)
+            store.delete_node(node_id)
+        elif op == "gap":
+            mark = store.mark()
+            store.create_node(("Gone",), {"v": value})
+            store.rollback_to(mark)
+        elif op == "set_prop" and nodes:
+            store.set_node_property(nodes[a % len(nodes)], "v", value)
+        elif op == "schema":
+            store.create_index(RICH_LABELS[a % 3], "v" if b % 2 else "uid")
+    if constrained:
+        store.create_unique_constraint("Person", "uid")
+    return store
+
+
+def replay_rows(path) -> GraphStore:
+    """The checkpoint's records applied one ``apply_redo`` per row."""
+    store = GraphStore()
+    header = None
+    for record in read_checkpoint_records(path):
+        if record["kind"] == "header":
+            header = record
+        elif record["kind"] in ("nodes", "rels"):
+            op = "create_node" if record["kind"] == "nodes" else "create_rel"
+            for row in record["rows"]:
+                store.apply_redo((op, *row))
+    for label, key in header.get("indexes", ()):
+        store.apply_redo(("create_index", label, key))
+    for label, key in header.get("constraints", ()):
+        store.apply_redo(("create_constraint", label, key))
+    store.reserve_ids(
+        header.get("next_node_id", 0), header.get("next_rel_id", 0)
+    )
+    store.restore_lsn(header["lsn"])
+    return store
+
+
+def assert_same_restore(path) -> GraphStore:
+    batch = GraphStore()
+    restore_checkpoint_file(batch, path)
+    replayed = replay_rows(path)
+    assert canonical_graph_json(batch) == canonical_graph_json(replayed)
+    assert batch.next_ids() == replayed.next_ids()
+    assert batch.lsn == replayed.lsn
+    assert batch.index_keys() == replayed.index_keys()
+    assert batch.unique_constraints() == replayed.unique_constraints()
+    check_invariants(batch)
+    return batch
+
+
+class TestBatchRestore:
+    @settings(max_examples=80, deadline=None)
+    @given(rich_scripts, st.booleans())
+    def test_batch_restore_equals_row_replay(
+        self, tmp_path_factory, script, constrained
+    ):
+        store = build_rich_store(script, constrained)
+        directory = tmp_path_factory.mktemp("ckpt")
+        path = write_checkpoint(directory, store)
+        restored = assert_same_restore(path)
+        assert canonical_graph_json(restored) == canonical_graph_json(store)
+        assert restored.next_ids() == store.next_ids()
+
+    def test_format1_fixture_restores_through_the_batch_path(self):
+        from pathlib import Path
+
+        fixture = (
+            Path(__file__).parent.parent
+            / "data"
+            / "format1_checkpoint"
+            / "checkpoint.json"
+        )
+        assert checkpoint_format(fixture) == 1
+        assert assert_same_restore(fixture).lsn == 17

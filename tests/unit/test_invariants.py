@@ -163,6 +163,220 @@ def test_unique_constraint_violation_detected():
     assert "uniqueness constraint" in _violation(store)
 
 
+def test_node_hole_payload_detected():
+    store, __, __ = _small_store()
+    mark = store.mark()
+    hole = store.create_node(("A",), {})
+    store.rollback_to(mark)
+    store._node_props[hole] = {"x": 1}
+    assert f"node column hole {hole} still carries payload" in _violation(
+        store
+    )
+
+
+def test_relationship_hole_payload_detected():
+    store, (a, b, __), __ = _small_store()
+    mark = store.mark()
+    hole = store.create_relationship("T", a, b)
+    store.rollback_to(mark)
+    store._rel_deleted[hole] = 1
+    assert (
+        f"relationship column hole {hole} still carries payload"
+        in _violation(store)
+    )
+
+
+def test_column_length_mismatch_detected():
+    store, __, __ = _small_store()
+    store._node_props.append(None)
+    store._rel_deleted.append(0)
+    message = _violation(store)
+    assert (
+        "node property column length 4 != label-set column length 3"
+        in message
+    )
+    assert (
+        "relationship tombstone column length 3 != type column length 2"
+        in message
+    )
+
+
+def test_string_pool_disagreement_detected():
+    store, __, __ = _small_store()
+    sid = store._strings.id_of("A")
+    store._strings._ids["A"] = 7
+    assert f"string pool id {sid} holds 'A' but the reverse map says 7" in (
+        _violation(store)
+    )
+
+
+def test_labelset_table_disagreement_detected():
+    store, (a, __, __), __ = _small_store()
+    labelset = store._node_labelsets[a]
+    store._labelset_strings[labelset] = frozenset({"Z"})
+    assert f"label-set id {labelset}: mask decodes to ['A']" in _violation(
+        store
+    )
+    store._labelset_strings.append(frozenset())
+    assert "label-set tables disagree on size" in _violation(store)
+
+
+def test_unknown_labelset_id_detected():
+    store, (a, __, __), __ = _small_store()
+    store._node_labelsets[a] = 99
+    assert f"node {a} has unknown label-set id 99" in _violation(store)
+
+
+def _two_group_half(store):
+    a = store.create_node(("A",), {})
+    b = store.create_node((), {})
+    store.create_relationship("T", a, b)
+    store.create_relationship("S", a, b)
+    return a, store._adj_out[a]
+
+
+def test_offset_table_shape_detected():
+    store, (a, __, __), __ = _small_store()
+    store._adj_out[a].offsets.append(1)
+    assert f"out-adjacency of node {a}: offset table shape" in _violation(
+        store
+    )
+
+
+def test_non_monotone_offsets_detected():
+    store = GraphStore()
+    a, half = _two_group_half(store)
+    half.offsets[1] = 3
+    assert f"out-adjacency of node {a}: offsets [0, 3, 2] not monotone" in (
+        _violation(store)
+    )
+
+
+def test_unknown_type_id_detected():
+    store, (a, __, __), __ = _small_store()
+    store._adj_out[a].types[0] = 999
+    assert (
+        f"out-adjacency of node {a}: group 0 has unknown type id 999"
+        in _violation(store)
+    )
+
+
+def test_duplicate_type_group_detected():
+    store = GraphStore()
+    a, half = _two_group_half(store)
+    half.types[1] = half.types[0]
+    assert f"out-adjacency of node {a}: duplicate group for type 'T'" in (
+        _violation(store)
+    )
+
+
+def test_relationship_under_wrong_node_detected():
+    store, (a, __, c), (r1, __) = _small_store()
+    type_t = store._strings.intern("T")
+    store._adj_out[a].discard(type_t, r1)
+    store._adj_out[c] = type(store._adj_out[a])()
+    store._adj_out[c].add(type_t, r1)
+    message = _violation(store)
+    assert f"out-adjacency of node {a} is missing relationship(s) [{r1}]" in (
+        message
+    )
+    assert (
+        f"out-adjacency of node {c} holds non-live relationship(s) [{r1}]"
+        in message
+    )
+
+
+def test_relationship_under_wrong_type_detected():
+    store = GraphStore()
+    a, half = _two_group_half(store)
+    t_rel = half.group(store._strings.intern("T"))[0]
+    half.discard(store._strings.intern("T"), t_rel)
+    half.add(store._strings.intern("S"), t_rel)
+    message = _violation(store)
+    assert f"typed out-adjacency of node {a} type 'S': cached" in message
+    assert (
+        f"typed out-adjacency of node {a} type 'T': cached [] != recount "
+        f"[{t_rel}]" in message
+    )
+
+
+def test_degree_drift_detected():
+    store, (a, __, __), (r1, __) = _small_store()
+    store._adj_out[a].rels.append(r1 + 7)
+    message = _violation(store)
+    assert f"out_degree({a}) = 2 != recount 1" in message
+    assert f"degree({a}) = 2 != recount 1" in message
+
+
+def test_adjacent_rel_ids_drift_detected():
+    store, (a, __, __), (r1, r2) = _small_store()
+    # Same length, wrong entry: the degree holds, the enumeration drifts.
+    store._adj_out[a].rels[0] = r2
+    message = _violation(store)
+    assert f"adjacent_rel_ids({a}) = [{r2}] != recount [{r1}]" in message
+    assert f"out_degree({a})" not in message
+
+
+def test_property_index_stale_reverse_entry_detected():
+    store, (a, __, __), __ = _small_store()
+    store._node_props[a] = None  # the property left; the index kept it
+    assert (
+        f"property index :A(x) reverse map: stale [{a}], missing [], "
+        f"wrong value []" in _violation(store)
+    )
+
+
+def test_property_index_bucket_count_drift_detected():
+    store, __, __ = _small_store()
+    store._property_indexes[("A", "x")]._by_value[("num", 77)] = set()
+    assert "property index :A(x) bucket_count 3 != recount 2" in (
+        _violation(store)
+    )
+
+
+def test_unique_constraint_without_index_detected():
+    store, __, __ = _small_store()
+    store.create_unique_constraint("A", "x")
+    del store._property_indexes[("A", "x")]
+    assert "uniqueness constraint :A(x) has no backing index" in (
+        _violation(store)
+    )
+
+
+def test_check_memory_is_bounded_per_entity():
+    # The recount keeps byte marks and integer count columns, not a set
+    # per node: peak traced memory stays a small constant per entity.
+    import tracemalloc
+
+    store = GraphStore()
+    nodes, rels = 5_000, 15_000
+    store.bulk_load(
+        (
+            (node_id, ("A", "B")[: node_id % 3], {"x": node_id % 97})
+            for node_id in range(nodes)
+        ),
+        (
+            (
+                rel_id,
+                "T" if rel_id % 2 else "S",
+                rel_id % nodes,
+                (rel_id * 7 + 1) % nodes,
+                {"w": rel_id} if rel_id % 5 else None,
+            )
+            for rel_id in range(rels)
+        ),
+    )
+    store.create_index("A", "x")
+    check_invariants(store)
+    tracemalloc.start()
+    try:
+        check_invariants(store)
+        __, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / (nodes + rels) <= 160, peak / (nodes + rels)
+
+
 def test_all_problems_reported_together():
     store, (a, __, __), (r1, __) = _small_store()
     store._live_nodes += 1

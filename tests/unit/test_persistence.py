@@ -410,6 +410,108 @@ class TestCheckpoint:
         ]
 
 
+class TestMalformedCheckpointRows:
+    """A row the bulk loader rejects makes the whole checkpoint corrupt.
+
+    The files are framed by hand, so each holds exactly one bad row;
+    restoring must raise ``PersistenceError`` naming the file, and the
+    recovery CLI must refuse it even without invariant verification.
+    """
+
+    def _refused(self, directory, nodes, rels, detail, trailing=()):
+        from repro.persistence import encode_frame
+        from repro.persistence.checkpoint import STREAM_MAGIC
+        from repro.recover import main
+
+        records = [
+            {
+                "kind": "header",
+                "format": 2,
+                "lsn": 1,
+                "next_node_id": 8,
+                "next_rel_id": 8,
+                "indexes": [],
+                "constraints": [],
+            },
+            {"kind": "nodes", "rows": nodes},
+            {"kind": "rels", "rows": rels},
+            *trailing,
+            {"kind": "end", "nodes": len(nodes), "rels": len(rels)},
+        ]
+        path = directory / CHECKPOINT_NAME
+        path.write_bytes(
+            STREAM_MAGIC + b"".join(encode_frame(record) for record in records)
+        )
+        with pytest.raises(PersistenceError) as info:
+            restore_checkpoint_file(GraphStore(), path)
+        message = str(info.value)
+        assert message.startswith(f"corrupt checkpoint {path}: "), message
+        assert detail in message, message
+        assert main([str(directory), "--no-verify"]) == 1
+
+    def test_negative_node_id(self, tmp_path):
+        self._refused(
+            tmp_path, [[-1, ["A"], {}]], [], "negative node id -1"
+        )
+
+    def test_relationship_without_type(self, tmp_path):
+        self._refused(
+            tmp_path,
+            [[0, [], {}], [1, [], {}]],
+            [[0, "", 0, 1, {}]],
+            "relationship 0 has no type",
+        )
+
+    def test_map_property_value(self, tmp_path):
+        self._refused(
+            tmp_path,
+            [[0, ["A"], {"k": {"nested": 1}}]],
+            [],
+            "cannot store value of type Map under property key 'k'",
+        )
+
+    def test_null_property_value(self, tmp_path):
+        self._refused(
+            tmp_path,
+            [[0, ["A"], {"k": None}]],
+            [],
+            "cannot store value of type Null under property key 'k'",
+        )
+
+    def test_duplicate_node_id(self, tmp_path):
+        self._refused(
+            tmp_path,
+            [[0, ["A"], {}], [0, ["B"], {}]],
+            [],
+            "duplicate node id 0",
+        )
+
+    def test_duplicate_relationship_id(self, tmp_path):
+        self._refused(
+            tmp_path,
+            [[0, [], {}], [1, [], {}]],
+            [[0, "T", 0, 1, {}], [0, "T", 1, 0, {}]],
+            "duplicate relationship id 0",
+        )
+
+    def test_relationship_to_absent_node(self, tmp_path):
+        self._refused(
+            tmp_path,
+            [[0, [], {}]],
+            [[0, "T", 0, 5, {}]],
+            "relationship 0 references unknown target node 5",
+        )
+
+    def test_node_record_after_relationships(self, tmp_path):
+        self._refused(
+            tmp_path,
+            [[0, [], {}]],
+            [[0, "T", 0, 0, {}]],
+            "nodes record after the relationship records",
+            trailing=[{"kind": "nodes", "rows": []}],
+        )
+
+
 class TestManager:
     def _run_statements(self, directory, statements):
         from repro.session import Graph
@@ -644,6 +746,24 @@ class TestStreamingCheckpointManager:
         assert report.checkpoint_format == 0
         assert report.checkpoint_lsn == 0
 
+    def test_report_times_each_phase(self, tmp_path):
+        self._populate(tmp_path)
+        PersistenceManager(tmp_path).checkpoint(self._reopened(tmp_path))
+        report = PersistenceManager(tmp_path).recover(GraphStore())
+        assert report.restore_s > 0 and report.verify_s > 0
+        assert report.replay_s >= 0
+        unverified = PersistenceManager(tmp_path).recover(
+            GraphStore(), verify=False
+        )
+        assert unverified.verify_s == 0.0
+        assert "/ verify 0.000s" in unverified.summary()
+
+    @staticmethod
+    def _reopened(directory):
+        store = GraphStore()
+        PersistenceManager(directory).recover(store)
+        return store
+
 
 class TestRecoverCli:
     def test_recover_and_compact(self, tmp_path, capsys):
@@ -656,6 +776,7 @@ class TestRecoverCli:
         assert main([str(tmp_path), "--checkpoint", "--json"]) == 0
         out = capsys.readouterr().out
         assert "recovered:" in out and "invariants: ok" in out
+        assert "restore " in out and " / verify " in out
         assert "checkpoint written" in out
         assert (tmp_path / WAL_NAME).stat().st_size == 0
 
