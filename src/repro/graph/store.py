@@ -207,14 +207,6 @@ class _AdjacencyHalf:
     def extend_type(self, type_id: int, out: list[int]) -> None:
         out.extend(self.group(type_id))
 
-    def groups(self) -> Iterator[tuple[int, list[int]]]:
-        """(type id, sorted rel ids) per group -- diagnostics/oracle."""
-        offsets = self.offsets
-        for group, type_id in enumerate(self.types):
-            yield type_id, list(
-                self.rels[offsets[group]:offsets[group + 1]]
-            )
-
 
 class GraphStore:
     """In-memory property graph with journaled mutations."""
