@@ -41,7 +41,11 @@ from typing import Any, Iterator
 from repro.errors import LoadError, PersistenceError
 from repro.graph.store import GraphStore, collector_paused
 from repro.io.csv_io import write_csv
-from repro.persistence.checkpoint import WAL_NAME, write_checkpoint
+from repro.persistence.checkpoint import (
+    WAL_NAME,
+    remove_delta_log,
+    write_checkpoint,
+)
 
 NodeRow = tuple[int, "tuple[str, ...] | list[str]", dict[str, Any]]
 RelRow = tuple[int, str, int, int, dict[str, Any]]
@@ -571,18 +575,21 @@ def load_store(
 
 
 def emit_checkpoint(directory: Path | str, store: GraphStore) -> Path:
-    """Write the loaded store as checkpoint + empty WAL.
+    """Write the loaded store as base checkpoint + empty WAL.
 
     The pair is exactly what :class:`PersistenceManager` leaves behind
-    after a clean checkpoint, so ``Graph.open(directory)`` recovers
+    after a full checkpoint, so ``Graph.open(directory)`` recovers
     with zero replayed records and attaches its WAL writer on top.
+    Whatever the directory held before is superseded, and goes first:
+    the records of an old WAL or delta log would otherwise apply over
+    the new base, and a crash before the base is renamed into place
+    leaves the old base alone, an older but consistent graph.
     """
     directory = Path(directory)
-    path = write_checkpoint(directory, store)
-    wal_path = directory / WAL_NAME
-    if not wal_path.exists():
-        open(wal_path, "wb").close()
-    return path
+    directory.mkdir(parents=True, exist_ok=True)
+    remove_delta_log(directory)
+    open(directory / WAL_NAME, "wb").close()
+    return write_checkpoint(directory, store)
 
 
 def _parse_schema_pairs(

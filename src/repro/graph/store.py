@@ -1948,13 +1948,15 @@ class GraphStore:
         )
 
     def iter_node_records(
-        self,
+        self, ids: Iterable[int] | None = None
     ) -> Iterator[tuple[int, list[str], dict[str, Any]]]:
         """Live nodes as ``(id, sorted labels, properties)`` in id order.
 
         A constant-memory column walk (nothing is materialised beyond
         the yielded tuple) for consumers that stream the whole graph --
-        the streaming checkpoint writer foremost.  The yielded
+        the streaming checkpoint writer foremost.  With *ids* (existing
+        ids, in the order wanted) only the live nodes among them are
+        visited: the delta checkpoint's dirty set.  The yielded
         properties dict is the store's own: treat it as read-only.
         """
         labelsets = self._node_labelsets
@@ -1962,7 +1964,7 @@ class GraphStore:
         labelset_strings = self._labelset_strings
         props_column = self._node_props
         empty: dict[str, Any] = {}
-        for node_id in range(len(labelsets)):
+        for node_id in range(len(labelsets)) if ids is None else ids:
             labelset = labelsets[node_id]
             if labelset == _HOLE or deleted[node_id]:
                 continue
@@ -1973,14 +1975,14 @@ class GraphStore:
             )
 
     def iter_rel_records(
-        self,
+        self, ids: Iterable[int] | None = None
     ) -> Iterator[tuple[int, str, int, int, dict[str, Any]]]:
         """Live relationships as ``(id, type, start, end, properties)``.
 
         Id order, constant memory, dangling relationships included --
         the same population :meth:`snapshot` reports, so a checkpoint
-        built from this stream reproduces the store exactly.  As with
-        :meth:`iter_node_records`, treat the yielded dict as read-only.
+        built from this stream reproduces the store exactly.  *ids* and
+        the yielded dict are as for :meth:`iter_node_records`.
         """
         types = self._rel_types
         deleted = self._rel_deleted
@@ -1989,7 +1991,7 @@ class GraphStore:
         props_column = self._rel_props
         text = self._strings.text
         empty: dict[str, Any] = {}
-        for rel_id in range(len(types)):
+        for rel_id in range(len(types)) if ids is None else ids:
             type_id = types[rel_id]
             if type_id == _HOLE or deleted[rel_id]:
                 continue

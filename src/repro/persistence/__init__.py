@@ -4,11 +4,12 @@ The paper's statement atomicity (``[[C]] : (G, T) -> (G', T')``) is
 enforced in memory by the store's undo journal; this package extends
 it across process boundaries.  Every committed statement's journal
 slice is re-expressed as *redo* operations and appended to an
-append-only, checksummed write-ahead log; checkpoints snapshot the
-whole graph atomically and truncate the log; recovery replays the log
-over the latest checkpoint, discarding any torn tail, so the reopened
-graph is byte-identical (canonical graph JSON) to the last committed
-state before the crash.
+append-only, checksummed write-ahead log; checkpoints append the final
+images of what changed to a delta log (rewriting the whole graph
+atomically once that log outgrows a share of it) and truncate the
+WAL; recovery replays the log over the base and its deltas,
+discarding any torn tail, so the reopened graph is byte-identical
+(canonical graph JSON) to the last committed state before the crash.
 
 Entry points: ``Graph(path=...)`` / ``Graph.open(path)`` in
 :mod:`repro.session`, and the standalone ``python -m repro.recover``
@@ -18,12 +19,14 @@ CLI.
 from repro.persistence.checkpoint import (
     CHECKPOINT_FORMAT,
     CHECKPOINT_NAME,
+    DELTA_NAME,
     LEGACY_CHECKPOINT_FORMAT,
     STREAM_MAGIC,
     WAL_NAME,
     checkpoint_format,
     checkpoint_record_boundaries,
     read_checkpoint_records,
+    read_delta_log,
     restore_checkpoint_file,
     write_checkpoint,
 )
@@ -41,6 +44,7 @@ from repro.persistence.wal import (
 __all__ = [
     "CHECKPOINT_FORMAT",
     "CHECKPOINT_NAME",
+    "DELTA_NAME",
     "LEGACY_CHECKPOINT_FORMAT",
     "STREAM_MAGIC",
     "WAL_NAME",
@@ -57,6 +61,7 @@ __all__ = [
     "iter_frames",
     "iter_records",
     "read_checkpoint_records",
+    "read_delta_log",
     "restore_checkpoint_file",
     "write_checkpoint",
 ]

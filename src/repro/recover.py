@@ -1,11 +1,12 @@
 """Standalone recovery CLI: ``python -m repro.recover <directory>``.
 
-Loads the latest checkpoint, replays the write-ahead log (discarding
-any torn tail), verifies the store invariants, and prints a report.
-With ``--checkpoint`` the recovered state is compacted into a fresh
-streaming checkpoint (truncating the WAL), which is also how a legacy
-format-1 directory is upgraded; with ``--json`` the recovered graph is
-printed as canonical graph JSON.
+Loads the base checkpoint and its delta segments, replays the
+write-ahead log (discarding any torn tail), verifies the store
+invariants, and prints a report.  With ``--checkpoint`` the recovered
+state is compacted into one fresh base (deleting the delta log and
+truncating the WAL), which is also how a format-1 or format-2
+directory is upgraded; with ``--json`` the recovered graph is printed
+as canonical graph JSON.
 """
 
 from __future__ import annotations
@@ -15,7 +16,11 @@ import sys
 
 from repro.errors import PersistenceError
 from repro.graph.store import GraphStore
-from repro.persistence import CHECKPOINT_FORMAT, PersistenceManager
+from repro.persistence import (
+    CHECKPOINT_FORMAT,
+    LEGACY_CHECKPOINT_FORMAT,
+    PersistenceManager,
+)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -24,13 +29,15 @@ def main(argv: list[str] | None = None) -> int:
         description="Recover a persisted graph from checkpoint + WAL.",
     )
     parser.add_argument(
-        "directory", help="persistence directory (checkpoint.json, wal.log)"
+        "directory",
+        help="persistence directory (checkpoint.json, checkpoint.delta, "
+        "wal.log)",
     )
     parser.add_argument(
         "--checkpoint",
         action="store_true",
-        help="write a fresh checkpoint of the recovered state "
-        "(compacts and truncates the WAL)",
+        help="write the recovered state as one fresh base checkpoint "
+        "(deletes the delta log, truncates the WAL)",
     )
     parser.add_argument(
         "--json",
@@ -54,18 +61,22 @@ def main(argv: list[str] | None = None) -> int:
     print(f"recovered: {report.summary()}")
     if report.checkpoint_format:
         kind = (
-            "stream"
-            if report.checkpoint_format == CHECKPOINT_FORMAT
-            else "blob"
+            "blob"
+            if report.checkpoint_format == LEGACY_CHECKPOINT_FORMAT
+            else "stream"
         )
-        print(f"checkpoint format: {report.checkpoint_format} ({kind})")
+        print(
+            f"checkpoint format: {report.checkpoint_format} ({kind}), "
+            f"{report.delta_segments} delta segments "
+            f"({report.delta_rows} rows)"
+        )
     if not args.no_verify:
         print("invariants: ok")
     if args.checkpoint:
-        manager.checkpoint(store)
+        manager.compact(store)
         print(
             f"checkpoint written (format {CHECKPOINT_FORMAT}, "
-            f"lsn {store.lsn}), WAL truncated"
+            f"lsn {store.lsn}), delta log deleted, WAL truncated"
         )
     if args.json:
         from repro.testing.invariants import canonical_graph_json

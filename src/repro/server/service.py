@@ -421,11 +421,11 @@ class GraphService:
             )
         await self._wait_durable(self.graph.store.lsn)
         self.graph.checkpoint()
-        from repro.persistence import CHECKPOINT_FORMAT
-
+        written = self.graph.persistence.last_checkpoint
         return {
             "checkpointed": True,
-            "format": CHECKPOINT_FORMAT,
+            "kind": written["kind"],
+            "bytes": written["bytes"],
             "lsn": self.graph.store.lsn,
         }
 

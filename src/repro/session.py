@@ -116,6 +116,7 @@ class Graph:
         if path is not None:
             from repro.persistence import (
                 CHECKPOINT_NAME,
+                DELTA_NAME,
                 PersistenceManager,
             )
 
@@ -126,6 +127,7 @@ class Graph:
             if had_data and (
                 self.persistence.wal_path.exists()
                 or (Path(path) / CHECKPOINT_NAME).exists()
+                or (Path(path) / DELTA_NAME).exists()
             ):
                 raise PersistenceError(
                     "cannot attach a pre-populated store to a directory "

@@ -124,6 +124,7 @@ def run_crash(args: argparse.Namespace) -> int:
     from repro.testing.crash import (
         run_checkpoint_crash_scenario,
         run_crash_scenario,
+        run_delta_crash_scenario,
         scenario_statements,
     )
 
@@ -140,21 +141,26 @@ def run_crash(args: argparse.Namespace) -> int:
             checkpoint_report = run_checkpoint_crash_scenario(
                 seed, scratch, statements=statements
             )
-        kill_points += report.kill_points + checkpoint_report.kill_points
-        ok = report.ok and checkpoint_report.ok
+        with tempfile.TemporaryDirectory() as scratch:
+            delta_report = run_delta_crash_scenario(
+                seed, scratch, statements=statements
+            )
+        reports = (report, checkpoint_report, delta_report)
+        kill_points += sum(each.kill_points for each in reports)
+        ok = all(each.ok for each in reports)
         status = "ok" if ok else "FAIL"
         if args.verbose or not ok:
             print(
                 f"[{status}] crash seed {seed}: "
                 f"{report.records_written} records, "
                 f"{report.kill_points} WAL + "
-                f"{checkpoint_report.kill_points} checkpoint kill points"
+                f"{checkpoint_report.kill_points} checkpoint + "
+                f"{delta_report.kill_points} delta kill points"
             )
         if not ok:
             failed += 1
-            for failure in (
-                report.failures + checkpoint_report.failures
-            )[:5]:
+            failures = [line for each in reports for line in each.failures]
+            for failure in failures[:5]:
                 print(f"    {failure}")
     elapsed = time.perf_counter() - started
     print(

@@ -29,6 +29,13 @@ record boundary (a torn ``checkpoint.json.tmp`` next to the full WAL
 presents a torn or corrupt ``checkpoint.json`` (which the atomic
 rename makes impossible, so recovery must fail loudly rather than
 return a silently wrong graph).
+
+:func:`run_delta_crash_scenario` does the same for **delta
+checkpoints**: it kills each delta append at every frame boundary (and
+mid-frame) beside the full pre-checkpoint WAL, after the complete
+segment but before the WAL truncation, and between a base rename and
+the deletion of the delta log it supersedes; and it corrupts a middle
+segment once the WAL it covered is gone, which must raise.
 """
 
 from __future__ import annotations
@@ -41,9 +48,10 @@ from pathlib import Path
 
 from repro.errors import CypherError, PersistenceError
 from repro.graph.store import GraphStore
-from repro.persistence import PersistenceManager, iter_records
+from repro.persistence import PersistenceManager, iter_frames, iter_records
 from repro.persistence.checkpoint import (
     CHECKPOINT_NAME,
+    DELTA_NAME,
     WAL_NAME,
     checkpoint_record_boundaries,
 )
@@ -419,6 +427,245 @@ def run_checkpoint_crash_scenario(
         else:
             report.failures.append(
                 "[corrupt-checkpoint] corrupt record accepted silently"
+            )
+    return report
+
+
+#: run before the base is written: it makes the base large next to the
+#: scenario's segments, so its checkpoints stay deltas
+_PADDING = "UNWIND range(1, 1000) AS i CREATE (:Pad {i: i})"
+
+
+def _base_churn(number: int) -> list[str]:
+    """Statements that change, link and delete entities of the base."""
+    return [
+        f"MATCH (n:Pad {{i: {10 + number}}}) DETACH DELETE n",
+        f"MATCH (n:Pad {{i: {20 + number}}}) SET n:Seen, n.v = {number}",
+        f"MATCH (p:Pad {{i: {30 + number}}}) "
+        f"CREATE (p)-[:LINK {{w: 0}}]->(:New {{k: {number}}})",
+        f"MATCH (:Pad)-[r:LINK]->() SET r.w = {number + 1}",
+        "MATCH (n:Pad {i: 31})-[r:LINK]->() DELETE r",
+    ]
+
+
+@dataclass
+class _DeltaPoint:
+    """One delta checkpoint of the scenario, as the disk saw it."""
+
+    delta_before: bytes
+    wal_before: bytes
+    segment: bytes
+    state: str
+    lsn: int
+
+
+def run_delta_crash_scenario(
+    seed: int,
+    directory: Path | str,
+    *,
+    statements: list[str] | None = None,
+    fsync: str = "off",
+) -> CrashReport:
+    """Kill delta checkpoints at every frame and around the base rewrite.
+
+    Writes a base, then runs the workload in three parts with a delta
+    checkpoint after each, compacts, and checkpoints once more.  Each
+    recovered store must be byte-identical to the state the checkpoint
+    being killed would have written, with its LSN:
+
+    * a delta append cut at every frame boundary and mid-frame, beside
+      the full pre-checkpoint WAL (the complete segment is the kill
+      between the append and the WAL truncation);
+    * the new base beside the old delta log and WAL (a kill between the
+      base rename and the delta log's deletion), and that directory
+      reopened, written and checkpointed again;
+    * a corrupt middle segment whose WAL was already truncated must
+      raise :class:`PersistenceError`, as must the intact directories
+      reproduce the final state.
+    """
+    base = Path(directory)
+    live = base / "live"
+    if live.exists():
+        shutil.rmtree(live)
+    report = CrashReport(seed=seed)
+    todo = (
+        statements if statements is not None else scenario_statements(seed)
+    )
+    wal_path = live / WAL_NAME
+    delta_path = live / DELTA_NAME
+
+    def read(path: Path) -> bytes:
+        return path.read_bytes() if path.exists() else b""
+
+    graph = Graph(path=live, fsync=fsync, extended_merge=True)
+    graph.run(_PADDING)
+    graph.checkpoint()
+    first_base = read(live / CHECKPOINT_NAME)
+    points: list[_DeltaPoint] = []
+    third = max(1, len(todo) // 3)
+    chunks = (todo[:third], todo[third : 2 * third], todo[2 * third :])
+    for number, chunk in enumerate(chunks):
+        for statement in [*chunk, *_base_churn(number)]:
+            try:
+                graph.run(statement)
+            except CypherError:
+                pass
+            report.statements_run += 1
+        delta_before, wal_before = read(delta_path), read(wal_path)
+        graph.checkpoint()
+        if graph.persistence.last_checkpoint["kind"] != "delta":
+            report.failures.append(
+                "[setup] a checkpoint rewrote the base; the padding no "
+                "longer keeps the scenario's checkpoints deltas"
+            )
+            graph.close()
+            return report
+        points.append(
+            _DeltaPoint(
+                delta_before,
+                wal_before,
+                read(delta_path)[len(delta_before) :],
+                canonical_graph_json(graph.store),
+                graph.store.lsn,
+            )
+        )
+    # The base rewrite, then one more segment on top of it.
+    stale_delta, compact_wal = read(delta_path), read(wal_path)
+    graph.persistence.compact(graph.store)
+    compacted = canonical_graph_json(graph.store)
+    compacted_lsn = graph.store.lsn
+    second_base = read(live / CHECKPOINT_NAME)
+    graph.run("MATCH (n:Pad) WHERE n.i <= 3 SET n.touched = true")
+    graph.checkpoint()
+    graph.run("MATCH (n:Pad {i: 4}) DELETE n")
+    final_state = canonical_graph_json(graph.store)
+    final_lsn = graph.store.lsn
+    graph.close()
+    final_files = {
+        CHECKPOINT_NAME: second_base,
+        DELTA_NAME: read(delta_path),
+        WAL_NAME: read(wal_path),
+    }
+
+    scratch = base / "scratch"
+
+    def lay_out(files: dict[str, bytes]) -> None:
+        if scratch.exists():
+            shutil.rmtree(scratch)
+        scratch.mkdir(parents=True)
+        for name, data in files.items():
+            (scratch / name).write_bytes(data)
+
+    def expect(name: str, files: dict[str, bytes], state: str, lsn: int):
+        report.kill_points += 1
+        lay_out(files)
+        store = GraphStore()
+        try:
+            PersistenceManager(scratch).recover(store, verify=False)
+        except Exception as error:  # noqa: BLE001 -- findings
+            report.failures.append(
+                f"[{name}] recovery crashed: {type(error).__name__}: {error}"
+            )
+            return
+        if canonical_graph_json(store) != state:
+            report.failures.append(
+                f"[{name}] recovered graph differs from the checkpointed "
+                f"state"
+            )
+        _check_lsn(report, name, store, lsn)
+        try:
+            check_invariants(store)
+        except InvariantViolation as violation:
+            report.failures.append(
+                f"[{name}] recovered store invariants: {violation}"
+            )
+
+    expect("delta-intact", final_files, final_state, final_lsn)
+
+    # A delta append killed at every frame boundary and mid-frame,
+    # with the WAL it was about to supersede still whole.
+    for number, point in enumerate(points):
+        ends = [0] + [
+            end for __, end in iter_frames(
+                io.BytesIO(point.segment), strict=False
+            )
+        ]
+        cuts = []
+        for k, end in enumerate(ends):
+            cuts.append((f"delta[{number}]-boundary[{k}]", end))
+            if k + 1 < len(ends) and ends[k + 1] - end > 1:
+                cuts.append(
+                    (f"delta[{number}]-torn[{k}]", (end + ends[k + 1]) // 2)
+                )
+        for name, cut in cuts:
+            expect(
+                name,
+                {
+                    CHECKPOINT_NAME: first_base,
+                    DELTA_NAME: point.delta_before + point.segment[:cut],
+                    WAL_NAME: point.wal_before,
+                },
+                point.state,
+                point.lsn,
+            )
+
+    # Killed between the base rename and the delta log's deletion: the
+    # stale segments name the old base and must be ignored ...
+    stale_files = {
+        CHECKPOINT_NAME: second_base,
+        DELTA_NAME: stale_delta,
+        WAL_NAME: compact_wal,
+    }
+    expect("base-renamed", stale_files, compacted, compacted_lsn)
+    # ... also once the reopened graph appended a segment after them.
+    report.kill_points += 1
+    lay_out(stale_files)
+    try:
+        reopened = Graph(path=scratch, fsync=fsync)
+        reopened.run("CREATE (:Pad {i: -1})")
+        reopened.checkpoint()
+        wanted = canonical_graph_json(reopened.store)
+        wanted_lsn = reopened.store.lsn
+        reopened.close()
+        store = GraphStore()
+        PersistenceManager(scratch).recover(store)
+        if canonical_graph_json(store) != wanted:
+            report.failures.append(
+                "[base-renamed-then-append] reopen differs from the "
+                "checkpointed state"
+            )
+        _check_lsn(report, "base-renamed-then-append", store, wanted_lsn)
+    except Exception as error:  # noqa: BLE001 -- findings
+        report.failures.append(
+            f"[base-renamed-then-append] {type(error).__name__}: {error}"
+        )
+
+    # A corrupt middle segment after the WAL it covered was truncated:
+    # the later segments are unreachable, so recovery must refuse.
+    written = [point for point in points if point.segment]
+    if len(written) >= 2:
+        report.kill_points += 1
+        corrupt = bytearray(stale_delta)
+        corrupt[len(written[-2].delta_before) + 8] ^= 0xFF
+        lay_out(
+            {
+                CHECKPOINT_NAME: first_base,
+                DELTA_NAME: bytes(corrupt),
+                WAL_NAME: b"",
+            }
+        )
+        try:
+            PersistenceManager(scratch).recover(GraphStore(), verify=False)
+        except PersistenceError:
+            pass
+        except Exception as error:  # noqa: BLE001 -- findings
+            report.failures.append(
+                f"[delta-corrupt-middle] wrong error class: "
+                f"{type(error).__name__}: {error}"
+            )
+        else:
+            report.failures.append(
+                "[delta-corrupt-middle] corrupt segment accepted silently"
             )
     return report
 

@@ -476,5 +476,11 @@ class TestDurableService:
             client.run("CREATE (:User)")
             payload = client.checkpoint()
             assert payload["checkpointed"] is True
+            # A new directory has no base yet; the next one is a delta.
+            assert payload["kind"] == "full" and payload["bytes"] > 0
+            client.run("CREATE (:User)")
+            payload = client.checkpoint()
+            assert payload["kind"] == "delta" and payload["bytes"] > 0
+            assert payload["lsn"] == 2
         finally:
             client.close()

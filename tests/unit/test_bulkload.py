@@ -240,6 +240,37 @@ class TestCheckpointAndCli:
         finally:
             graph.close()
 
+    def test_emit_into_a_used_directory_replaces_its_history(self, tmp_path):
+        # The directory's old WAL and delta log would replay over the
+        # new base: emitting must leave exactly a base and an empty WAL.
+        out = tmp_path / "db"
+        graph = Graph.open(out, fsync="off")
+        graph.run("UNWIND range(1, 40) AS i CREATE (:Old {i: i})")
+        graph.checkpoint()
+        for i in range(3):
+            graph.run(f"CREATE (:Old {{i: {100 + i}}})")
+        graph.checkpoint()  # a delta segment
+        for i in range(3):
+            graph.run(f"CREATE (:Old {{i: {200 + i}}})")
+        graph.close()
+        assert (out / "checkpoint.delta").stat().st_size > 0
+        assert (out / "wal.log").stat().st_size > 0
+        store = load_store(iter([(0, ["New"], {"k": 1})]), iter(()))
+        emit_checkpoint(out, store)
+        assert sorted(path.name for path in out.iterdir()) == [
+            "checkpoint.json",
+            "wal.log",
+        ]
+        assert (out / "wal.log").stat().st_size == 0
+        reopened = Graph.open(out)
+        try:
+            assert reopened.recovery.records_total == 0
+            assert canonical_graph_json(reopened.store) == (
+                canonical_graph_json(store)
+            )
+        finally:
+            reopened.close()
+
     def test_cli_synthetic_end_to_end(self, tmp_path, capsys):
         out = tmp_path / "db"
         code = main(

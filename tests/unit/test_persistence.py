@@ -361,7 +361,13 @@ class TestCheckpoint:
         path = write_checkpoint(tmp_path, store)
         restored = GraphStore()
         info = restore_checkpoint_file(restored, path)
-        assert info == {"lsn": 41, "format": 2}
+        assert info == {
+            "lsn": 41,
+            "format": 3,
+            "base_lsn": 41,
+            "segments": 0,
+            "delta_rows": 0,
+        }
         assert restored.lsn == 41
         assert canonical_graph_json(restored) == canonical_graph_json(store)
         assert restored.index_keys() == store.index_keys()
@@ -377,7 +383,13 @@ class TestCheckpoint:
         info = restore_checkpoint_file(
             restored, FORMAT1_FIXTURE / CHECKPOINT_NAME
         )
-        assert info == {"lsn": 17, "format": 1}
+        assert info == {
+            "lsn": 17,
+            "format": 1,
+            "base_lsn": 17,
+            "segments": 0,
+            "delta_rows": 0,
+        }
         assert canonical_graph_json(restored) == canonical_graph_json(wanted)
         assert restored.index_keys() == wanted.index_keys()
         assert restored.unique_constraints() == wanted.unique_constraints()
@@ -699,11 +711,11 @@ class TestStreamingCheckpointManager:
         manager.recover(store)
         path = manager.checkpoint(store)
         assert path.read_bytes()[:8] == STREAM_MAGIC
-        assert checkpoint_format(path) == 2
+        assert checkpoint_format(path) == 3
         fresh = GraphStore()
         report = PersistenceManager(tmp_path).recover(fresh)
         assert canonical_graph_json(fresh) == before
-        assert report.checkpoint_format == 2
+        assert report.checkpoint_format == 3
         assert report.records_total == 0
 
     def test_legacy_blob_still_recovers(self, tmp_path):
@@ -717,7 +729,7 @@ class TestStreamingCheckpointManager:
         assert report.checkpoint_lsn == 17
 
     def test_blob_and_stream_recover_identically(self, tmp_path):
-        # Recover the blob, re-checkpoint (always format 2), recover
+        # Recover the blob, re-checkpoint (always format 3), recover
         # that: the same graph either way, and new commits continue
         # the blob's LSN sequence.
         shutil.copy(FORMAT1_FIXTURE / CHECKPOINT_NAME, tmp_path)
@@ -728,7 +740,7 @@ class TestStreamingCheckpointManager:
         manager.checkpoint(store)
         fresh = GraphStore()
         report = PersistenceManager(tmp_path).recover(fresh)
-        assert report.checkpoint_format == 2
+        assert report.checkpoint_format == 3
         assert report.checkpoint_lsn == 17
         assert canonical_graph_json(fresh) == via_blob
         assert fresh.next_ids() == store.next_ids()
@@ -788,12 +800,59 @@ class TestRecoverCli:
         path = tmp_path / "checkpoint.json"
         assert checkpoint_format(path) == 1
         assert main([str(tmp_path), "--checkpoint"]) == 0
-        assert checkpoint_format(path) == 2
+        assert checkpoint_format(path) == 3
         assert main([str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "checkpoint format: 1 (blob)" in out
-        assert "checkpoint format: 2 (stream)" in out
-        assert "checkpoint written (format 2, lsn 17)" in out
+        assert "checkpoint format: 3 (stream)" in out
+        assert "checkpoint written (format 3, lsn 17)" in out
+
+    def test_cli_labels_every_format_and_counts_deltas(
+        self, tmp_path, capsys
+    ):
+        from repro.persistence import STREAM_MAGIC, encode_frame
+        from repro.persistence.checkpoint import read_checkpoint_records
+        from repro.recover import main
+        from repro.session import Graph
+
+        blob = tmp_path / "blob"
+        blob.mkdir()
+        shutil.copy(FORMAT1_FIXTURE / CHECKPOINT_NAME, blob)
+        assert main([str(blob)]) == 0
+        out = capsys.readouterr().out
+        assert "checkpoint format: 1 (blob), 0 delta segments" in out
+
+        stream = tmp_path / "stream"
+        graph = Graph(path=stream, fsync="off")
+        graph.run("UNWIND range(1, 30) AS i CREATE (:A {k: i})")
+        graph.checkpoint()
+        graph.close()
+        records = list(read_checkpoint_records(stream / CHECKPOINT_NAME))
+        records[0]["format"] = 2
+        (stream / CHECKPOINT_NAME).write_bytes(
+            STREAM_MAGIC + b"".join(encode_frame(r) for r in records)
+        )
+        assert main([str(stream)]) == 0
+        out = capsys.readouterr().out
+        assert "checkpoint format: 2 (stream), 0 delta segments" in out
+
+        deltas = tmp_path / "deltas"
+        graph = Graph(path=deltas, fsync="off")
+        graph.run("UNWIND range(1, 300) AS i CREATE (:A {k: i})")
+        graph.checkpoint()
+        graph.run("MATCH (a:A {k: 1}) SET a.k = 0")
+        graph.checkpoint()
+        graph.run("MATCH (a:A {k: 2}) DELETE a")
+        graph.checkpoint()
+        graph.close()
+        assert main([str(deltas), "--checkpoint"]) == 0
+        out = capsys.readouterr().out
+        assert "checkpoint lsn 3, 2 delta segments (2 rows)" in out
+        assert "checkpoint format: 3 (stream), 2 delta segments (2 rows)" in out
+        assert "delta log deleted" in out
+        assert not (deltas / "checkpoint.delta").exists()
+        assert main([str(deltas)]) == 0
+        assert "0 delta segments" in capsys.readouterr().out
 
     def test_failure_exit_code(self, tmp_path, capsys):
         (tmp_path / "checkpoint.json").write_text("{broken")
