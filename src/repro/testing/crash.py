@@ -480,8 +480,8 @@ def run_delta_crash_scenario(
       base rename and the delta log's deletion), and that directory
       reopened, written and checkpointed again;
     * a corrupt middle segment whose WAL was already truncated must
-      raise :class:`PersistenceError`, as must the intact directories
-      reproduce the final state.
+      raise :class:`PersistenceError`;
+    * the intact final directory must reproduce the final state.
     """
     base = Path(directory)
     live = base / "live"

@@ -669,6 +669,39 @@ class TestDeltaRules:
         assert reopened.recovery.delta_segments == 2
         reopened.close()
 
+    def test_failed_delta_append_rewrites_the_base_next(
+        self, tmp_path, monkeypatch
+    ):
+        import errno
+
+        from repro.persistence import manager
+
+        graph = durable_graph(tmp_path)
+        graph.run("CREATE (:Person {uid: -1})")
+
+        def torn_then_full(directory, store, **segment):
+            with open(directory / DELTA_NAME, "ab") as handle:
+                handle.write(b"\x00\x00\x01")
+            raise OSError(errno.ENOSPC, "delta append failed (injected)")
+
+        real = manager.append_delta
+        monkeypatch.setattr(manager, "append_delta", torn_then_full)
+        with pytest.raises(OSError):
+            graph.checkpoint()
+        live = durable_state(graph.store)
+        # A crash now: the torn segment goes, the WAL still has it all.
+        store = GraphStore()
+        PersistenceManager(tmp_path).recover(store)
+        assert durable_state(store) == live
+        monkeypatch.setattr(manager, "append_delta", real)
+        graph.checkpoint()
+        assert graph.persistence.last_checkpoint["kind"] == "full"
+        assert not (tmp_path / DELTA_NAME).exists()
+        graph.close()
+        store = GraphStore()
+        PersistenceManager(tmp_path).recover(store)
+        assert durable_state(store) == live
+
     def test_delta_log_without_a_base_raises(self, tmp_path):
         self._two_segments(tmp_path)
         (tmp_path / CHECKPOINT_NAME).unlink()
