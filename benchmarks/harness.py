@@ -934,104 +934,6 @@ def p8_columnar_scaling(
         del store, loaded
 
 
-def p9_parallel_execution(
-    users: int = 12000, probes: int = 32, fuzz_cases: int = 200
-) -> None:
-    """Morsel-parallel read execution vs the serial pipeline.
-
-    The workload is the P4 selective-match shape driven through UNWIND:
-    each probe forces a full naive enumeration of the User fan-out
-    (planner and rewrites off), so per-row Python work dominates and
-    the driving table splits cleanly into morsels.  The process
-    executor is used where fork exists -- the GIL caps thread-mode
-    speedup for CPU-bound predicates -- so real speedup needs real
-    cores: the >= 2.5x expectation applies on hosts with >= 4 of them,
-    and the measured row always records how many were available.
-    """
-    import os
-
-    from repro.runtime.parallel import _fork_available
-
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cores = os.cpu_count() or 1
-    print(
-        f"\nP9  Morsel-parallel execution ({users} User nodes, "
-        f"{probes} probes, 4 workers on {cores} core(s))"
-    )
-    graph = Graph(Dialect.REVISED)
-    store = graph.store
-    products = [
-        store.create_node(("Product",), {"id": i}) for i in range(120)
-    ]
-    for i in range(users):
-        user = store.create_node(("User",), {"id": i})
-        store.create_relationship("ORDERED", user, products[i % 120])
-    executor = "process" if _fork_available() else "thread"
-    fanned = Graph(
-        Dialect.REVISED, workers=4, parallel=executor, store=store
-    )
-    statement = (
-        "UNWIND $pids AS pid "
-        "MATCH (u:User)-[:ORDERED]->(p:Product) WHERE p.id = pid "
-        "RETURN count(u) AS c"
-    )
-    params = {"pids": [(7 * probe) % 120 for probe in range(probes)]}
-    serial_count = graph.run(statement, params).single()["c"]  # warm
-    _, serial_ms, serial_hits = measured_call(
-        store, lambda: graph.run(statement, params)
-    )
-    fanned.run(statement, params)  # warm (and fork sanity)
-    started = time.perf_counter()
-    parallel_result = fanned.run(statement, params)
-    parallel_ms = (time.perf_counter() - started) * 1000
-    assert parallel_result.single()["c"] == serial_count
-    speedup = serial_ms / parallel_ms if parallel_ms else float("inf")
-    record(
-        "P9",
-        "serial pipeline (workers=1)",
-        "row-at-a-time Python; every probe scans the fan-out",
-        f"{serial_count} orders counted in {serial_ms:.1f} ms; "
-        f"db hits {serial_hits.compact()}",
-        elapsed_ms=serial_ms,
-        db_hits=serial_hits.to_dict(),
-    )
-    record(
-        "P9",
-        f"morsel scheduler (workers=4, {executor})",
-        "record-local segment split into morsels across workers",
-        f"{serial_count} orders counted in {parallel_ms:.1f} ms",
-        elapsed_ms=parallel_ms,
-    )
-    record(
-        "P9",
-        "speedup",
-        ">= 2.5x at 4 workers over serial (given >= 4 cores)",
-        f"{speedup:.2f}x on {cores} core(s)",
-    )
-
-    # -- parallel differential fuzz: scheduler vs serial, exact ------
-    from repro.testing.differential import run_case
-    from repro.testing.generator import cases
-
-    batch = list(cases(seed=0, count=fuzz_cases))
-    started = time.perf_counter()
-    results = [run_case(case, workers=2) for case in batch]
-    elapsed = (time.perf_counter() - started) * 1000
-    divergences = sum(not result.ok for result in results)
-    record(
-        "P9",
-        f"parallel differential fuzz ({fuzz_cases} cases)",
-        "morsel and rewrite variants agree exactly with serial",
-        f"{fuzz_cases - divergences}/{fuzz_cases} cases ok, "
-        f"{divergences} divergences, "
-        f"{fuzz_cases / (elapsed / 1000):.0f} cases/s",
-        elapsed_ms=elapsed,
-    )
-    assert divergences == 0, f"{divergences} parallel fuzz divergences"
-
-
 def p10_view_maintenance(
     users: int = 100_000,
     writes: int = 30,
@@ -1149,11 +1051,10 @@ def p11_streaming_scale(
     scales: tuple[int, ...] = (1_000_000, 10_000_000),
     checkpoint_probes: tuple[int, int] = (50_000, 200_000),
     equivalence_nodes: int = 20_000,
-    workers: int = 2,
 ) -> None:
-    """Streaming checkpoints + parallel CSV at the 10M-node scale.
+    """Streaming checkpoints at the 10M-node scale.
 
-    Four pieces of evidence:
+    Three pieces of evidence:
 
     * **O(1) checkpoint memory** -- tracemalloc peak of a checkpoint
       write at two graph sizes: the streaming peak stays a small
@@ -1163,17 +1064,13 @@ def p11_streaming_scale(
     * **Restore fidelity** -- a store written and restored is
       byte-identical to the source under ``canonical_graph_json``,
       and the checked-in format-1 fixture restores to the same graph
-      as its format-2 re-checkpoint.
-    * **Parallel CSV parse** -- chunked fork-pool parsing vs the
-      serial iterator over the same file; honest about core count
-      (the fork pool only wins with real cores to burn).
-    * **The scale curve** -- synthetic CSV -> parallel bulk load ->
+      as its stream re-checkpoint.
+    * **The scale curve** -- synthetic CSV -> bulk load ->
       streaming checkpoint -> reopen.  At each scale: load rate,
       steady-state RSS, the peak/steady ratio (the ISSUE criterion is
       peak < 2x steady at 10M), checkpoint write time and the RSS it
       did NOT add, and a zero-replay reopen from the checkpoint.
     """
-    import os
     import sys
     import tempfile
 
@@ -1183,9 +1080,7 @@ def p11_streaming_scale(
     from repro.bulkload import (
         emit_checkpoint,
         iter_nodes_csv,
-        iter_nodes_csv_parallel,
         iter_rels_csv,
-        iter_rels_csv_parallel,
         load_store,
         write_synthetic_csv,
     )
@@ -1204,14 +1099,9 @@ def p11_streaming_scale(
     )
     from repro.testing.invariants import canonical_graph_json
 
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cores = os.cpu_count() or 1
     print(
         f"\nP11 Streaming checkpoints at scale "
-        f"(scales {', '.join(str(s) for s in scales)}, "
-        f"{workers} CSV workers on {cores} core(s))"
+        f"(scales {', '.join(str(s) for s in scales)})"
     )
 
     # -- checkpoint write memory: flat in graph size -------------------
@@ -1265,46 +1155,14 @@ def p11_streaming_scale(
         )
     record(
         "P11",
-        f"format-1 fixture and format-2 restore ({equivalence_nodes} nodes)",
+        f"format-1 fixture and stream restore ({equivalence_nodes} nodes)",
         "a restore rebuilds the written graph byte for byte; the "
         "format-1 fixture still reads",
         f"stream restore == source store: {stream_ok}; format-1 fixture "
-        f"== its format-2 re-checkpoint: {blob_ok}",
+        f"== its stream re-checkpoint: {blob_ok}",
     )
     assert stream_ok, "streaming restore diverged from the source store"
     assert blob_ok, "format-1 fixture diverged from its stream rewrite"
-
-    # -- parallel CSV parse vs serial ---------------------------------
-    # 1 MiB chunks force the real fork-pool path even at quick-mode
-    # file sizes (the default 8 MiB chunk makes a small file a single
-    # range, which falls back to the serial parser).
-    parse_nodes = scales[0]
-    with tempfile.TemporaryDirectory() as tmp:
-        nodes_path, rels_path = write_synthetic_csv(tmp, parse_nodes)
-        started = time.perf_counter()
-        serial_rows = sum(1 for __ in iter_nodes_csv(nodes_path))
-        serial_s = time.perf_counter() - started
-        started = time.perf_counter()
-        parallel_rows = sum(
-            1
-            for __ in iter_nodes_csv_parallel(
-                nodes_path, workers=workers, chunk_bytes=1 << 20
-            )
-        )
-        parallel_s = time.perf_counter() - started
-    assert parallel_rows == serial_rows
-    ratio = serial_s / parallel_s if parallel_s else float("inf")
-    record(
-        "P11",
-        f"parallel CSV parse ({parse_nodes} nodes, {workers} workers)",
-        "chunked fork-pool parse; needs real cores -- on 1 core the "
-        "row-pickling IPC is pure overhead, so expect < 1x there and "
-        "scaling only with GIL-free workers to spare",
-        f"serial {serial_rows / serial_s:,.0f} rows/s vs parallel "
-        f"{parallel_rows / parallel_s:,.0f} rows/s = {ratio:.2f}x "
-        f"on {cores} core(s)",
-        elapsed_ms=parallel_s * 1000,
-    )
 
     # -- the scale curve: load -> checkpoint -> reopen ----------------
     for scale in scales:
@@ -1315,8 +1173,8 @@ def p11_streaming_scale(
             rss_before = rss_bytes()
             started = time.perf_counter()
             store = load_store(
-                iter_nodes_csv_parallel(nodes_path, workers=workers),
-                iter_rels_csv_parallel(rels_path, workers=workers),
+                iter_nodes_csv(nodes_path),
+                iter_rels_csv(rels_path),
                 indexes=[("Person", "id")],
             )
             load_s = time.perf_counter() - started
@@ -1425,11 +1283,6 @@ def main(argv: list[str] | None = None) -> None:
         scales=(5_000, 50_000) if args.quick else (10_000, 100_000, 1_000_000),
         pipeline_nodes=2000 if args.quick else 5000,
         memory_sample=5_000 if args.quick else 20_000,
-    )
-    p9_parallel_execution(
-        users=1500 if args.quick else 12000,
-        probes=8 if args.quick else 32,
-        fuzz_cases=30 if args.quick else 200,
     )
     p10_view_maintenance(
         users=10_000 if args.quick else 100_000,

@@ -209,230 +209,6 @@ def iter_rels_csv(path: Path, delimiter: str = ",") -> Iterator[RelRow]:
         raise LoadError(f"cannot read CSV file {path}: {error}") from error
 
 
-# ----------------------------------------------------------------------
-# Parallel CSV parsing (fork-based, opt-in via --parallel)
-# ----------------------------------------------------------------------
-
-#: State handed to forked workers by inheritance rather than pickling
-#: (the same idiom as :mod:`repro.runtime.parallel`): set immediately
-#: before the pool forks, cleared after; workers receive a chunk index.
-_FORK_STATE: tuple | None = None
-
-#: target bytes per parallel chunk; small files fall back to serial
-_CHUNK_BYTES = 8 << 20
-
-
-def _fork_available() -> bool:
-    import multiprocessing
-
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
-def _csv_header_positions(
-    path: Path, delimiter: str, columns: tuple[str, ...]
-) -> tuple[list[int], int]:
-    """Column positions plus the byte offset where data rows start."""
-    import csv
-    import io
-
-    with open(path, "rb") as handle:
-        header_bytes = handle.readline()
-        data_start = handle.tell()
-    header_row = next(
-        csv.reader(
-            io.StringIO(header_bytes.decode("utf-8")), delimiter=delimiter
-        ),
-        None,
-    )
-    return _csv_positions(path, header_row, columns), data_start
-
-
-def _chunk_ranges(
-    path: Path, data_start: int, chunk_bytes: int
-) -> list[tuple[int, int]]:
-    """Newline-aligned ``(start, end)`` byte ranges covering the data.
-
-    Ranges never split a physical line; they *can* split a quoted cell
-    containing an embedded newline, which the interchange format never
-    produces (property cells are JSON, which escapes newlines) and
-    which the per-row validation in the workers catches loudly.
-    """
-    import os as _os
-
-    size = _os.path.getsize(path)
-    ranges: list[tuple[int, int]] = []
-    offset = data_start
-    with open(path, "rb") as handle:
-        while offset < size:
-            end = min(offset + chunk_bytes, size)
-            if end < size:
-                handle.seek(end)
-                handle.readline()
-                end = handle.tell()
-            ranges.append((offset, end))
-            offset = end
-    return ranges
-
-
-def _parse_csv_rows(
-    kind: str,
-    text: str,
-    delimiter: str,
-    positions: list[int],
-    where: str,
-) -> list:
-    """Parse one decoded chunk; shared by workers and the fallback."""
-    import csv
-    import io
-
-    label_cache: dict[str, tuple[str, ...]] = {}
-    props_cache: dict[str, dict[str, Any]] = {
-        "": _NO_PROPERTIES, "{}": _NO_PROPERTIES
-    }
-    rows: list = []
-    path = Path(where)
-    reader = csv.reader(io.StringIO(text), delimiter=delimiter)
-    if kind == "nodes":
-        id_at, labels_at, props_at = positions
-        for number, row in enumerate(reader, start=1):
-            try:
-                node_id = int(row[id_at])
-                labels_cell = row[labels_at]
-                props_cell = row[props_at]
-            except (IndexError, ValueError) as error:
-                raise LoadError(
-                    f"{where}: malformed node row {number} in parallel "
-                    f"chunk: {row!r} (if cells contain embedded "
-                    "newlines, load without --parallel)"
-                ) from error
-            labels = label_cache.get(labels_cell)
-            if labels is None:
-                labels = label_cache[labels_cell] = tuple(
-                    label for label in labels_cell.split(";") if label
-                )
-            properties = props_cache.get(props_cell)
-            if properties is None:
-                properties = _parse_properties(props_cell, path, number)
-                if len(props_cache) < _PROPS_CACHE_LIMIT:
-                    props_cache[props_cell] = properties
-            rows.append((node_id, labels, properties))
-    else:
-        id_at, type_at, start_at, end_at, props_at = positions
-        for number, row in enumerate(reader, start=1):
-            try:
-                rel_id = int(row[id_at])
-                rel_type = row[type_at]
-                start = int(row[start_at])
-                end = int(row[end_at])
-                props_cell = row[props_at]
-            except (IndexError, ValueError) as error:
-                raise LoadError(
-                    f"{where}: malformed relationship row {number} in "
-                    f"parallel chunk: {row!r} (if cells contain embedded "
-                    "newlines, load without --parallel)"
-                ) from error
-            if not rel_type:
-                raise LoadError(
-                    f"{where}: relationship row {number} has no type"
-                )
-            properties = props_cache.get(props_cell)
-            if properties is None:
-                properties = _parse_properties(props_cell, path, number)
-                if len(props_cache) < _PROPS_CACHE_LIMIT:
-                    props_cache[props_cell] = properties
-            rows.append((rel_id, rel_type, start, end, properties))
-    return rows
-
-
-def _parse_csv_chunk(index: int) -> list:
-    """Worker-side chunk parser (executes in a forked child)."""
-    kind, path, delimiter, positions, ranges = _FORK_STATE
-    start, end = ranges[index]
-    with open(path, "rb") as handle:
-        handle.seek(start)
-        data = handle.read(end - start)
-    return _parse_csv_rows(
-        kind,
-        data.decode("utf-8"),
-        delimiter,
-        positions,
-        f"{path} (bytes {start}-{end})",
-    )
-
-
-def _iter_csv_parallel(
-    kind: str,
-    columns: tuple[str, ...],
-    path: Path,
-    delimiter: str,
-    workers: int,
-    chunk_bytes: int,
-) -> Iterator:
-    import multiprocessing
-
-    global _FORK_STATE
-    try:
-        positions, data_start = _csv_header_positions(
-            path, delimiter, columns
-        )
-        ranges = _chunk_ranges(path, data_start, chunk_bytes)
-    except OSError as error:
-        raise LoadError(f"cannot read CSV file {path}: {error}") from error
-    if len(ranges) <= 1 or workers <= 1 or not _fork_available():
-        # Too small to split (or no fork): one serial pass, no pool.
-        serial = iter_nodes_csv if kind == "nodes" else iter_rels_csv
-        yield from serial(path, delimiter)
-        return
-    _FORK_STATE = (kind, str(path), delimiter, positions, ranges)
-    try:
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            # imap (not map): chunks stream back in file order as each
-            # finishes, so peak memory is a few chunks, not the file.
-            for rows in pool.imap(_parse_csv_chunk, range(len(ranges))):
-                yield from rows
-    finally:
-        _FORK_STATE = None
-
-
-def iter_nodes_csv_parallel(
-    path: Path,
-    delimiter: str = ",",
-    *,
-    workers: int = 2,
-    chunk_bytes: int = _CHUNK_BYTES,
-) -> Iterator[NodeRow]:
-    """Parallel :func:`iter_nodes_csv`: forked workers parse newline-
-    aligned chunks, rows stream back in file order.  Falls back to the
-    serial reader when the file is one chunk or fork is unavailable.
-    """
-    return _iter_csv_parallel(
-        "nodes",
-        ("id", "labels", "properties"),
-        Path(path),
-        delimiter,
-        workers,
-        chunk_bytes,
-    )
-
-
-def iter_rels_csv_parallel(
-    path: Path,
-    delimiter: str = ",",
-    *,
-    workers: int = 2,
-    chunk_bytes: int = _CHUNK_BYTES,
-) -> Iterator[RelRow]:
-    """Parallel :func:`iter_rels_csv`; see :func:`iter_nodes_csv_parallel`."""
-    return _iter_csv_parallel(
-        "rels",
-        ("id", "type", "start", "end", "properties"),
-        Path(path),
-        delimiter,
-        workers,
-        chunk_bytes,
-    )
-
-
 def _jsonl_objects(path: Path) -> Iterator[tuple[str, dict]]:
     try:
         with open(path, encoding="utf-8") as handle:
@@ -650,14 +426,6 @@ def main(argv: list[str] | None = None) -> int:
         "then load it (ignores --nodes/--rels)",
     )
     parser.add_argument(
-        "--parallel",
-        type=int,
-        default=1,
-        metavar="N",
-        help="parse CSV input with N forked workers over newline-"
-        "aligned chunks (csv format only; default: 1 = serial)",
-    )
-    parser.add_argument(
         "--no-verify",
         action="store_true",
         help="skip the store-invariant verification pass",
@@ -683,30 +451,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.nodes is None and args.rels is None:
             parser.error("nothing to load: pass --nodes/--rels or --synthetic")
 
-        if args.parallel > 1 and args.format != "csv":
-            parser.error("--parallel requires --format csv")
-
         started = time.perf_counter()
-        if args.format == "csv" and args.parallel > 1:
-            nodes = (
-                iter_nodes_csv_parallel(
-                    Path(args.nodes),
-                    args.delimiter,
-                    workers=args.parallel,
-                )
-                if args.nodes
-                else None
-            )
-            rels = (
-                iter_rels_csv_parallel(
-                    Path(args.rels),
-                    args.delimiter,
-                    workers=args.parallel,
-                )
-                if args.rels
-                else None
-            )
-        elif args.format == "csv":
+        if args.format == "csv":
             nodes = (
                 iter_nodes_csv(Path(args.nodes), args.delimiter)
                 if args.nodes
@@ -743,7 +489,6 @@ def main(argv: list[str] | None = None) -> int:
         "relationships": store.relationship_count(),
         "indexes": len(indexes),
         "constraints": len(constraints),
-        "parallel": args.parallel,
         "load_seconds": round(load_seconds, 3),
         "entities_per_second": round(entities / max(load_seconds, 1e-9)),
         "checkpoint_seconds": round(checkpoint_seconds, 3),

@@ -299,8 +299,6 @@ class CypherEngine:
         extended_merge: bool = False,
         match_mode: MatchMode | str = MatchMode.TRAIL,
         use_planner: bool = False,
-        workers: int = 1,
-        parallel: str = "thread",
     ):
         self.store = store if store is not None else GraphStore()
         self.dialect = Dialect.parse(dialect)
@@ -313,16 +311,6 @@ class CypherEngine:
         #: Cost-based match planning *and* the plan rewrites (predicate
         #: pushdown + hoisting): an optimised session gets both.
         self.use_planner = use_planner
-        #: Morsel workers for read-only segments (1 = serial executor);
-        #: the effective count is further capped per scope by
-        #: repro.runtime.parallel.worker_limit (the server's per-request
-        #: cap).
-        self.workers = max(1, int(workers))
-        if parallel not in ("thread", "process"):
-            raise ValueError(
-                f"parallel must be 'thread' or 'process', got {parallel!r}"
-            )
-        self.parallel = parallel
         #: text -> Prepared: the one statement cache, and through the
         #: statements' nodes the only place a closure is retained
         self._statements = LRUCache(capacity=1024)
@@ -401,8 +389,6 @@ class CypherEngine:
             use_planner=self.use_planner,
             preserve_match_order=self.dialect is Dialect.CYPHER9,
             profile=query_profile,
-            workers=self.workers,
-            parallel_executor=self.parallel,
             compile=prepared.compile,
         )
         mark = self.store.mark()

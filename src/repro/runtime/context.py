@@ -61,17 +61,6 @@ class EvalContext:
     #: this profile, attributing db-hits and wall time (PROFILE mode).
     profile: Optional["QueryProfile"] = None
 
-    #: Morsel workers for read-only pipeline segments.  1 (the default)
-    #: keeps the serial row-at-a-time executor; >1 lets the pipeline
-    #: partition the driving table and run read-only segments in
-    #: parallel (see repro.runtime.parallel).
-    workers: int = 1
-
-    #: Executor backing the morsel workers: "thread" (default; the
-    #: columnar store is read-shared safely) or "process" (fork-based
-    #: pool, opt-in for CPU-bound predicates that the GIL serialises).
-    parallel_executor: str = "thread"
-
     #: The closure-maker every clause obtains its ``(ctx, record) ->
     #: value`` closures from -- that of the statement being executed
     #: (:attr:`repro.engine.Prepared.compile`).

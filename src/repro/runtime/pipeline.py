@@ -29,75 +29,9 @@ def execute_clauses(
     dialect: Dialect,
 ) -> DrivingTable:
     """Run a clause sequence over the driving table."""
-    if ctx.workers > 1:
-        from repro.runtime.parallel import execute_clauses_morsel
-
-        return execute_clauses_morsel(ctx, clauses, table, dialect)
     for clause in clauses:
         table = execute_clause(ctx, clause, table, dialect)
     return table
-
-
-def is_record_local(clause: ast.Clause) -> bool:
-    """True iff the clause maps each input record independently.
-
-    Record-local clauses produce, for each input record, zero or more
-    output records derived from that record alone (and the graph, which
-    they do not mutate), emitted in input order.  Running such a clause
-    over a partition of the table and concatenating the partition
-    outputs in order therefore reproduces the serial output exactly --
-    the property the morsel scheduler relies on, for *both* dialects
-    (the legacy dialect's order anomalies only arise in update clauses,
-    which are never record-local).
-
-    Qualifiers: MATCH / OPTIONAL MATCH (with WHERE), UNWIND, and
-    WITH / RETURN projections without aggregates, DISTINCT, ORDER BY,
-    SKIP or LIMIT -- those four need the whole table at once.
-    LOAD CSV is deliberately excluded: it reads a file per record, and
-    duplicating file handles across workers buys nothing.
-    """
-    if isinstance(clause, ast.MatchClause):
-        return True
-    if isinstance(clause, ast.UnwindClause):
-        return True
-    if isinstance(clause, (ast.WithClause, ast.ReturnClause)):
-        from repro.runtime.aggregation import contains_aggregate
-
-        body = clause.body
-        if body.distinct or body.order_by:
-            return False
-        if body.skip is not None or body.limit is not None:
-            return False
-        return not any(
-            contains_aggregate(item.expression) for item in body.items
-        )
-    return False
-
-
-def analyze_segments(
-    clauses: tuple[ast.Clause, ...],
-) -> list[tuple[str, tuple[ast.Clause, ...]]]:
-    """Split a clause sequence into maximal runs by execution mode.
-
-    Returns ``[(kind, run), ...]`` in order, where *kind* is
-    ``"parallel"`` (every clause in the run is record-local, so the run
-    may be morsel-parallelised) or ``"serial"`` (update clauses,
-    aggregations and other whole-table barriers).  Concatenating the
-    runs restores the input sequence.
-    """
-    segments: list[tuple[str, tuple[ast.Clause, ...]]] = []
-    run: list[ast.Clause] = []
-    run_kind: str | None = None
-    for clause in clauses:
-        kind = "parallel" if is_record_local(clause) else "serial"
-        if kind != run_kind and run:
-            segments.append((run_kind, tuple(run)))
-            run = []
-        run_kind = kind
-        run.append(clause)
-    if run:
-        segments.append((run_kind, tuple(run)))
-    return segments
 
 
 def execute_clause(

@@ -97,9 +97,6 @@ class ClauseProfile:
         "paths_reordered",
         "rows_matched",
         "rows_created",
-        "workers",
-        "morsels",
-        "morsel_ms",
         "_started",
         "_before",
     )
@@ -120,11 +117,6 @@ class ClauseProfile:
         #: rows found a match / went on to create
         self.rows_matched: int | None = None
         self.rows_created: int | None = None
-        #: morsel-executor annotations (None / 0 on serial clauses):
-        #: worker count, morsel count, and per-morsel wall times
-        self.workers: int | None = None
-        self.morsels = 0
-        self.morsel_ms: list[float] | None = None
         self._started = 0.0
         self._before = DbHits()
 
@@ -145,13 +137,6 @@ class ClauseProfile:
             "paths_reordered": self.paths_reordered,
             "rows_matched": self.rows_matched,
             "rows_created": self.rows_created,
-            "workers": self.workers,
-            "morsels": self.morsels,
-            "morsel_ms": (
-                [round(ms, 3) for ms in self.morsel_ms]
-                if self.morsel_ms is not None
-                else None
-            ),
             "children": [child.to_dict() for child in self.children],
         }
 

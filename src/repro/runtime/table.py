@@ -168,22 +168,6 @@ class DrivingTable:
         for record in records:
             append(check(record, column_set))
 
-    def chunks(self, size: int) -> list["DrivingTable"]:
-        """Consecutive views of at most *size* records each.
-
-        The views share the underlying record dicts (no copying); they
-        are the unit of work for the morsel scheduler.  Concatenating
-        the chunks' records in order reproduces this table exactly.
-        """
-        if size < 1:
-            raise ValueError("chunk size must be >= 1")
-        return [
-            DrivingTable.from_trusted(
-                self._columns, self._records[start : start + size]
-            )
-            for start in range(0, len(self._records), size)
-        ]
-
     def concat(self, other: "DrivingTable") -> "DrivingTable":
         """Bag union (duplicates add up), requiring equal column sets."""
         if set(self._columns) != set(other._columns):

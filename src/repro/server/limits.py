@@ -38,10 +38,6 @@ class RequestLimits:
     write_lock_timeout_s: float = 30.0
     #: whether LOAD CSV (server-side file reads!) is allowed
     allow_load_csv: bool = False
-    #: per-request cap on morsel workers (parallel read execution); the
-    #: default of 1 keeps server statements serial so one client cannot
-    #: monopolise the host's cores -- operators raise it deliberately
-    max_workers: int = 1
     #: most concurrently registered materialized views
     max_views: int = 64
     #: most concurrent view subscriptions (across all views)

@@ -49,7 +49,6 @@ from repro.errors import (
     TransactionError,
 )
 from repro.runtime.limits import list_length_limit
-from repro.runtime.parallel import worker_limit
 from repro.server.limits import RequestLimits
 from repro.session import Graph, Transaction
 
@@ -279,7 +278,5 @@ class SessionManager:
         statement: Prepared,
         parameters: Mapping[str, Any] | None,
     ) -> QueryResult:
-        with list_length_limit(self.limits.max_list_length), worker_limit(
-            self.limits.max_workers
-        ):
+        with list_length_limit(self.limits.max_list_length):
             return self.graph.engine.execute(statement, parameters)

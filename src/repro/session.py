@@ -103,12 +103,17 @@ class Graph:
         extended_merge: bool = False,
         match_mode: MatchMode | str = MatchMode.TRAIL,
         use_planner: bool = False,
+        # Kept only for benchmarks/e2e/workloads.py's workers=1.
         workers: int = 1,
-        parallel: str = "thread",
         store: GraphStore | None = None,
         path: str | Path | None = None,
         fsync: str = "batch",
     ):
+        if workers != 1:
+            raise ValueError(
+                f"workers must be 1, got {workers!r}: parallel execution "
+                "was removed and statements always run serially"
+            )
         self.store = store if store is not None else GraphStore()
         self.persistence = None
         self.recovery = None
@@ -147,8 +152,6 @@ class Graph:
             extended_merge=extended_merge,
             match_mode=match_mode,
             use_planner=use_planner,
-            workers=workers,
-            parallel=parallel,
         )
 
     @classmethod
@@ -339,8 +342,6 @@ class Graph:
             ),
             match_mode=self.engine.match_mode,
             use_planner=self.engine.use_planner,
-            workers=self.engine.workers,
-            parallel=self.engine.parallel,
             store=self.store,
         )
 
@@ -417,8 +418,6 @@ class Graph:
             extended_merge=self.engine.extended_merge,
             match_mode=self.engine.match_mode,
             use_planner=self.engine.use_planner,
-            workers=self.engine.workers,
-            parallel=self.engine.parallel,
             store=self.store.copy(),
         )
 

@@ -91,15 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="statements per crash scenario (default 20)",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="also run each case through the morsel-parallel scheduler "
-        "with N workers and require exact agreement with the serial "
-        "runs (default 0 = serial only)",
-    )
-    parser.add_argument(
         "--views",
         type=int,
         default=0,
@@ -201,8 +192,8 @@ def run_fuzz(args: argparse.Namespace) -> int:
 
     def execute(one):
         if one.views:
-            return run_views_case(one, workers=args.workers)
-        return run_case(one, workers=args.workers)
+            return run_views_case(one)
+        return run_case(one)
 
     started = time.perf_counter()
     failures = 0

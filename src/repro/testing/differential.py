@@ -37,7 +37,6 @@ graph byte-identically.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 from dataclasses import dataclass, field
 from typing import Any
@@ -48,7 +47,6 @@ from repro.errors import CypherError
 from repro.graph.comparison import isomorphic
 from repro.graph.model import Node, Path, Relationship
 from repro.io.graph_json import graph_to_dict
-from repro.runtime import parallel
 from repro.testing.generator import PARAMETERS, FuzzCase, build_store
 from repro.testing.interpreter import interpreted
 from repro.testing.invariants import (
@@ -180,7 +178,6 @@ def _run_variant(
     dialect=None,
     parameters: dict | None = None,
     failures: list[str] | None = None,
-    workers: int = 1,
     rewrites_alone: bool = False,
 ) -> VariantOutcome:
     """Execute the case's statements under one toggle combination.
@@ -193,10 +190,6 @@ def _run_variant(
     The store-invariant oracle and the journal-restore check run here,
     appending to *failures*; differential comparisons happen later in
     :func:`run_case`.
-
-    With ``workers > 1`` the engine runs read-only segments through the
-    morsel scheduler; the minimum-row threshold is lowered to 2 so the
-    small tables fuzz cases produce still exercise real morsel splits.
     """
     store = build_store(case)
     base = canonical_graph_json(store)
@@ -208,25 +201,18 @@ def _run_variant(
         dialect=dialect if dialect is not None else case.dialect,
         extended_merge=True,
         use_planner=use_planner,
-        workers=workers,
     )
     outcome = VariantOutcome(name=name, status="ok")
     todo = statements if statements is not None else case.statements
-    morsels = (
-        parallel.parallel_min_rows(2)
-        if workers > 1
-        else contextlib.nullcontext()
-    )
     try:
-        with morsels:
-            result_rows = _execute_all(
-                engine,
-                todo,
-                parameters,
-                outcome,
-                compiled=compiled,
-                rewrites_alone=rewrites_alone,
-            )
+        result_rows = _execute_all(
+            engine,
+            todo,
+            parameters,
+            outcome,
+            compiled=compiled,
+            rewrites_alone=rewrites_alone,
+        )
     except CypherError as error:
         outcome.status = "error"
         outcome.error_type = type(error).__name__
@@ -342,20 +328,14 @@ def _graphs_isomorphic(left: dict, right: dict) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def run_case(case: FuzzCase, *, workers: int = 0) -> CaseResult:
-    """Run one case across every variant and collect disagreements.
-
-    ``workers > 1`` adds morsel-parallel variants: the same statements
-    executed through the parallel scheduler must agree *exactly* with
-    their serial counterparts (morsel concatenation is order-exact for
-    record-local segments, in both dialects).
-    """
+def run_case(case: FuzzCase) -> CaseResult:
+    """Run one case across every variant and collect disagreements."""
     if case.kind == "merge":
-        return _run_merge_case(case, workers=workers)
-    return _run_pipeline_case(case, workers=workers)
+        return _run_merge_case(case)
+    return _run_pipeline_case(case)
 
 
-def _run_pipeline_case(case: FuzzCase, *, workers: int = 0) -> CaseResult:
+def _run_pipeline_case(case: FuzzCase) -> CaseResult:
     failures: list[str] = []
     outcomes: dict[tuple[bool, bool], VariantOutcome] = {}
     for use_planner, compiled in itertools.product(
@@ -385,26 +365,9 @@ def _run_pipeline_case(case: FuzzCase, *, workers: int = 0) -> CaseResult:
         parameters=PARAMETERS,
         failures=failures,
     )
-    extra = [rewritten]
     _compare_exact(outcomes[(False, True)], rewritten, failures)
-    if workers > 1:
-        for use_planner in (True, False):
-            name = (
-                f"workers={workers},"
-                f"planner={'on' if use_planner else 'off'},compiled"
-            )
-            outcome = _run_variant(
-                case,
-                name,
-                use_planner=use_planner,
-                compiled=True,
-                workers=workers,
-                parameters=PARAMETERS,
-                failures=failures,
-            )
-            extra.append(outcome)
-            _compare_exact(outcomes[(use_planner, True)], outcome, failures)
-    for outcome in list(outcomes.values()) + extra:
+    ran = [*outcomes.values(), rewritten]
+    for outcome in ran:
         if outcome.status == "crash":
             failures.append(
                 f"[{outcome.name}] crashed at statement "
@@ -431,11 +394,11 @@ def _run_pipeline_case(case: FuzzCase, *, workers: int = 0) -> CaseResult:
         case=case,
         ok=not failures,
         failures=failures,
-        outcomes=list(outcomes.values()) + extra,
+        outcomes=ran,
     )
 
 
-def run_views_case(case: FuzzCase, *, workers: int = 0) -> CaseResult:
+def run_views_case(case: FuzzCase) -> CaseResult:
     """Differential oracle for incremental view maintenance.
 
     The case's ``views`` queries are registered up front on one
@@ -443,7 +406,7 @@ def run_views_case(case: FuzzCase, *, workers: int = 0) -> CaseResult:
     and after **every** successful statement each view's maintained
     result must equal a full re-execution of its query on a copy of
     the current graph, across the engine's surfaces (planner on/off,
-    compiled/interpreted, optionally morsel-parallel).
+    compiled/interpreted).
 
     Re-execution runs on the maintained store itself -- registration
     guarantees the queries are read-only, and sharing the store keeps
@@ -481,35 +444,28 @@ def run_views_case(case: FuzzCase, *, workers: int = 0) -> CaseResult:
         extended_merge=True,
         use_planner=False,
     )
-    surfaces: list[tuple[str, bool, bool, int]] = [
-        ("planner=off,compiled", True, False, 1),
-        ("planner=off,interpreted", False, False, 1),
-        ("planner=on,compiled", True, True, 1),
+    surfaces: list[tuple[str, bool, bool]] = [
+        ("planner=off,compiled", True, False),
+        ("planner=off,interpreted", False, False),
+        ("planner=on,compiled", True, True),
     ]
-    morsels = contextlib.nullcontext()
-    if workers > 1:
-        surfaces.append(
-            (f"workers={workers},planner=off,compiled", True, False, workers)
-        )
-        morsels = parallel.parallel_min_rows(2)
-    with morsels:
-        for index, write in enumerate(todo):
-            try:
-                engine.execute(write, parameters)
-            except CypherError:
-                # The statement rolled back atomically: nothing was
-                # committed, so the views must simply be unaffected --
-                # which the check after the *next* success verifies.
-                continue
-            except Exception as error:  # noqa: BLE001 -- findings
-                failures.append(
-                    f"[views] statement {index} crashed: "
-                    f"{type(error).__name__}: {error}"
-                )
-                break
-            _check_views(store, views, index, surfaces, failures)
-            if failures:
-                break  # report the first divergent statement only
+    for index, write in enumerate(todo):
+        try:
+            engine.execute(write, parameters)
+        except CypherError:
+            # The statement rolled back atomically: nothing was
+            # committed, so the views must simply be unaffected --
+            # which the check after the *next* success verifies.
+            continue
+        except Exception as error:  # noqa: BLE001 -- findings
+            failures.append(
+                f"[views] statement {index} crashed: "
+                f"{type(error).__name__}: {error}"
+            )
+            break
+        _check_views(store, views, index, surfaces, failures)
+        if failures:
+            break  # report the first divergent statement only
     try:
         check_invariants(store)
     except InvariantViolation as violation:
@@ -544,14 +500,13 @@ def _check_views(
             tuple(result.columns),
             canonical_rows(list(result.records), with_ids=True),
         )
-    for name, compiled, use_planner, n_workers in surfaces:
+    for name, compiled, use_planner in surfaces:
         for view in views:
             fresh_engine = CypherEngine(
                 store,
                 dialect=view.dialect,
                 extended_merge=True,
                 use_planner=use_planner,
-                workers=n_workers,
             )
             prepared = fresh_engine.prepare(view.prepared.statement)
             if not compiled:
@@ -629,7 +584,7 @@ def _graph_size(graph: dict) -> tuple[int, int]:
     return (len(graph.get("nodes", ())), len(graph.get("relationships", ())))
 
 
-def _run_merge_case(case: FuzzCase, *, workers: int = 0) -> CaseResult:
+def _run_merge_case(case: FuzzCase) -> CaseResult:
     import random
 
     failures: list[str] = []
@@ -666,17 +621,6 @@ def _run_merge_case(case: FuzzCase, *, workers: int = 0) -> CaseResult:
             "interpreted", rows, use_planner=False, compiled=False
         )
         _compare_exact(base, interpreted, failures)
-        if workers > 1:
-            # The UNWIND/WITH prefix parallelises; the MERGE suffix
-            # stays serial -- the whole statement must agree exactly.
-            morsel_run = run(
-                "parallel",
-                rows,
-                use_planner=False,
-                compiled=True,
-                workers=workers,
-            )
-            _compare_exact(base, morsel_run, failures)
         if keyword != "legacy":
             # Revised MERGE matches the input graph only: the driving
             # table is a multiset, so shuffling must not matter.

@@ -53,7 +53,6 @@ from repro.runtime.aggregation import (
     contains_aggregate,
     is_aggregate_call,
 )
-from repro.runtime.pipeline import is_record_local
 
 #: Prefix for internal variables assigned to anonymous pattern elements.
 INTERNAL_PREFIX = "__view"
@@ -204,6 +203,37 @@ class Fallback:
 
 class _Widen(Exception):
     """Raised by the footprint walk on an unanalysable construct."""
+
+
+def is_record_local(clause: ast.Clause) -> bool:
+    """True iff the clause maps each input record independently.
+
+    A record-local clause produces, for each input record, zero or
+    more output records derived from that record alone (and the graph,
+    which it does not mutate), in input order.  That is what lets a
+    view cache the output of such clauses per binding row
+    (:attr:`ViewPlan.prefix`): when a commit adds or drops one binding
+    row, only that row's outputs change, so the cached outputs of all
+    other rows stay exact.
+
+    Qualifiers: MATCH / OPTIONAL MATCH (with WHERE), UNWIND, and
+    WITH / RETURN projections without aggregates, DISTINCT, ORDER BY,
+    SKIP or LIMIT -- those four need the whole table at once.  Update
+    clauses, MERGE, FOREACH and LOAD CSV (which reads a file per
+    record, outside any footprint) never qualify.
+    """
+    if isinstance(clause, (ast.MatchClause, ast.UnwindClause)):
+        return True
+    if isinstance(clause, (ast.WithClause, ast.ReturnClause)):
+        body = clause.body
+        if body.distinct or body.order_by:
+            return False
+        if body.skip is not None or body.limit is not None:
+            return False
+        return not any(
+            contains_aggregate(item.expression) for item in body.items
+        )
+    return False
 
 
 def analyse(statement: ast.Statement) -> ViewPlan | Fallback:

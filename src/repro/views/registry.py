@@ -718,7 +718,6 @@ class View:
             match_mode=self._match_mode,
             use_planner=False,
             preserve_match_order=self.dialect is Dialect.CYPHER9,
-            workers=1,
             compile=self.prepared.compile,
         )
 

@@ -91,3 +91,56 @@ class TestDesignDocSync:
                               "E8", "E9", "E10", "P1", "P2", "P3", "P4",
                               "P5"]:
             assert experiment_id in experiments, experiment_id
+
+
+def markdown_files() -> list[Path]:
+    return sorted(
+        path
+        for path in ROOT.rglob("*.md")
+        if not any(
+            part.startswith(".") for part in path.relative_to(ROOT).parts
+        )
+    )
+
+
+def without_fences(text: str) -> str:
+    return re.sub(r"^```.*?^```", "", text, flags=re.DOTALL | re.MULTILINE)
+
+
+def without_code(text: str) -> str:
+    """*text* with fenced blocks and inline code spans blanked out."""
+    return re.sub(r"`[^`\n]*`", "", without_fences(text))
+
+
+def heading_anchors(path: Path) -> set[str]:
+    """GitHub's anchor slugs for the headings of *path*."""
+    anchors: set[str] = set()
+    seen: dict[str, int] = {}
+    text = without_fences(path.read_text(encoding="utf-8"))
+    headings = re.findall(r"^#{1,6}\s+(.*?)\s*#*\s*$", text, re.MULTILINE)
+    for heading in headings:
+        heading = re.sub(r"\[([^\]]*)\]\([^)]*\)", r"\1", heading)
+        slug = re.sub(r"[^\w\- ]", "", heading.lower()).replace(" ", "-")
+        count = seen.get(slug, 0)
+        seen[slug] = count + 1
+        anchors.add(slug if count == 0 else f"{slug}-{count}")
+    return anchors
+
+
+def test_markdown_links_resolve():
+    """Every relative link to a Markdown file names an existing file
+    and, if it carries one, an anchor that is a heading there."""
+    broken = []
+    for path in markdown_files():
+        text = without_code(path.read_text(encoding="utf-8"))
+        for target in re.findall(r"\]\(([^)\s]+\.md(?:#[^)\s]*)?)\)", text):
+            if re.match(r"[a-z]+:", target):
+                continue  # absolute URL
+            file_part, _, anchor = target.partition("#")
+            linked = (path.parent / file_part).resolve()
+            where = f"{path.relative_to(ROOT)}: ({target})"
+            if not linked.is_file():
+                broken.append(f"{where} -- no such file")
+            elif anchor and anchor not in heading_anchors(linked):
+                broken.append(f"{where} -- no such heading")
+    assert not broken, "\n".join(broken)

@@ -8,10 +8,8 @@ from repro import Graph
 from repro.bulkload import (
     emit_checkpoint,
     iter_nodes_csv,
-    iter_nodes_csv_parallel,
     iter_nodes_jsonl,
     iter_rels_csv,
-    iter_rels_csv_parallel,
     iter_rels_jsonl,
     load_store,
     main,
@@ -66,6 +64,13 @@ class TestReaders:
         rels = list(iter_rels_csv(rels_path))
         assert rels[0] == (0, "KNOWS", 0, 1, {"w": 2})
         assert rels[3] == (3, "FOLLOWS", 2, 2, {})
+        # JSON cells full of delimiters and escaped quotes stay whole
+        quoted_path = tmp_path / "quoted.csv"
+        payload = {"name": 'x,"y",\n1', "tags": ["a", "b"]}
+        write_nodes(quoted_path, [(7, "Person", json.dumps(payload))])
+        assert list(iter_nodes_csv(quoted_path)) == [
+            (7, ("Person",), payload)
+        ]
 
     def test_csv_shared_payloads_are_not_aliased_in_store(self, tmp_path):
         """Rows with identical property cells share parsed dicts, but
@@ -358,126 +363,3 @@ class TestCheckpointAndCli:
         n2, r2 = write_synthetic_csv(second, 100)
         assert n1.read_bytes() == n2.read_bytes()
         assert r1.read_bytes() == r2.read_bytes()
-
-
-class TestParallelCsv:
-    """Forked-chunk CSV parsing must be row-identical to the serial
-    readers, in file order, for any chunk alignment."""
-
-    def test_nodes_rows_identical_to_serial(self, tmp_path):
-        nodes_path, __ = write_synthetic_csv(tmp_path, 500)
-        serial = list(iter_nodes_csv(nodes_path))
-        # tiny chunks force many ranges, workers > chunks included
-        for chunk_bytes in (256, 1024, 1 << 20):
-            parallel = list(
-                iter_nodes_csv_parallel(
-                    nodes_path, workers=3, chunk_bytes=chunk_bytes
-                )
-            )
-            assert parallel == serial
-
-    def test_rels_rows_identical_to_serial(self, tmp_path):
-        __, rels_path = write_synthetic_csv(tmp_path, 500)
-        serial = list(iter_rels_csv(rels_path))
-        parallel = list(
-            iter_rels_csv_parallel(rels_path, workers=4, chunk_bytes=512)
-        )
-        assert parallel == serial
-
-    def test_quoted_cells_survive_chunking(self, tmp_path):
-        # JSON property cells full of commas and quotes; boundaries
-        # land mid-row and must re-align on the next newline
-        nodes_path = tmp_path / "nodes.csv"
-        rows = [
-            (
-                i,
-                "Person",
-                json.dumps({"name": f'x,"y",{i}', "tags": ["a", "b"]}),
-            )
-            for i in range(200)
-        ]
-        write_nodes(nodes_path, rows)
-        serial = list(iter_nodes_csv(nodes_path))
-        parallel = list(
-            iter_nodes_csv_parallel(nodes_path, workers=2, chunk_bytes=128)
-        )
-        assert parallel == serial
-
-    def test_single_chunk_falls_back_to_serial(self, tmp_path):
-        nodes_path, __ = small_files(tmp_path)
-        rows = list(
-            iter_nodes_csv_parallel(
-                nodes_path, workers=8, chunk_bytes=1 << 20
-            )
-        )
-        assert rows == list(iter_nodes_csv(nodes_path))
-
-    def test_malformed_row_raises_load_error(self, tmp_path):
-        nodes_path = tmp_path / "nodes.csv"
-        nodes_path.write_text(
-            "id,labels,properties\n"
-            + "".join(f"{i},Person,{{}}\n" for i in range(50))
-            + "not-an-int,Person,{}\n"
-        )
-        with pytest.raises(LoadError):
-            list(
-                iter_nodes_csv_parallel(
-                    nodes_path, workers=2, chunk_bytes=128
-                )
-            )
-
-    def test_missing_header_column_raises(self, tmp_path):
-        nodes_path = tmp_path / "nodes.csv"
-        nodes_path.write_text("id,labels\n0,Person\n")
-        with pytest.raises(LoadError, match="properties"):
-            list(iter_nodes_csv_parallel(nodes_path, workers=2))
-
-    def test_untyped_relationship_raises(self, tmp_path):
-        rels_path = tmp_path / "rels.csv"
-        rels_path.write_text(
-            "id,type,start,end,properties\n"
-            + "".join(f"{i},KNOWS,0,1,{{}}\n" for i in range(40))
-            + "40,,0,1,{}\n"
-        )
-        with pytest.raises(LoadError, match="no type"):
-            list(
-                iter_rels_csv_parallel(rels_path, workers=2, chunk_bytes=64)
-            )
-
-    def test_cli_parallel_matches_serial_graph(self, tmp_path, capsys):
-        serial_out = tmp_path / "serial"
-        parallel_out = tmp_path / "parallel"
-        assert main(["--synthetic", "300", "--out", str(serial_out)]) == 0
-        assert (
-            main(
-                [
-                    "--synthetic", "300",
-                    "--out", str(parallel_out),
-                    "--parallel", "2",
-                ]
-            )
-            == 0
-        )
-        capsys.readouterr()
-        first = Graph.open(serial_out)
-        second = Graph.open(parallel_out)
-        try:
-            assert canonical_graph_json(first.store) == canonical_graph_json(
-                second.store
-            )
-        finally:
-            first.close()
-            second.close()
-
-    def test_cli_parallel_requires_csv(self, tmp_path):
-        nodes_path = tmp_path / "nodes.jsonl"
-        nodes_path.write_text('{"id": 0}\n')
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "--nodes", str(nodes_path),
-                    "--format", "jsonl",
-                    "--out", str(tmp_path / "db"),
-                    "--parallel", "2",
-                ]
-            )

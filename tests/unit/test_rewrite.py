@@ -445,10 +445,6 @@ class TestWiring:
         ][1]
         assert second.where is None
 
-    def test_invalid_parallel_mode_is_rejected(self):
-        with pytest.raises(ValueError):
-            Graph(Dialect.REVISED, parallel="rocket")
-
 
 #: The statements whose rewritten shapes the classes above pin, with
 #: the parameters they are run with.

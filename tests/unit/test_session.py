@@ -4,6 +4,7 @@ import pytest
 
 from repro import Dialect, Graph, PropertyConflictError, Transaction
 from repro.errors import TransactionError
+from repro.runtime.context import MatchMode
 
 
 class TestGraphFacade:
@@ -45,6 +46,34 @@ class TestGraphFacade:
 
     def test_repr(self, revised_graph):
         assert "dialect=revised" in repr(revised_graph)
+
+    def test_workers_accepts_only_one(self):
+        assert Graph(workers=1).run("RETURN 1 AS x").values("x") == [1]
+        with pytest.raises(ValueError, match="parallel execution"):
+            Graph(workers=2)
+
+    def test_parallel_option_is_gone(self):
+        with pytest.raises(TypeError):
+            Graph(parallel="thread")
+
+    @pytest.mark.parametrize("derive", ["copy", "with_dialect"])
+    def test_derived_graph_keeps_engine_settings(self, derive):
+        graph = Graph(
+            Dialect.CYPHER9,
+            extended_merge=True,
+            match_mode="homomorphism",
+            use_planner=True,
+        )
+        derived = (
+            graph.copy()
+            if derive == "copy"
+            else graph.with_dialect(Dialect.CYPHER9)
+        )
+        engine = derived.engine
+        assert engine.dialect is Dialect.CYPHER9
+        assert engine.extended_merge is True
+        assert engine.match_mode is MatchMode.HOMOMORPHISM
+        assert engine.use_planner is True
 
 
 class TestTransactions:

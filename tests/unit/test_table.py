@@ -120,24 +120,7 @@ class TestPresentation:
         assert "2 records" in repr(DrivingTable(("a",), [{"a": 1}, {"a": 2}]))
 
 
-class TestChunkedViews:
-    def test_chunks_partition_without_copying_records(self):
-        records = [{"a": i} for i in range(10)]
-        table = DrivingTable(("a",), records)
-        chunks = table.chunks(4)
-        assert [len(chunk) for chunk in chunks] == [4, 4, 2]
-        assert [r for chunk in chunks for r in chunk.records] == records
-        # Views share the record dicts (no per-row copies).
-        assert chunks[0].records[0] is table.records[0]
-        assert all(chunk.columns == table.columns for chunk in chunks)
-
-    def test_chunks_rejects_nonpositive_size(self):
-        with pytest.raises(ValueError):
-            DrivingTable(("a",), [{"a": 1}]).chunks(0)
-
-    def test_chunks_of_empty_table(self):
-        assert DrivingTable.empty(("a",)).chunks(3) == []
-
+class TestFromTrusted:
     def test_from_trusted_skips_validation(self):
         table = DrivingTable.from_trusted(("a",), [{"a": 1}, {"a": 2}])
         assert table.columns == ("a",)

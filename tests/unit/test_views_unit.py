@@ -16,11 +16,17 @@ from repro.graph.store import GraphStore
 from repro.parser.parser import parse
 from repro.session import Graph
 from repro.views import Fallback, ViewPlan, ViewRegistry, analyse
-from repro.views.analysis import EVERYTHING
+from repro.views.analysis import EVERYTHING, is_record_local
 
 
 def analyse_source(source, dialect=Dialect.REVISED):
     return analyse(parse(source, dialect))
+
+
+def record_local(source, dialect=Dialect.REVISED):
+    """``is_record_local`` of each clause of *source*, in order."""
+    clauses = parse(source, dialect).branches()[0].clauses
+    return [is_record_local(clause) for clause in clauses]
 
 
 class TestAnalysis:
@@ -206,6 +212,61 @@ class TestAnalysis:
         assert not footprint.op_relevant(
             ("delete_node", 7), {4}, set()
         )
+
+
+class TestRecordLocal:
+    """Which clauses a view may cache per binding row."""
+
+    def test_reads_and_plain_projections_are_record_local(self):
+        assert record_local(
+            "MATCH (a) OPTIONAL MATCH (a)-[r:T]->(b) "
+            "UNWIND [1, 2] AS k WITH a, k WHERE k > 1 "
+            "RETURN a.i AS i, k"
+        ) == [True] * 5
+
+    def test_updates_are_not(self):
+        for source in (
+            "MATCH (a) SET a.x = 1",
+            "MATCH (a) CREATE (a)-[:R]->(:B)",
+            "MATCH (a) DELETE a",
+        ):
+            assert record_local(source) == [True, False], source
+
+    def test_aggregating_projection_is_not(self):
+        assert record_local("MATCH (a) RETURN count(a) AS c") == [
+            True,
+            False,
+        ]
+
+    def test_distinct_order_skip_limit_are_not(self):
+        for suffix in (
+            "RETURN DISTINCT a.i AS i",
+            "RETURN a.i AS i ORDER BY i",
+            "RETURN a.i AS i SKIP 1",
+            "RETURN a.i AS i LIMIT 2",
+            "WITH DISTINCT a RETURN a.i AS i",
+        ):
+            assert record_local(f"MATCH (a) {suffix}")[:2] == [
+                True,
+                False,
+            ], suffix
+
+    def test_reads_after_a_mutation_stay_record_local(self):
+        assert record_local(
+            "MATCH (a) SET a.x = 1 WITH a MATCH (b) RETURN a.x, b.x"
+        ) == [True, False, True, True, True]
+
+    def test_merge_and_foreach_are_not(self):
+        for source in (
+            "MERGE ALL (a:A)",
+            "FOREACH (k IN [1] | CREATE (:B {i: k}))",
+        ):
+            assert record_local(source) == [False], source
+
+    def test_load_csv_is_not(self):
+        assert record_local(
+            "LOAD CSV FROM 'file:///x.csv' AS row RETURN row"
+        ) == [False, True]
 
 
 class TestRegistry:
