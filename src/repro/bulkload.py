@@ -471,10 +471,12 @@ def main(argv: list[str] | None = None) -> int:
         )
         load_seconds = time.perf_counter() - started
 
+        verify_started = time.perf_counter()
         if not args.no_verify:
             from repro.testing.invariants import check_invariants
 
             check_invariants(store)
+        verify_seconds = time.perf_counter() - verify_started
 
         checkpoint_started = time.perf_counter()
         emit_checkpoint(args.out, store)
@@ -491,6 +493,7 @@ def main(argv: list[str] | None = None) -> int:
         "constraints": len(constraints),
         "load_seconds": round(load_seconds, 3),
         "entities_per_second": round(entities / max(load_seconds, 1e-9)),
+        "verify_seconds": round(verify_seconds, 3),
         "checkpoint_seconds": round(checkpoint_seconds, 3),
         "verified": not args.no_verify,
         "out": str(args.out),
@@ -503,6 +506,7 @@ def main(argv: list[str] | None = None) -> int:
             f"{report['relationships']} relationships in "
             f"{report['load_seconds']}s "
             f"({report['entities_per_second']} entities/s), "
+            f"verify in {report['verify_seconds']}s, "
             f"checkpoint in {report['checkpoint_seconds']}s -> {args.out}"
         )
         if not args.no_verify:

@@ -27,11 +27,6 @@ from typing import Any, Iterable, Iterator
 from repro.graph.counters import NO_COUNTERS, HitCounters
 from repro.graph.values import grouping_key, is_storable
 
-#: a probe value that is not known yet (it depends on variables the
-#: pattern itself still has to bind); sized as an average bucket
-UNKNOWN = object()
-
-
 class LabelIndex:
     """Maps each label to the set of live node ids carrying it."""
 

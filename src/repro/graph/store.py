@@ -69,7 +69,7 @@ from repro.errors import (
     PersistenceError,
 )
 from repro.graph.counters import NO_COUNTERS, HitCounters
-from repro.graph.indexes import UNKNOWN, LabelIndex, PropertyIndex
+from repro.graph.indexes import LabelIndex, PropertyIndex
 from repro.graph.model import GraphSnapshot, Node, Relationship
 from repro.graph.strings import StringPool
 from repro.graph.values import (
@@ -598,7 +598,6 @@ class GraphStore:
         labels: Iterable[str],
         items: Sequence[tuple[str, Any]] = (),
         *,
-        resolve=None,
         fetch: bool = False,
     ) -> tuple[float, str, list[int] | None]:
         """The access path of a node pattern ``(:labels {items})``.
@@ -612,18 +611,17 @@ class GraphStore:
         ``(key, value)`` pair or a ``(key, compare, value)`` entry of
         :meth:`node_matches` (the key first, the value last): a range
         comparison filters candidates (:meth:`match_nodes`) but never
-        chooses a bucket.  *resolve*, when given, supplies the values
-        instead: it is called (once, without arguments) only if some
-        entry has a usable index and returns entries position by
-        position; a value may be :data:`UNKNOWN` (not known yet), which
-        is sized as the index's average bucket.
-        Sizing reads statistics only: no db-hit.
+        chooses a bucket.  Without *fetch* this is the planner's
+        estimate: values are not read, and an index is sized at its
+        average bucket (at least 1).  Sizing reads statistics only: no
+        db-hit.
 
-        With *fetch* (all values known), ``ids`` is a fresh ascending
-        list of the chosen bucket's node ids (one ``index_lookup``
-        db-hit) -- a superset of the pattern's matches, which the
-        caller filters -- or ``None`` when nothing narrows the pattern
-        and the caller scans every live node.
+        With *fetch*, an index is sized at its value's bucket and
+        ``ids`` is a fresh ascending list of the chosen bucket's node
+        ids (one ``index_lookup`` db-hit) -- a superset of the
+        pattern's matches, which the caller filters -- or ``None`` when
+        nothing narrows the pattern and the caller scans every live
+        node.
         """
         size: float = self._live_nodes
         description = "all nodes"
@@ -635,27 +633,20 @@ class GraphStore:
             if count <= size:
                 size, description = count, f"label scan :{label}"
                 source, probe = label_index, label
-        resolved = None
         if items and self._property_indexes:
             for label in labels:
-                for position, entry in enumerate(items):
+                for entry in items:
                     key = entry[0]
                     index = self._property_indexes.get((label, key))
                     if index is None:
                         continue
-                    if resolve is None:
-                        value = entry[-1]
+                    if fetch:
+                        estimate = index.bucket_size(entry[-1])
                     else:
-                        if resolved is None:
-                            resolved = resolve()
-                        value = resolved[position][-1]
-                    if value is UNKNOWN:
                         estimate = max(1.0, index.average_bucket_size())
-                    else:
-                        estimate = index.bucket_size(value)
                     if estimate <= size:
                         size, description = estimate, f"index :{label}({key})"
-                        source, probe = index, value
+                        source, probe = index, entry[-1]
         ids = None
         if fetch and source is not None:
             ids = source.ids(probe)

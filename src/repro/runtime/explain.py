@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Collection
 
 from repro.dialect import Dialect
-from repro.graph.indexes import UNKNOWN
 from repro.parser import ast
 from repro.parser.unparse import pushed_conjuncts, unparse
 from repro.runtime.context import EvalContext
@@ -69,7 +68,7 @@ def _explain_clause(
         # written), each with its anchor's access path and estimate,
         # then the comparisons the store checks at each step.
         plan = plan_paths(
-            ctx, clause.pattern.paths, dict.fromkeys(scope, UNKNOWN)
+            ctx, clause.pattern.paths, dict.fromkeys(scope, True)
         )
         for path_plan in plan.ordered:
             lines.append(

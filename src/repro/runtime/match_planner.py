@@ -3,24 +3,26 @@
 The matcher (:mod:`repro.runtime.matcher`) runs every path list as a
 plan.  With the planner off that is the written one -- paths in written
 order, each anchored at its first node.  With ``use_planner`` on,
-:func:`plan_paths` chooses both from statistics:
+:func:`plan_prepared` chooses both from statistics:
 
 * **anchor selection** -- each path starts at the node pattern with the
   smallest estimated candidate count (bound variable < property-index
-  hit < label scan < full scan, per :func:`estimate_element`), and the
+  hit < label scan < full scan, per :func:`estimate_step`), and the
   matcher expands from that anchor in *both* directions;
 
 * **path ordering** -- paths whose anchors are cheapest run first, so
   later paths see more bound variables (a greedy join order).
 
-Sizes and access paths come from
-:meth:`~repro.graph.store.GraphStore.node_access` -- the same call the
-matcher enumerates candidates from -- over counters that every mutation
-and every journal undo maintain, so planning costs O(pattern size) and
-no db-hits of its own (a property map needed to size an index bucket
-is evaluated once, charged to its expressions and reused by the probe:
-:func:`estimate_step`).  This module only plans: it never touches the
-matcher.
+A plan is a pure function of the prepared pattern, the store's
+statistics and the record's *null-pattern* -- which of the columns the
+plan reads are present and non-null (:meth:`PreparedPattern.null_pattern`)
+-- so it is computed once per clause execution for each null-pattern
+and kept on the :class:`PreparedPattern`.  Sizes and access paths come
+from :meth:`~repro.graph.store.GraphStore.node_access` -- the call the
+matcher enumerates candidates from -- as statistics: an index is sized
+at its average bucket, never at a value.  Planning evaluates no
+expression, so it costs O(pattern size), charges no db-hits and raises
+nothing.  This module only plans: it never touches the matcher.
 
 Correctness:
 
@@ -38,10 +40,10 @@ Correctness:
   ambiguous (two or more variable-length steps in one path) run the
   written plan instead.
 * Property maps may reference variables bound earlier in the same
-  pattern (the scoping rules validate written order).  Such patterns
-  keep their written path order, and a path whose property maps read
-  its *own* earlier variables keeps anchor 0, so every property
-  expression still sees the bindings it was validated against.
+  pattern (the scoping rules validate written order).  Such a map is
+  evaluated per visit, so which of its evaluations fails first depends
+  on the enumeration: such patterns run the written plan, and every
+  property expression sees the bindings it was validated against.
 """
 
 from __future__ import annotations
@@ -49,8 +51,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Mapping, NamedTuple
 
-from repro.errors import CypherError
-from repro.graph.indexes import UNKNOWN
 from repro.graph.values import cypher_eq
 from repro.parser import ast
 from repro.runtime.compiler import compile_map
@@ -76,7 +76,7 @@ class NodeStep:
     #: variables of the enclosing pattern that the checks read
     refs: frozenset[str]
     #: position of this step's evaluated checks in a record's value
-    #: memo (see :func:`evaluate_step`)
+    #: memo (see :func:`repro.runtime.matcher.record_values`)
     slot: int
     #: how many entries of *items* lead with ``=`` (the property map's):
     #: the only ones an index may serve
@@ -146,12 +146,13 @@ class PreparedPattern:
     Label masks, type ids, provided and referenced variables, sort
     specs and (on first use) mirrored step lists are resolved here,
     once, and shared by the planner and the matcher for every record of
-    the clause; none of it outlives the clause.  The compiled property
-    checks depend on the pattern alone and live on its elements
-    (:func:`compile_checks`), like every closure on its AST node.
+    the clause, as are the plans, one per null-pattern; none of it
+    outlives the clause.  The compiled property checks depend on the
+    pattern alone and live on its elements (:func:`compile_checks`),
+    like every closure on its AST node.
     """
 
-    __slots__ = ("paths", "written", "slots", "per_visit")
+    __slots__ = ("paths", "written", "checked", "slots", "columns", "plans")
 
     def __init__(self, ctx: EvalContext, paths: tuple[ast.PathPattern, ...]):
         store = ctx.store
@@ -199,26 +200,37 @@ class PreparedPattern:
         self.written = tuple(
             [PathPlan(path, index, 0) for index, path in enumerate(paths)]
         )
-        self.slots = slot
-        #: steps whose property maps read the pattern's own variables
-        self.per_visit = tuple(
-            [step for path in prepared for step in path.steps if step.refs]
+        #: steps with property checks, in written order
+        self.checked = tuple(
+            [step for path in prepared for step in path.steps if step.items]
         )
+        self.slots = slot
+        #: the record columns a plan reads: node variables (bound or
+        #: not) and the pattern variables property maps reference
+        self.columns = tuple(sorted(
+            {step.variable for path in prepared for step in path.steps[::2]}
+            .union(*[path.refs for path in prepared]) - {None}
+        ))
+        #: plans by null-pattern, filled by :meth:`plan`
+        self.plans: dict[tuple, PatternPlan] = {}
 
-    def fresh_values(self, record: Mapping[str, Any]) -> list:
-        """An empty value memo for one record (see :func:`evaluate_step`)."""
-        values: list = [None] * self.slots
-        for step in self.per_visit:
-            if not step.refs <= record.keys():
-                values[step.slot] = PER_VISIT
-        return values
+    def null_pattern(self, record: Mapping[str, Any]) -> tuple:
+        """Per plan column: absent (None), null (False) or bound (True)."""
+        return tuple([
+            record[name] is not None if name in record else None
+            for name in self.columns
+        ])
+
+    def plan(self, ctx: EvalContext, record: Mapping[str, Any]) -> PatternPlan:
+        """The plan for *record*'s null-pattern, made on its first record."""
+        shape = self.null_pattern(record)
+        plan = self.plans.get(shape)
+        if plan is None:
+            plan = self.plans[shape] = plan_prepared(ctx, self, shape)
+        return plan
 
 
 _NO_REFS: frozenset[str] = frozenset()
-
-#: memo entry of a step whose property map reads variables the pattern
-#: itself still has to bind for this record: evaluated at every visit
-PER_VISIT = object()
 
 
 def compile_checks(
@@ -254,31 +266,6 @@ def compile_checks(
     checks = (tuple(items), equalities, variables)
     object.__setattr__(element, "_checks", (ctx.compile, checks))
     return checks
-
-
-def evaluate_step(
-    ctx: EvalContext, step: NodeStep | RelStep, bindings: Mapping[str, Any],
-    values: list,
-) -> tuple[tuple[str, Any, Any], ...] | None:
-    """The step's checks as evaluated ``(key, compare, value)`` entries.
-
-    Each step is evaluated at most once per record and kept in *values*
-    (one slot per step), so the planner's estimate, the probe and every
-    candidate it is compared with see the same values and its
-    expressions cost one evaluation (and its db-hits) per record.  A
-    map reading variables the pattern binds itself (:data:`PER_VISIT`)
-    is evaluated per visit, against the bindings of that visit.
-    """
-    known = values[step.slot]
-    if (known is None or known is PER_VISIT) and step.items is not None:
-        evaluated = tuple(
-            [(key, compare, fn(ctx, bindings))
-             for key, compare, fn in step.items]
-        )
-        if known is None:
-            values[step.slot] = evaluated
-        return evaluated
-    return known
 
 
 def mirror_elements(prefix: tuple) -> tuple:
@@ -355,62 +342,31 @@ class PatternPlan:
 # ---------------------------------------------------------------------------
 
 def estimate_element(
-    ctx: EvalContext,
-    element: ast.NodePattern,
-    bound: set[str],
-    record: Mapping[str, Any],
+    ctx: EvalContext, element: ast.NodePattern, bound: set[str]
 ) -> tuple[float, str]:
-    """Estimated candidate count and access path for one node pattern.
-
-    :func:`estimate_step` over a pattern prepared for this one call.
-    """
+    """:func:`estimate_step` over a pattern prepared for this one call."""
     prepared = PreparedPattern(ctx, (ast.PathPattern(elements=(element,)),))
-    step = prepared.paths[0].steps[0]
-    return estimate_step(
-        ctx, step, bound, record, prepared.fresh_values(record)
-    )
+    return estimate_step(ctx, prepared.paths[0].steps[0], bound)
 
 
 def estimate_step(
-    ctx: EvalContext,
-    step: NodeStep,
-    bound: set[str],
-    record: Mapping[str, Any],
-    values: list,
+    ctx: EvalContext, step: NodeStep, bound: set[str]
 ) -> tuple[float, str]:
     """Estimated candidate count and access path for one node step.
 
-    The access path is the store's decision
-    (:meth:`~repro.graph.store.GraphStore.node_access`, the same call
-    the matcher enumerates from); planning adds only what the store
-    cannot know: a bound variable costs nothing, a property map that
-    cannot be evaluated yet is :data:`UNKNOWN`, and property checks no
-    index serves (a pushed range never is) still filter.  Sizes are
-    statistics and charge no db-hits.  If the store asks for the map's
-    values (some key has a usable index) they are evaluated through
-    :func:`evaluate_step` -- the one evaluation of this record, charged
-    to the expressions like any other and reused by the probe.
+    The access path is the store's estimate
+    (:meth:`~repro.graph.store.GraphStore.node_access` without
+    ``fetch``: label counts and average index buckets, no value read,
+    no db-hit); planning adds only what the store cannot know: a bound
+    variable costs nothing, and property checks no index serves (a
+    pushed range never is) still filter.
     """
     if step.variable is not None and step.variable in bound:
         return 0.0, f"bound({step.variable})"
     # Only the equalities may choose a bucket: a range filters the
     # candidates of whatever source the equalities and labels pick.
     probes = step.items[: step.equalities] if step.equalities else ()
-
-    def resolve() -> tuple:
-        # A map that fails to evaluate is sized as unknown here and
-        # evaluated again by the matcher, which raises the error where
-        # the written plan would.
-        if values[step.slot] is not PER_VISIT:
-            try:
-                return evaluate_step(ctx, step, record, values)
-            except CypherError:
-                pass
-        return tuple([(key, UNKNOWN) for key, __, __ in probes])
-
-    cost, access, __ = ctx.store.node_access(
-        step.labels, probes, resolve=resolve
-    )
+    cost, access, __ = ctx.store.node_access(step.labels, probes)
     if step.items and not access.startswith("index "):
         # Discount mildly so a property-carrying end beats a bare one
         # with the same label.
@@ -427,45 +383,42 @@ def plan_paths(
     paths: tuple[ast.PathPattern, ...],
     record: Mapping[str, Any],
 ) -> PatternPlan:
-    """:func:`plan_prepared` over a pattern prepared for this one call."""
+    """The plan of *paths* for *record*'s null-pattern (its values are
+    never read)."""
     prepared = PreparedPattern(ctx, tuple(paths))
-    return plan_prepared(ctx, prepared, record, prepared.fresh_values(record))
+    return plan_prepared(ctx, prepared, prepared.null_pattern(record))
 
 
 def plan_prepared(
-    ctx: EvalContext,
-    prepared: PreparedPattern,
-    record: Mapping[str, Any],
-    values: list,
+    ctx: EvalContext, prepared: PreparedPattern, null_pattern: tuple
 ) -> PatternPlan:
-    """Choose an anchor per path and an execution order for one record.
+    """Choose an anchor per path and an execution order.
 
-    With ``ctx.use_planner`` off every choice is pinned -- written
-    order, anchor 0, as the matcher runs it -- which leaves the
-    estimates EXPLAIN prints.  *values* is the record's value memo
-    (:func:`evaluate_step`).
+    A pure function of the pattern, the store's statistics and the
+    null-pattern of the records it serves
+    (:meth:`PreparedPattern.null_pattern`).  With ``ctx.use_planner``
+    off, or for a pattern whose maps read its own variables, every
+    choice is pinned -- written order, anchor 0, as the matcher runs it
+    -- which leaves the estimates EXPLAIN prints.
     """
-    pinned = not ctx.use_planner
     paths = prepared.paths
-    bound = {name for name, value in record.items() if value is not None}
-    refs = [
-        path.refs - record.keys() if path.refs else path.refs
-        for path in paths
-    ]
-    keep_written_order = pinned or any(refs)
+    columns = prepared.columns
+    present = {
+        name for name, state in zip(columns, null_pattern)
+        if state is not None
+    }
+    bound = {name for name, state in zip(columns, null_pattern) if state}
+    # A map reading the pattern's own variables pins the written plan.
+    pinned = not ctx.use_planner or any(path.refs - present for path in paths)
     plans: list[PathPlan] = []
     remaining = list(range(len(paths)))
     while remaining:
         candidates: list[PathPlan] = []
         for index in remaining:
             path = paths[index]
-            own_refs = bool(refs[index] & path.provides)
-            anchor, cost, access = _choose_anchor(
-                ctx, path, bound, record, values,
-                pin_anchor=pinned or own_refs,
-            )
+            anchor, cost, access = _choose_anchor(ctx, path, bound, pinned)
             candidates.append(PathPlan(path.path, index, anchor, cost, access))
-            if keep_written_order:
+            if pinned:
                 break  # written order: only the earliest unplanned path
         best = min(candidates, key=lambda plan: plan.cost)
         plans.append(best)
@@ -476,31 +429,20 @@ def plan_prepared(
 
 
 def _choose_anchor(
-    ctx: EvalContext,
-    path: PreparedPath,
-    bound: set[str],
-    record: Mapping[str, Any],
-    values: list,
-    *,
-    pin_anchor: bool,
+    ctx: EvalContext, path: PreparedPath, bound: set[str], pinned: bool
 ) -> tuple[int, float, str]:
     """Cheapest anchor position for *path* (ties keep the leftmost).
 
     Anchors other than the first node are ruled out for paths with
     variable-length steps (their list bindings and sort keys are
-    defined by left-to-right expansion) and for paths whose property
-    maps read the path's own earlier variables (*pin_anchor*).
+    defined by left-to-right expansion) and for *pinned* plans.
     """
     nodes = path.steps[::2]
     best_index = 0
-    best_cost, best_access = estimate_step(
-        ctx, nodes[0], bound, record, values
-    )
-    if path.movable and not pin_anchor:
+    best_cost, best_access = estimate_step(ctx, nodes[0], bound)
+    if path.movable and not pinned:
         for index in range(1, len(nodes)):
-            cost, access = estimate_step(
-                ctx, nodes[index], bound, record, values
-            )
+            cost, access = estimate_step(ctx, nodes[index], bound)
             if cost < best_cost:
                 best_index, best_cost, best_access = index, cost, access
     return best_index, best_cost, best_access

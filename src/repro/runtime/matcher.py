@@ -23,8 +23,10 @@ semantics never depends on this order.
 The read path has one body per question: every path list is prepared
 once per clause execution (:class:`~repro.runtime.match_planner.PreparedPattern`)
 and runs as a plan through :func:`_run_plan` (planner off = the written
-plan); :func:`_node_candidates` enumerates the access path the store
-chose (``GraphStore.node_access``) and :func:`_hop` steps through
+plan); :func:`record_values` evaluates the pattern's property maps
+before any candidate is enumerated, so whether a record raises does not
+depend on the plan; :func:`_node_candidates` enumerates the access path
+the store chose (``GraphStore.node_access``) and :func:`_hop` steps through
 the store's id-level kernels (``match_nodes`` / ``expand`` /
 ``node_matches``), so a candidate is an integer until it is accepted
 and only a bound one becomes a ``Node`` / ``Relationship`` handle.
@@ -47,12 +49,14 @@ from repro.runtime.match_planner import (
     PreparedPath,
     PreparedPattern,
     RelStep,
-    evaluate_step,
-    plan_prepared,
 )
 
 #: what a homomorphism step must avoid: no relationship is ever in use
 _NOTHING_USED: frozenset[int] = frozenset()
+
+#: memo entry of a step whose property map reads variables the pattern
+#: itself still has to bind for this record: evaluated at every visit
+PER_VISIT = object()
 
 
 def match_pattern(
@@ -88,17 +92,19 @@ def match_prepared(
     the planner off the plan is the *written* one (written order, each
     path anchored at its first node, nothing estimated): the paper's
     naive strategy and the order-defining reference.  With it on,
-    :func:`~repro.runtime.match_planner.plan_prepared` picks anchors
-    and path order, and the result is still exactly the written plan's:
-    the same multiset always, and -- when ``ctx.preserve_match_order``
-    is set -- the same (ascending-id) order, by buffering one record's
-    matches and re-sorting them on their naive enumeration keys.
+    :meth:`~repro.runtime.match_planner.PreparedPattern.plan` picks
+    anchors and path order (once per null-pattern), and the result is
+    still exactly the written plan's: the same multiset always, and --
+    when ``ctx.preserve_match_order`` is set -- the same (ascending-id)
+    order, by buffering one record's matches and re-sorting them on
+    their naive enumeration keys.  Errors are the written plan's too:
+    :func:`record_values` runs before either plan enumerates anything.
     """
-    values = prepared.fresh_values(record)
+    values = record_values(ctx, prepared, record)
     ordered: Sequence[PathPlan] = prepared.written
     keys = None
     if ctx.use_planner:
-        plan = plan_prepared(ctx, prepared, record, values)
+        plan = prepared.plan(ctx, record)
         if ctx.profile is not None:
             ctx.profile.annotate(
                 anchor=plan.anchor_summary(),
@@ -118,6 +124,56 @@ def match_prepared(
     if keys is None:
         return matches
     return _in_written_order(matches, keys)
+
+
+def record_values(
+    ctx: EvalContext, prepared: PreparedPattern, record: Mapping[str, Any]
+) -> list:
+    """The record's value memo: one slot per step of *prepared*.
+
+    Every property map that reads only the record is evaluated here,
+    once, in written order, before any candidate is enumerated -- so
+    planner on and off raise the same error, whichever element would
+    have run out of candidates first.  MATCH denotes a bag of
+    assignments with no evaluation order (Francis et al., *Formal
+    Semantics of the Language Cypher*), so this order is the
+    implementation's to define.  The probe and every candidate then
+    compare against the same values, and the expressions cost one
+    evaluation (and its db-hits) per record.  A map reading variables
+    the pattern binds itself is :data:`PER_VISIT`; a step without
+    checks keeps None.
+    """
+    values: list = [None] * prepared.slots
+    for step in prepared.checked:
+        if step.refs and not step.refs <= record.keys():
+            values[step.slot] = PER_VISIT
+        else:
+            values[step.slot] = _evaluated(ctx, step, record)
+    return values
+
+
+def evaluate_step(
+    ctx: EvalContext, step: NodeStep | RelStep, bindings: Mapping[str, Any],
+    values: list,
+) -> tuple[tuple[str, Any, Any], ...] | None:
+    """The step's checks as ``(key, compare, value)`` entries.
+
+    The record's entry from *values* (:func:`record_values`), or for a
+    :data:`PER_VISIT` step the map evaluated against the bindings of
+    this visit.
+    """
+    known = values[step.slot]
+    if known is PER_VISIT:
+        return _evaluated(ctx, step, bindings)
+    return known
+
+
+def _evaluated(
+    ctx: EvalContext, step: NodeStep | RelStep, bindings: Mapping[str, Any]
+) -> tuple[tuple[str, Any, Any], ...]:
+    return tuple(
+        [(key, compare, fn(ctx, bindings)) for key, compare, fn in step.items]
+    )
 
 
 def pattern_variables(pattern: ast.Pattern) -> tuple[str, ...]:
@@ -365,9 +421,9 @@ def _hop(
     for current in stream:
         # The bindings visible to the two patterns' property
         # expressions are fixed while this node is current (the step's
-        # own variables are bound only after the check), so each
-        # property map is evaluated once here -- at most once per
-        # record -- and the store compares it with every candidate.
+        # own variables are bound only after the check), so a per-visit
+        # map is evaluated once here (a record-only one was, once, by
+        # record_values) and the store compares it with every candidate.
         rel_items = evaluate_step(ctx, rel_step, bindings, values)
         node_items = evaluate_step(ctx, node_step, bindings, values)
         rel_ids = end = None
@@ -493,8 +549,8 @@ def _var_length_hop(
     for current in stream:
         # Bindings at every check inside one expansion equal the
         # bindings at its start (deeper binds are undone before the
-        # loop resumes), so the property maps are evaluated once for
-        # the whole expansion.
+        # loop resumes), so a per-visit map is evaluated once for the
+        # whole expansion.
         rel_items = evaluate_step(ctx, rel_step, bindings, values)
         node_items = evaluate_step(ctx, node_step, bindings, values)
         end = None
@@ -514,7 +570,6 @@ def _node_candidates(
     """The nodes *step* can start a path at, ascending (lazily)."""
     store = ctx.store
     variable = step.variable
-    items = None
     if variable is not None and variable in bindings:
         value = bindings[variable]
         if value is None:
@@ -524,8 +579,7 @@ def _node_candidates(
                 f"variable '{variable}' is bound to {type_name(value)}, "
                 f"expected a Node"
             )
-        if step.items is not None:
-            items = evaluate_step(ctx, step, bindings, values)
+        items = evaluate_step(ctx, step, bindings, values)
         if step.mask or items:
             # A handle to a node that no longer exists fails here, as
             # reading its labels would.
@@ -533,11 +587,8 @@ def _node_candidates(
             if not store.node_matches(value.id, step.mask, items):
                 return ()
         return (value,)
-    probes = ()
-    if step.items is not None:
-        items = evaluate_step(ctx, step, bindings, values)
-        if step.equalities:
-            probes = items[: step.equalities]
+    items = evaluate_step(ctx, step, bindings, values)
+    probes = items[: step.equalities] if step.equalities else ()
     # The store picks the one source to enumerate (a superset of the
     # matches) from the labels and equalities, and filters it against
     # the other labels and every property check; what passes is bound,

@@ -12,7 +12,10 @@ MATCH, so these tests hold it to the only contracts that matter:
   (or fall back) to it exactly;
 * **planner off**: the written plan through the shared enumerator is
   the nested naive enumeration over ``matcher._match_single_path`` --
-  same matches, same order.
+  same matches, same order;
+* **errors**: a property map that reads only the record raises with
+  either plan, compiled or interpreted, even behind an element with no
+  candidates, and the first failing map in written order decides.
 
 The corpus deliberately includes the planner's interesting cases:
 selective anchors in non-leading position, multi-path patterns worth
@@ -24,18 +27,25 @@ validated evaluation order).
 
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dialect import Dialect
+from repro.errors import CypherError
 from repro.graph.model import Node, Path, Relationship
 from repro.graph.store import GraphStore
 from repro.testing.invariants import check_invariants
 from repro.parser import parse
 from repro.runtime.context import EvalContext, MatchMode
 from repro.runtime.match_planner import PreparedPattern
-from repro.runtime.matcher import _match_single_path, match_paths
+from repro.runtime.matcher import (
+    _match_single_path,
+    match_paths,
+    record_values,
+)
 from repro.session import Graph
+from repro.testing.interpreter import interpreted
 
 #: Random small graphs: up to 6 nodes labeled A/B, up to 10 typed edges.
 graphs = st.builds(
@@ -143,7 +153,7 @@ def nested_naive_matches(store, paths):
     ctx = EvalContext(store=store)
     bindings, used, found = {}, set(), []
     prepared = PreparedPattern(ctx, tuple(paths))
-    values = prepared.fresh_values(bindings)
+    values = record_values(ctx, prepared, bindings)
 
     def run(index):
         if index == len(paths):
@@ -305,3 +315,58 @@ class TestEndToEndLegacy:
         assert self._graph_fingerprint(on) == self._graph_fingerprint(off)
         check_invariants(on.store)
         check_invariants(off.store)
+
+
+#: (id, statement, error class): record-only maps that fail, each
+#: before and after an element with no candidates (a missing label, a
+#: missing type), on either side of an index the planner anchors at.
+ERRORING_MAPS = [
+    ("mod-before", "MATCH ({k: 2 % 0}), (n:Missing) RETURN 1 AS v",
+     "CypherEvaluationError"),
+    ("mod-after", "MATCH (n:Missing), ({k: 2 % 0}) RETURN 1 AS v",
+     "CypherEvaluationError"),
+    ("mod-after-in-path",
+     "MATCH (n:Missing)-[:T]->({k: 2 % 0}) RETURN 1 AS v",
+     "CypherEvaluationError"),
+    ("mod-after-missing-type",
+     "MATCH (b:B {i: 0})-[:NONE]->(c {k: 2 % 0}) RETURN 1 AS v",
+     "CypherEvaluationError"),
+    ("record-before",
+     "MATCH (a:A) MATCH (b:B {i: 1 / (a.k - a.k)}), (n:Missing) "
+     "RETURN 1 AS v",
+     "CypherEvaluationError"),
+    ("record-after",
+     "MATCH (a:A) MATCH (n:Missing), (b:B {i: 1 / (a.k - a.k)}) "
+     "RETURN 1 AS v",
+     "CypherEvaluationError"),
+    ("record-after-index",
+     "MATCH (a:A) MATCH (b:B {i: 0})-[:NONE]->({k: 1 / (a.k - a.k)}) "
+     "RETURN 1 AS v",
+     "CypherEvaluationError"),
+    # Two failing maps: the first in written order decides.
+    ("written-order",
+     "MATCH (n:Missing {k: 2 % 0}), (m:B {i: 1 - 'x'}) RETURN 1 AS v",
+     "CypherEvaluationError"),
+    ("written-order-reversed",
+     "MATCH (m:B {i: 1 - 'x'}), (n:Missing {k: 2 % 0}) RETURN 1 AS v",
+     "CypherTypeError"),
+]
+
+
+@pytest.mark.parametrize(
+    "statement, error",
+    [(statement, error) for __, statement, error in ERRORING_MAPS],
+    ids=[name for name, __, __ in ERRORING_MAPS],
+)
+def test_record_only_maps_raise_whatever_the_plan(statement, error):
+    raised = []
+    for use_planner in (True, False):
+        graph = Graph(Dialect.REVISED, use_planner=use_planner)
+        graph.run("CREATE (:A {k: 1}), (:A {k: 2}), (:B {i: 0})")
+        graph.create_index("B", "i")
+        prepared = graph.engine.prepare(statement)
+        for twin in (prepared, interpreted(prepared)):
+            with pytest.raises(CypherError) as caught:
+                graph.run(twin)
+            raised.append(type(caught.value).__name__)
+    assert raised == [error] * 4

@@ -25,7 +25,7 @@ from repro.graph.values import cypher_eq
 from repro.parser import ast
 from repro.runtime.context import EvalContext, MatchMode
 from repro.runtime.match_planner import PreparedPattern
-from repro.runtime.matcher import _node_candidates, match_paths
+from repro.runtime.matcher import _node_candidates, match_paths, record_values
 from repro.testing.invariants import check_invariants
 
 LABELS = ("A", "B", "C")
@@ -145,7 +145,7 @@ class TestNodeAccess:
                     ctx,
                     prepared.paths[0].steps[0],
                     {},
-                    prepared.fresh_values({}),
+                    record_values(ctx, prepared, {}),
                 )
             ]
             assert found == expected  # same nodes, ascending
@@ -173,7 +173,6 @@ class TestNodeAccess:
         store = build(nodes, indexes, kept, [])
         items = tuple(properties.items())
         size, description, ids = store.node_access(labels, items, fetch=True)
-        assert store.node_access(labels, items)[:2] == (size, description)
         expected = brute_force(store, labels, properties)
         if ids is None:
             assert description == "all nodes" and not labels
@@ -188,6 +187,14 @@ class TestNodeAccess:
                 if index is not None:
                     sizes.append(index.bucket_size(value))
         assert size == min(sizes)
+        # The estimate reads no value: an index counts its average bucket.
+        estimates = [store.label_count(label) for label in labels]
+        for label in labels:
+            for key, __ in items:
+                index = store.property_index(label, key)
+                if index is not None:
+                    estimates.append(max(1.0, index.average_bucket_size()))
+        assert store.node_access(labels, items)[0] == min(estimates)
         # The list is the caller's own: mutating it touches no bucket.
         ids.clear()
         assert store.node_access(labels, items, fetch=True)[0] == size

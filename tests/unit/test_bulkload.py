@@ -302,6 +302,22 @@ class TestCheckpointAndCli:
         finally:
             graph.close()
 
+    def test_cli_times_the_verify_pass(self, tmp_path, capsys):
+        # The invariant check is timed on its own, apart from the load
+        # and the checkpoint, and reads 0.0 when it is skipped.
+        for flags, verified in (([], True), (["--no-verify"], False)):
+            out = tmp_path / f"db{len(flags)}"
+            args = ["--synthetic", "200", "--out", str(out), *flags]
+            assert main([*args, "--json"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report["verified"] is verified
+            assert report["verify_seconds"] >= 0.0
+            if not verified:
+                assert report["verify_seconds"] == 0.0
+            assert main(args) == 0
+            line = capsys.readouterr().out.splitlines()[0]
+            assert ", verify in " in line and ", checkpoint in " in line
+
     def test_cli_explicit_files(self, tmp_path, capsys):
         nodes_path, rels_path = small_files(tmp_path)
         out = tmp_path / "db"

@@ -5,7 +5,6 @@ import io
 import pytest
 
 from repro import Dialect, Graph
-from repro.graph.indexes import UNKNOWN
 from repro.graph.store import GraphStore
 from repro.parser import parse
 from repro.runtime.context import EvalContext
@@ -103,10 +102,11 @@ class TestStoreStatistics:
             store.create_node(["P"], {"k": i % 3})
         assert store.label_count("P") == 6
         assert store.label_count("Q") == 0
-        unknown = [("k", UNKNOWN)]
-        assert store.node_access(("P",), unknown) == (6, "label scan :P", None)
+        # The estimate never reads the value: 99 is in no bucket.
+        probe = [("k", 99)]
+        assert store.node_access(("P",), probe) == (6, "label scan :P", None)
         store.create_index("P", "k")
-        assert store.node_access(("P",), unknown) == (
+        assert store.node_access(("P",), probe) == (
             pytest.approx(2.0),
             "index :P(k)",
             None,
@@ -180,7 +180,7 @@ class TestPlanChoices:
         ctx = EvalContext(store=shop_store, use_planner=True)
         def est(source):
             element = paths_of(source)[0].nodes[0]
-            return estimate_element(ctx, element, set(), {})
+            return estimate_element(ctx, element, set())
         all_cost, all_access = est("(n)")
         label_cost, label_access = est("(n:User)")
         index_cost, index_access = est("(n:Product {id: 3})")
@@ -195,7 +195,6 @@ class TestPlanChoices:
             ctx,
             paths_of("(p:Product {id: zzz.id})")[0].nodes[0],
             set(),
-            {},
         )
         assert access == "index :Product(id)"
         assert cost == pytest.approx(1.0)  # average bucket of a unique index
@@ -209,6 +208,34 @@ class TestPlanChoices:
         assert spec("(a)-[:T*1..2]->(b)") == ("var",)
         assert spec("(a)-[:T]->(b)-[:S*0..2]->(c)") == ("fixed", "var")
         assert spec("(a)-[:T*1..2]->(b)-[:S*1..2]->(c)") is None
+
+
+class TestOnePlanPerNullPattern:
+    def test_a_thousand_rows_with_two_null_patterns_plan_twice(
+        self, monkeypatch
+    ):
+        import repro.runtime.match_planner as match_planner
+
+        shapes = []
+        plan_prepared = match_planner.plan_prepared
+
+        def counted(ctx, prepared, null_pattern):
+            if len(prepared.paths[0].steps) == 3:  # the second MATCH
+                shapes.append(null_pattern)
+            return plan_prepared(ctx, prepared, null_pattern)
+
+        monkeypatch.setattr(match_planner, "plan_prepared", counted)
+        graph = Graph(Dialect.REVISED, use_planner=True)
+        graph.run("CREATE (:A {k: 1})-[:T]->()")
+        # Odd rows bind a, even rows null it: the MATCH sees 1 000
+        # records of two null-patterns.
+        result = graph.run(
+            "UNWIND range(1, 1000) AS i "
+            "OPTIONAL MATCH (a:A {k: i % 2}) "
+            "MATCH (a)-[:T]->(b) RETURN count(*) AS c"
+        )
+        assert result.single()["c"] == 500
+        assert sorted(shapes, key=repr) == [(False, None), (True, None)]
 
 
 class TestPlannerOff:

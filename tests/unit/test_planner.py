@@ -27,8 +27,8 @@ def reverse_path(path):
     )
 
 
-def estimate_node_cost(ctx, element, bound, record):
-    return estimate_element(ctx, element, bound, record)[0]
+def estimate_node_cost(ctx, element, bound):
+    return estimate_element(ctx, element, bound)[0]
 
 
 @pytest.fixture
@@ -76,24 +76,23 @@ class TestReversePath:
 class TestCostEstimates:
     def test_bound_variable_is_free(self, market):
         ctx = EvalContext(store=market.store)
-        node = market.store.node(0)
         element = pattern_of("(u:User)").paths[0].elements[0]
-        assert estimate_node_cost(ctx, element, {"u"}, {"u": node}) == 0.0
+        assert estimate_node_cost(ctx, element, {"u"}) == 0.0
 
     def test_label_count_used(self, market):
         ctx = EvalContext(store=market.store)
         user = pattern_of("(u:User)").paths[0].elements[0]
         product = pattern_of("(p:Product)").paths[0].elements[0]
         assert estimate_node_cost(
-            ctx, product, set(), {}
-        ) < estimate_node_cost(ctx, user, set(), {})
+            ctx, product, set()
+        ) < estimate_node_cost(ctx, user, set())
 
     def test_property_index_beats_label_scan(self, market):
         ctx = EvalContext(store=market.store)
         element = pattern_of("(u:User {id: 7})").paths[0].elements[0]
-        without_index = estimate_node_cost(ctx, element, set(), {})
+        without_index = estimate_node_cost(ctx, element, set())
         market.create_index("User", "id")
-        with_index = estimate_node_cost(ctx, element, set(), {})
+        with_index = estimate_node_cost(ctx, element, set())
         assert with_index < without_index
         # one index hit; the un-indexed property-filter discount is
         # what made the estimate 0.9 * 200 before the index existed
@@ -103,7 +102,7 @@ class TestCostEstimates:
     def test_unlabeled_costs_node_count(self, market):
         ctx = EvalContext(store=market.store)
         element = pattern_of("(x)").paths[0].elements[0]
-        assert estimate_node_cost(ctx, element, set(), {}) == float(
+        assert estimate_node_cost(ctx, element, set()) == float(
             market.node_count()
         )
 
