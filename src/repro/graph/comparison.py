@@ -7,10 +7,20 @@ Example 3 under MERGE SAME yields Figure 6b no matter how the driving
 table is ordered -- therefore requires deciding property-graph
 isomorphism with label/type/property-preserving bijections.
 
-Graphs in this reproduction are small (the paper's figures have at most
-a dozen nodes; the scaling benchmarks compare only counts), so we use
-:mod:`networkx`'s VF2 matcher over content signatures, with a cheap
-Weisfeiler-Lehman fingerprint as a fast-path filter.
+One body decides it.  *Colour refinement* (1-dimensional
+Weisfeiler-Lehman): a node starts coloured by its content signature,
+and each round hashes its old colour with the sorted (edge bundle,
+neighbour colour) pairs of its out- and in-edges, until the number of
+colours stops growing.  Colours are named by content, never by a
+per-graph index, so isomorphic graphs have equal colour histograms
+(:func:`fingerprint`) and unequal ones reject at once.  *Backtracking
+seeded by colour* then maps nodes in a connected order -- the smallest
+colour class first, then always a node adjacent to a mapped one --
+trying for each only the nodes of its colour, and checking a candidate
+against the node's own in- and out-bundles only.  Refinement leaves the
+search only graphs it cannot split, regular ones of uniform content,
+where the connected order lets those checks reject a wrong image as
+soon as it is tried.
 """
 
 from __future__ import annotations
@@ -21,89 +31,96 @@ from typing import Any
 
 from repro.graph.model import GraphSnapshot
 
-# networkx is imported lazily inside the functions that need it so the
-# signature helpers below stay dependency-free (the core runtime keys
-# driving-table records with value_signature).
-
-
-def to_networkx(snapshot: GraphSnapshot) -> "nx.MultiDiGraph":
-    """Convert a snapshot to a MultiDiGraph with content signatures.
-
-    Each node gets a ``sig`` attribute (labels + sorted properties) and
-    each edge a ``sig`` attribute (type + sorted properties), so that
-    categorical matching on ``sig`` decides property-graph isomorphism.
-    Dangling relationships (legacy states) keep their missing endpoint
-    as an extra node marked with a ``dangling`` signature.
-    """
-    import networkx as nx
-
-    graph = nx.MultiDiGraph()
-    for node_id in snapshot.nodes:
-        graph.add_node(node_id, sig=snapshot.node_signature(node_id))
-    for rel_id in snapshot.relationships:
-        source = snapshot.source[rel_id]
-        target = snapshot.target[rel_id]
-        for endpoint in (source, target):
-            if endpoint not in graph:
-                graph.add_node(endpoint, sig=("<deleted>",))
-        graph.add_edge(source, target, key=rel_id, sig=snapshot.rel_signature(rel_id))
-    return graph
-
 
 def fingerprint(snapshot: GraphSnapshot) -> str:
     """A content hash invariant under id renaming.
 
     Two isomorphic graphs always share a fingerprint; unequal
     fingerprints prove non-isomorphism.  (Equal fingerprints are almost
-    always isomorphic but are confirmed with :func:`isomorphic`.)
+    always isomorphic but are confirmed with :func:`isomorphic`.)  Like
+    Python's ``hash``, it is stable within one interpreter run.
     """
-    import networkx as nx
-
-    multi = to_networkx(snapshot)
-    # The WL hash works on simple graphs with string attributes, so
-    # bundle parallel edges into one edge labeled with the sorted
-    # multiset of their signatures.
-    graph = nx.DiGraph()
-    for node, data in multi.nodes(data=True):
-        graph.add_node(node, sig_str=repr(data["sig"]))
-    bundles: dict[tuple, list] = {}
-    for source, target, data in multi.edges(data=True):
-        bundles.setdefault((source, target), []).append(data["sig"])
-    for (source, target), sigs in bundles.items():
-        graph.add_edge(source, target, sig_str=repr(sorted(map(repr, sigs))))
-    return nx.weisfeiler_lehman_graph_hash(
-        graph, node_attr="sig_str", edge_attr="sig_str"
-    )
+    histogram = frozenset(Counter(_refined(snapshot)[3].values()).items())
+    return f"{hash(histogram) & (1 << 64) - 1:016x}"
 
 
 def isomorphic(left: GraphSnapshot, right: GraphSnapshot) -> bool:
     """True iff the two graphs are equal up to id renaming."""
     if left.order() != right.order() or left.size() != right.size():
         return False
-    if signature_counts(left) != signature_counts(right):
+    left_sigs, left_out, left_in, left_colours = _refined(left)
+    right_sigs, right_out, right_in, right_colours = _refined(right)
+    if Counter(left_colours.values()) != Counter(right_colours.values()):
         return False
-    try:
-        import networkx as nx
-    except ImportError:
-        # The graphs decided here are small (paper figures, fuzz
-        # cases), so an exact backtracking search suffices where
-        # networkx is not installed (e.g. the CI fuzz smoke job).
-        return _isomorphic_backtracking(left, right)
-    matcher = nx.algorithms.isomorphism.MultiDiGraphMatcher(
-        to_networkx(left),
-        to_networkx(right),
-        node_match=lambda a, b: a["sig"] == b["sig"],
-        edge_match=_edge_multiset_match,
-    )
-    return matcher.is_isomorphic()
+    classes: dict[int, list[int]] = {}
+    for node, colour in right_colours.items():
+        classes.setdefault(colour, []).append(node)
+    # Search order: each component from its node of the smallest
+    # colour class, then always a node adjacent to one placed before.
+    order: list[int] = []
+    placed: set[int] = set()
+    for start in sorted(
+        left_sigs, key=lambda n: (len(classes[left_colours[n]]), n)
+    ):
+        queue = [] if start in placed else [start]
+        placed.add(start)
+        for node in queue:  # breadth first: the loop sees what it appends
+            order.append(node)
+            for neighbour in (*left_out[node], *left_in[node]):
+                if neighbour not in placed:
+                    placed.add(neighbour)
+                    queue.append(neighbour)
+    mapping: dict[int, int] = {}
+    inverse: dict[int, int] = {}
+
+    def extend(node: int, image: int) -> bool:
+        """Map *node* to *image* if each of its bundles to a mapped
+        node (itself included) has its image there."""
+        if image in inverse or left_sigs[node] != right_sigs[image]:
+            return False
+        mapping[node] = image
+        if all(
+            image_bundles.get(mapping[neighbour]) == bundle
+            for bundles, image_bundles in (
+                (left_out[node], right_out[image]),
+                (left_in[node], right_in[image]),
+            )
+            for neighbour, bundle in bundles.items()
+            if neighbour in mapping
+        ):
+            inverse[image] = node
+            return True
+        del mapping[node]
+        return False
+
+    # Depth-first over *order*, one candidate iterator per mapped node.
+    # A bijection preserving every left bundle, with equal edge counts,
+    # preserves the right ones too.
+    stack = [iter(classes[left_colours[order[0]]])] if order else []
+    while stack:
+        node = order[len(stack) - 1]
+        if node in mapping:
+            del inverse[mapping.pop(node)]
+        for image in stack[-1]:
+            if extend(node, image):
+                if len(stack) == len(order):
+                    return True
+                stack.append(iter(classes[left_colours[order[len(stack)]]]))
+                break
+        else:
+            stack.pop()
+    return not order
 
 
-def _bundled(snapshot: GraphSnapshot):
-    """``(node sigs, edge bundles)``: the categorical matching inputs.
+def _refined(snapshot: GraphSnapshot):
+    """``(node sigs, out-bundles, in-bundles, stable colours)``.
 
-    Mirrors :func:`to_networkx`: dangling endpoints become nodes with a
-    ``("<deleted>",)`` signature, and parallel edges bundle into a
-    multiset of relationship signatures per (source, target) pair.
+    Dangling endpoints (legacy states) become nodes with a
+    ``("<deleted>",)`` signature; parallel edges bundle into a multiset
+    of relationship signatures per (source, target) pair, kept under
+    both endpoints: ``out[source][target]`` is ``into[target][source]``.
+    Colours hash content, so equal content (``1`` and ``1.0`` included)
+    gets one colour in every graph.
     """
     sigs = {
         node_id: snapshot.node_signature(node_id)
@@ -118,69 +135,30 @@ def _bundled(snapshot: GraphSnapshot):
         bundles.setdefault((source, target), Counter())[
             snapshot.rel_signature(rel_id)
         ] += 1
-    return sigs, bundles
-
-
-def _isomorphic_backtracking(
-    left: GraphSnapshot, right: GraphSnapshot
-) -> bool:
-    """Exact sig-preserving bijection search (no dependencies)."""
-    left_sigs, left_bundles = _bundled(left)
-    right_sigs, right_bundles = _bundled(right)
-    if Counter(left_sigs.values()) != Counter(right_sigs.values()):
-        return False
-    candidates = {
-        node: [
-            other for other, sig in right_sigs.items()
-            if sig == left_sigs[node]
-        ]
-        for node in left_sigs
-    }
-    # Most-constrained first keeps the search shallow.
-    order = sorted(candidates, key=lambda node: len(candidates[node]))
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def consistent(node: int, image: int) -> bool:
-        for (source, target), bundle in left_bundles.items():
-            if source == node and target in mapping:
-                if right_bundles.get((image, mapping[target])) != bundle:
-                    return False
-            if target == node and source in mapping:
-                if right_bundles.get((mapping[source], image)) != bundle:
-                    return False
-            if source == node and target == node:
-                if right_bundles.get((image, image)) != bundle:
-                    return False
-        return True
-
-    def extend(index: int) -> bool:
-        if index == len(order):
-            return True
-        node = order[index]
-        for image in candidates[node]:
-            if image in used or not consistent(node, image):
-                continue
-            mapping[node] = image
-            used.add(image)
-            if extend(index + 1):
-                return True
-            del mapping[node]
-            used.discard(image)
-        return False
-
-    if not extend(0):
-        return False
-    # The bijection preserves every left bundle; equal edge counts then
-    # force the reverse direction too.
-    return True
-
-
-def _edge_multiset_match(left_edges: dict, right_edges: dict) -> bool:
-    """Match parallel-edge bundles as multisets of signatures."""
-    left_sigs = Counter(data["sig"] for data in left_edges.values())
-    right_sigs = Counter(data["sig"] for data in right_edges.values())
-    return left_sigs == right_sigs
+    out: dict[int, dict[int, Counter]] = {node: {} for node in sigs}
+    into: dict[int, dict[int, Counter]] = {node: {} for node in sigs}
+    # per node, (bundle name, neighbour) pairs out of it and into it
+    around: dict[int, tuple[list, list]] = {node: ([], []) for node in sigs}
+    for (source, target), bundle in bundles.items():
+        out[source][target] = into[target][source] = bundle
+        name = hash(frozenset(bundle.items()))
+        around[source][0].append((name, target))
+        around[target][1].append((name, source))
+    colours = {node: hash(sig) for node, sig in sigs.items()}
+    count = len(set(colours.values()))
+    while True:
+        colours = {
+            node: hash((
+                colours[node],
+                tuple(sorted([(name, colours[n]) for name, n in outward])),
+                tuple(sorted([(name, colours[n]) for name, n in inward])),
+            ))
+            for node, (outward, inward) in around.items()
+        }
+        refined = len(set(colours.values()))
+        if refined == count:
+            return sigs, out, into, colours
+        count = refined
 
 
 def signature_counts(snapshot: GraphSnapshot) -> tuple[Counter, Counter]:

@@ -193,9 +193,6 @@ class _AdjacencyHalf:
                 return offsets[group + 1] - offsets[group]
         return 0
 
-    def extend_all(self, out: list[int]) -> None:
-        out.extend(self.rels)
-
     def group(self, type_id: int) -> list[int]:
         """The (ascending) relationship ids of the *type_id* group."""
         types = self.types

@@ -51,6 +51,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Mapping, NamedTuple
 
+from repro.graph.model import Node, Path, Relationship
 from repro.graph.values import cypher_eq
 from repro.parser import ast
 from repro.runtime.compiler import compile_map
@@ -152,7 +153,9 @@ class PreparedPattern:
     like every closure on its AST node.
     """
 
-    __slots__ = ("paths", "written", "checked", "slots", "columns", "plans")
+    __slots__ = (
+        "paths", "written", "typed", "checked", "slots", "columns", "plans"
+    )
 
     def __init__(self, ctx: EvalContext, paths: tuple[ast.PathPattern, ...]):
         store = ctx.store
@@ -163,9 +166,19 @@ class PreparedPattern:
         }
         slot = 0
         prepared = []
+        typed: dict[tuple[str, type], str | None] = {}
+        binds: dict[str, type] = {}  # variable -> the kind it is bound as
         for path in paths:
             steps = []
             for position, element in enumerate(path.elements):
+                if element.variable is not None:
+                    kind = Node if position % 2 == 0 else (
+                        list if element.var_length else Relationship
+                    )
+                    seen = binds.setdefault(element.variable, kind)
+                    if kind is not list:  # Cypher's name: "List", "Path"...
+                        clash = None if seen is kind else seen.__name__.title()
+                        typed.setdefault((element.variable, kind), clash)
                 items, refs, equalities = None, _NO_REFS, 0
                 if element.properties is not None or element.comparisons:
                     items, equalities, variables = compile_checks(
@@ -195,11 +208,16 @@ class PreparedPattern:
                 steps.append(step)
                 slot += 1
             prepared.append(PreparedPath(path, tuple(steps)))
+            if path.variable is not None:
+                binds.setdefault(path.variable, Path)
         self.paths = tuple(prepared)
         #: the written plan: written order, each path from its first node
         self.written = tuple(
             [PathPlan(path, index, 0) for index, path in enumerate(paths)]
         )
+        #: ``(variable, Node | Relationship, clash)`` in written order;
+        #: *clash*: the other kind the pattern first binds it as, if any
+        self.typed = tuple([(*key, clash) for key, clash in typed.items()])
         #: steps with property checks, in written order
         self.checked = tuple(
             [step for path in prepared for step in path.steps if step.items]

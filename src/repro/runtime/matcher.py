@@ -23,13 +23,14 @@ semantics never depends on this order.
 The read path has one body per question: every path list is prepared
 once per clause execution (:class:`~repro.runtime.match_planner.PreparedPattern`)
 and runs as a plan through :func:`_run_plan` (planner off = the written
-plan); :func:`record_values` evaluates the pattern's property maps
-before any candidate is enumerated, so whether a record raises does not
-depend on the plan; :func:`_node_candidates` enumerates the access path
-the store chose (``GraphStore.node_access``) and :func:`_hop` steps through
-the store's id-level kernels (``match_nodes`` / ``expand`` /
-``node_matches``), so a candidate is an integer until it is accepted
-and only a bound one becomes a ``Node`` / ``Relationship`` handle.
+plan); :func:`record_values` checks the pattern's bound variables and
+evaluates its property maps before any candidate is enumerated, so
+whether a record raises does not depend on the plan;
+:func:`_node_candidates` enumerates the access path the store chose
+(``GraphStore.node_access``) and :func:`_hop` steps through the store's
+id-level kernels (``match_nodes`` / ``expand`` / ``node_matches``), so
+a candidate is an integer until it is accepted and only a bound one
+becomes a ``Node`` / ``Relationship`` handle.
 """
 
 from __future__ import annotations
@@ -142,7 +143,24 @@ def record_values(
     evaluation (and its db-hits) per record.  A map reading variables
     the pattern binds itself is :data:`PER_VISIT`; a step without
     checks keeps None.
+
+    Before any map, every node and fixed-length relationship variable
+    is checked in written order: bound by the record to anything but
+    null or a ``Node`` / ``Relationship``, or by the pattern itself
+    first as another kind, it raises :class:`CypherTypeError`.
     """
+    for variable, kind, clash in prepared.typed:
+        if variable in record:
+            value = record[variable]
+            if value is None or isinstance(value, kind):
+                continue
+            clash = type_name(value)
+        elif clash is None:
+            continue
+        raise CypherTypeError(
+            f"variable '{variable}' is bound to {clash}, "
+            f"expected a {kind.__name__}"
+        )
     values: list = [None] * prepared.slots
     for step in prepared.checked:
         if step.refs and not step.refs <= record.keys():
@@ -432,18 +450,16 @@ def _hop(
             value = bindings[rel_variable]
             if value is None:
                 continue
-            if not isinstance(value, Relationship):
-                raise CypherTypeError(
-                    f"variable '{rel_variable}' is bound to "
-                    f"{type_name(value)}, expected a Relationship"
-                )
             # A bound relationship was never type-filtered or oriented;
             # adjacency-derived candidates already are.
             rel_ids = (value.id,)
             rel_variable = None
         node_variable = node_step.variable
         if node_variable is not None and node_variable in bindings:
-            end = _bound_node_id(bindings[node_variable])
+            value = bindings[node_variable]
+            if value is None:
+                continue
+            end = value.id
             node_variable = None
         for rel_id, node_id in store.expand(
             current.id, outgoing, incoming, type_ids, rel_items, avoid,
@@ -555,7 +571,10 @@ def _var_length_hop(
         node_items = evaluate_step(ctx, node_step, bindings, values)
         end = None
         if node_step.variable is not None and node_step.variable in bindings:
-            end = _bound_node_id(bindings[node_step.variable])
+            value = bindings[node_step.variable]
+            if value is None:
+                continue
+            end = value.id
         unconstrained = not mask and not node_items
         yield from expand(current.id, 0, [], [])
 
@@ -574,11 +593,6 @@ def _node_candidates(
         value = bindings[variable]
         if value is None:
             return ()
-        if not isinstance(value, Node):
-            raise CypherTypeError(
-                f"variable '{variable}' is bound to {type_name(value)}, "
-                f"expected a Node"
-            )
         items = evaluate_step(ctx, step, bindings, values)
         if step.mask or items:
             # A handle to a node that no longer exists fails here, as
@@ -597,14 +611,6 @@ def _node_candidates(
     return map(
         partial(Node, store), store.match_nodes(ids, step.mask, items)
     )
-
-
-def _bound_node_id(bound: Any) -> int:
-    """The node id a bound variable pins a step's far end to.
-
-    A variable bound to anything but a node matches no node (-1).
-    """
-    return bound.id if isinstance(bound, Node) else -1
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,11 @@ MATCH, so these tests hold it to the only contracts that matter:
 * **planner off**: the written plan through the shared enumerator is
   the nested naive enumeration over ``matcher._match_single_path`` --
   same matches, same order;
-* **errors**: a property map that reads only the record raises with
-  either plan, compiled or interpreted, even behind an element with no
-  candidates, and the first failing map in written order decides.
+* **errors**: a property map that reads only the record, or a pattern
+  variable bound to the wrong kind of value, raises with either plan,
+  compiled or interpreted, even behind an element with no candidates,
+  and the first failing check in written order decides (variables
+  before maps).
 
 The corpus deliberately includes the planner's interesting cases:
 selective anchors in non-leading position, multi-path patterns worth
@@ -350,6 +352,19 @@ ERRORING_MAPS = [
     ("written-order-reversed",
      "MATCH (m:B {i: 1 - 'x'}), (n:Missing {k: 2 % 0}) RETURN 1 AS v",
      "CypherTypeError"),
+    # A pattern variable bound to a non-entity: checked per record
+    # before any candidate, at an anchor or a far end alike, and before
+    # the record-only maps.
+    ("bound-non-node-after-empty",
+     "WITH 1 AS m MATCH (n {k: 5}), (m) RETURN n", "CypherTypeError"),
+    ("bound-non-node-far-end",
+     "WITH 1 AS m MATCH (a:A)-->(m) RETURN a", "CypherTypeError"),
+    ("bound-non-relationship",
+     "WITH 1 AS r MATCH (a:A {k: 5})-[r]->(b) RETURN a", "CypherTypeError"),
+    ("bound-non-node-before-map",
+     "WITH 1 AS m MATCH ({k: 2 % 0}), (m) RETURN 1 AS v", "CypherTypeError"),
+    ("pattern-binds-other-kind",
+     "MATCH (a)-[r]->(b), (x)-[r2]->(r) RETURN r", "CypherTypeError"),
 ]
 
 

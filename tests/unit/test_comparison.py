@@ -1,9 +1,13 @@
 """Unit tests for isomorphism-up-to-id-renaming and the comparison
 operators' one bodies."""
 
+import itertools
 import math
+import random
+import time
+from collections import Counter
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.graph.comparison import (
@@ -177,60 +181,220 @@ class TestValueSignature:
         assert "<unreprable>" in value_signature(Hostile())
 
 
-class TestBacktrackingFallback:
-    """The no-networkx isomorphism path must agree with VF2."""
+def build_ordered(node_sigs, edges, creation_order):
+    """A graph whose node *i* has ``node_sigs[i]`` and whose store ids
+    follow *creation_order*; edges are ``(source, type, target)``."""
+    store = GraphStore()
+    ids = {}
+    for index in creation_order:
+        labels, props = node_sigs[index]
+        ids[index] = store.create_node(labels, dict(props))
+    for source, rel_type, target in edges:
+        store.create_relationship(rel_type, ids[source], ids[target])
+    return store.snapshot()
 
-    def test_fallback_accepts_renamings(self):
-        from repro.graph.comparison import _isomorphic_backtracking
 
+def brute_force_isomorphic(left, right):
+    """Try every node bijection: the oracle for graphs of a few nodes."""
+    left_nodes, right_nodes = sorted(left.nodes), sorted(right.nodes)
+    if len(left_nodes) != len(right_nodes):
+        return False
+    right_rels = Counter(
+        (right.rel_signature(r), right.source[r], right.target[r])
+        for r in right.relationships
+    )
+    for images in itertools.permutations(right_nodes):
+        image = dict(zip(left_nodes, images))
+        if all(
+            left.node_signature(n) == right.node_signature(image[n])
+            for n in left_nodes
+        ) and right_rels == Counter(
+            (left.rel_signature(r), image[left.source[r]],
+             image[left.target[r]])
+            for r in left.relationships
+        ):
+            return True
+    return False
+
+
+#: few distinct signatures, so that most nodes share one and the
+#: search, not colour refinement, has to tell the graphs apart
+NODE_SIGS = st.sampled_from(
+    [((), ()), ((), ()), (("A",), ()), ((), (("k", 1),))]
+)
+
+
+@st.composite
+def small_graphs(draw):
+    count = draw(st.integers(1, 6))
+    node_sigs = draw(st.lists(NODE_SIGS, min_size=count, max_size=count))
+    node = st.integers(0, count - 1)
+    edges = draw(st.lists(
+        st.tuples(node, st.sampled_from(["T", "S"]), node), max_size=9
+    ))
+    if draw(st.booleans()):
+        # Both directions of every edge: regular undirected shapes are
+        # where colour refinement sees least.
+        edges += [(target, rel_type, source) for source, rel_type, target
+                  in edges]
+    return node_sigs, edges
+
+
+def cycles(count, length):
+    """Disjoint directed cycles of *length* over nodes ``0..count-1``."""
+    return [
+        (start + i, start + (i + 1) % length)
+        for start in range(0, count, length)
+        for i in range(length)
+    ]
+
+
+def circulant(count, *steps):
+    """An edge from every node to its *step*-th next, for each step."""
+    return [(i, (i + step) % count) for i in range(count) for step in steps]
+
+
+def both(edges):
+    """Every edge in both directions: an undirected graph."""
+    return edges + [(target, source) for source, target in edges]
+
+
+#: (id, left edges, right edges): non-isomorphic pairs of uniform graphs
+UNIFORM_PAIRS = [
+    ("C20-vs-5xC4", cycles(20, 20), cycles(20, 4)),
+    ("5xC4-vs-C20", cycles(20, 4), cycles(20, 20)),
+    ("C30(1,4)-vs-C30(1,7)", circulant(30, 1, 4), circulant(30, 1, 7)),
+    ("2xK3-vs-C6", both(cycles(6, 3)), both(cycles(6, 6))),
+    (
+        "wagner-vs-cube",
+        both(cycles(8, 8) + [(i, i + 4) for i in range(4)]),
+        both([
+            (i, i ^ bit) for i in range(8) for bit in (1, 2, 4) if i < i ^ bit
+        ]),
+    ),
+]
+
+
+def uniform(edges, seed):
+    """*edges* over contentless nodes, with ids and edge order shuffled."""
+    count = 1 + max(max(edge) for edge in edges)
+    rng = random.Random(seed)
+    edges = list(edges)
+    rng.shuffle(edges)
+    order = list(range(count))
+    rng.shuffle(order)
+    return build_ordered(
+        [((), ())] * count, [(a, "T", b) for a, b in edges], order
+    )
+
+
+class TestSearch:
+    """The one isomorphism body against a brute-force oracle."""
+
+    def test_accepts_renamings(self):
         left = build([("a", "T", "b"), ("b", "S", "c")])
         right = build([("z", "T", "y"), ("y", "S", "x")])
-        assert _isomorphic_backtracking(left, right)
+        assert isomorphic(left, right)
 
-    def test_fallback_rejects_different_wiring(self):
-        from repro.graph.comparison import _isomorphic_backtracking
-
+    def test_rejects_different_wiring(self):
         left = build([("a", "T", "b"), ("b", "T", "c")])
         right = build([("a", "T", "b"), ("a", "T", "c")])
-        assert not _isomorphic_backtracking(left, right)
+        assert not isomorphic(left, right)
 
-    def test_fallback_handles_parallel_edges_and_self_loops(self):
-        from repro.graph.comparison import _isomorphic_backtracking
-
+    def test_handles_parallel_edges_and_self_loops(self):
         left = build([("a", "T", "a"), ("a", "T", "b"), ("a", "T", "b")])
         right = build([("x", "T", "x"), ("x", "T", "y"), ("x", "T", "y")])
-        assert _isomorphic_backtracking(left, right)
+        assert isomorphic(left, right)
         skew = build([("x", "T", "x"), ("x", "T", "y"), ("y", "T", "x")])
-        assert not _isomorphic_backtracking(left, skew)
+        assert not isomorphic(left, skew)
 
-    def test_fallback_agrees_with_vf2_on_random_graphs(self):
-        import random
+    @settings(max_examples=300, deadline=None)
+    @given(small_graphs(), st.data())
+    def test_renamed_graphs_are_isomorphic(self, graph, data):
+        node_sigs, edges = graph
+        order = data.draw(st.permutations(range(len(node_sigs))))
+        left = build_ordered(node_sigs, edges, range(len(node_sigs)))
+        right = build_ordered(
+            node_sigs, data.draw(st.permutations(edges)), order
+        )
+        assert brute_force_isomorphic(left, right)
+        assert isomorphic(left, right)
+        assert fingerprint(left) == fingerprint(right)
 
-        from repro.graph.comparison import (
-            _isomorphic_backtracking,
-            isomorphic,
+    @settings(max_examples=300, deadline=None)
+    @given(small_graphs(), st.data())
+    def test_single_edits_agree_with_brute_force(self, graph, data):
+        """Move one edge's target to another node of the same signature:
+        ``signature_counts`` stays equal, so only the search decides."""
+        node_sigs, edges = graph
+        assume(edges)
+        index = data.draw(st.integers(0, len(edges) - 1))
+        source, rel_type, target = edges[index]
+        twins = [
+            n for n, sig in enumerate(node_sigs)
+            if sig == node_sigs[target] and n != target
+        ]
+        assume(twins)
+        edited = list(edges)
+        edited[index] = (source, rel_type, data.draw(st.sampled_from(twins)))
+        order = data.draw(st.permutations(range(len(node_sigs))))
+        left = build_ordered(node_sigs, edges, range(len(node_sigs)))
+        right = build_ordered(node_sigs, edited, order)
+        assert signature_counts(left) == signature_counts(right)
+        assert isomorphic(left, right) == brute_force_isomorphic(left, right)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda n: st.tuples(*[st.permutations(range(n))] * 2)
+        ),
+        st.booleans(),
+    )
+    def test_permutation_graphs_agree_with_cycle_types(self, pair, both_ways):
+        """Edges ``i -> perm[i]``: every node has one edge out and one
+        in, so colour refinement sees nothing and the search decides.
+        Two such graphs are isomorphic iff their permutations have the
+        same cycle lengths -- also with every edge in both directions."""
+
+        def graph(perm):
+            edges = list(enumerate(perm))
+            if both_ways:
+                edges = both(edges)
+            return build_ordered(
+                [((), ())] * len(perm), [(a, "T", b) for a, b in edges],
+                range(len(perm)),
+            )
+
+        def cycle_type(perm):
+            seen, lengths = set(), []
+            for start in perm:
+                length = 0
+                while start not in seen:
+                    seen.add(start)
+                    start = perm[start]
+                    length += 1
+                if length:
+                    lengths.append(length)
+            return sorted(lengths)
+
+        left, right = pair
+        assert isomorphic(graph(left), graph(right)) == (
+            cycle_type(left) == cycle_type(right)
         )
 
-        for trial in range(60):
-            rng = random.Random(trial)
-            n = rng.randint(1, 5)
-            edges = [
-                (
-                    f"n{rng.randrange(n)}",
-                    rng.choice(["T", "S"]),
-                    f"n{rng.randrange(n)}",
-                )
-                for _ in range(rng.randint(0, 6))
-            ]
-            mutated = list(edges)
-            if mutated and rng.random() < 0.5:
-                source, __, target = mutated[0]
-                mutated[0] = (source, "X", target)
-            left = build(edges)
-            for right in (build(list(reversed(edges))), build(mutated)):
-                assert isomorphic(left, right) == _isomorphic_backtracking(
-                    left, right
-                )
+    @pytest.mark.parametrize(
+        "left, right",
+        [pair[1:] for pair in UNIFORM_PAIRS],
+        ids=[pair[0] for pair in UNIFORM_PAIRS],
+    )
+    def test_uniform_graphs_are_decided_fast(self, left, right):
+        """Every node alike and of one degree: colour refinement cannot
+        split them, so the search alone decides, in bounded time."""
+        started = time.perf_counter()
+        assert not isomorphic(uniform(left, 0), uniform(right, 1))
+        assert isomorphic(uniform(left, 0), uniform(left, 1))
+        assert isomorphic(uniform(right, 0), uniform(right, 1))
+        assert time.perf_counter() - started < 1.0
 
 
 # ---------------------------------------------------------------------------
