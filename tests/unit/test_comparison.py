@@ -217,8 +217,7 @@ def brute_force_isomorphic(left, right):
     return False
 
 
-#: few distinct signatures, so that most nodes share one and the
-#: search, not colour refinement, has to tell the graphs apart
+#: few distinct signatures, so that many nodes share one
 NODE_SIGS = st.sampled_from(
     [((), ()), ((), ()), (("A",), ()), ((), (("k", 1),))]
 )
@@ -289,7 +288,8 @@ def uniform(edges, seed):
 
 
 class TestSearch:
-    """The one isomorphism body against a brute-force oracle."""
+    """The one isomorphism body against oracles that share no code with
+    it: a brute-force search over bijections, and cycle types."""
 
     def test_accepts_renamings(self):
         left = build([("a", "T", "b"), ("b", "S", "c")])
@@ -325,7 +325,7 @@ class TestSearch:
     @given(small_graphs(), st.data())
     def test_single_edits_agree_with_brute_force(self, graph, data):
         """Move one edge's target to another node of the same signature:
-        ``signature_counts`` stays equal, so only the search decides."""
+        ``signature_counts`` stays equal, so that filter cannot decide."""
         node_sigs, edges = graph
         assume(edges)
         index = data.draw(st.integers(0, len(edges) - 1))
